@@ -23,12 +23,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .physics import (NondimParams, SigmaLaw, asymptotic_wgn, check_sigma,
-                      degeneracy_margin, nu_sigma_rescaled, s_asymptotic)
+                      degeneracy_k0, degeneracy_margin, nu_sigma_rescaled)
 from .shape import build_grid
 from .solver import (ContinuationError, SolutionState, SolverError,
                      SolverOptions, continuation, newton_solve)
@@ -37,8 +38,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_REJECTED = 2
 EXIT_USAGE = 64
-
-_HALF_PI_SQ_INV = 1.0 / (2.0 * math.pi**2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,22 +77,26 @@ def _emit_error(code: int, message: str, **extra) -> int:
     return code
 
 
-def _sigma_from_args(args) -> SigmaLaw:
-    kind = args.sigma_kind
-    if kind == "none":
-        return SigmaLaw()
-    if kind == "c_power":
-        return SigmaLaw(kind=kind, c=args.sigma_c, p=args.sigma_p)
-    return SigmaLaw(kind=kind, c=args.sigma_c)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _split_grid(spec: str) -> tuple[float, float, int]:
+    # a:b:n with finite endpoints; callers check the ranges they need
+    try:
+        a, b, n = spec.split(":")
+        a, b, n = _finite(a), _finite(b), int(n)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"grid must be a:b:n with finite a, b, got {spec!r}") from None
+    return a, b, n
 
 
 def _parse_grid(spec: str) -> list[float]:
-    try:
-        a, b, n = spec.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"grid must be a:b:n, got {spec!r}") from None
+    a, b, n = _split_grid(spec)
     if a <= 0.0 or b <= 0.0 or n < 1:
         raise argparse.ArgumentTypeError("grid endpoints must be positive, n >= 1")
     if n == 1:
@@ -102,13 +105,10 @@ def _parse_grid(spec: str) -> list[float]:
     return sorted((float(p) for p in pts), reverse=True)
 
 
-def _params_payload(args, eps=None) -> dict:
-    d = {"rho": args.rho,
-         "sigma": {"kind": args.sigma_kind, "c": args.sigma_c, "p": args.sigma_p},
-         "modes": args.modes, "grid": args.grid, "tol": args.tol}
-    if eps is not None:
-        d["eps"] = eps
-    return d
+def _params_payload(args, eps: float) -> dict:
+    return {"rho": args.rho,
+            "sigma": {"kind": args.sigma_kind, "c": args.sigma_c, "p": args.sigma_p},
+            "modes": args.modes, "grid": args.grid, "tol": args.tol, "eps": eps}
 
 
 def _state_payload(state: SolutionState, args, params: NondimParams) -> dict:
@@ -119,7 +119,7 @@ def _state_payload(state: SolutionState, args, params: NondimParams) -> dict:
         nu_pair["sigma_rescaled"] = state.nu / es
         nu_pair["sigma_rescaled_asym"] = nu_sigma_rescaled(state.eps, params.rho, sig)
     return {
-        "params": _params_payload(args, eps=state.eps),
+        "params": _params_payload(args, state.eps),
         "shape": {"coeffs": state.shape.coeffs},
         "w": state.w,
         "gamma": state.gamma,
@@ -152,18 +152,6 @@ def _table_row(state: SolutionState, params: NondimParams) -> str:
     return ",".join(f"{v:.17g}" for v in vals)
 
 
-def _svg_polyline(xs, ys, x0, y0, w, h, xlim, ylim, color) -> str:
-    def mapx(x):
-        return x0 + w * (x - xlim[0]) / (xlim[1] - xlim[0])
-
-    def mapy(y):
-        return y0 + h * (1.0 - (y - ylim[0]) / (ylim[1] - ylim[0]))
-
-    pts = " ".join(f"{mapx(x):.2f},{mapy(y):.2f}" for x, y in zip(xs, ys))
-    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>')
-
-
 def _pad(lo: float, hi: float) -> tuple[float, float]:
     span = (hi - lo) or max(abs(hi), 1e-12)
     return lo - 0.08 * span, hi + 0.08 * span
@@ -182,10 +170,12 @@ def _write_sweep_svg(path: Path, states: list[SolutionState],
     # left panel: |W - W_asym| vs eps
     parts.append('<rect x="60" y="40" width="340" height="320" fill="none" '
                  'stroke="black"/>')
-    parts.append(_svg_polyline(eps, dw, 60, 40, 340, 320, xlim, ylim, "#1f6fb2"))
-    for x, y in zip(eps, dw):
-        cx = 60 + 340 * (x - xlim[0]) / (xlim[1] - xlim[0])
-        cy = 40 + 320 * (1 - (y - ylim[0]) / (ylim[1] - ylim[0]))
+    px = [60 + 340 * (x - xlim[0]) / (xlim[1] - xlim[0]) for x in eps]
+    py = [40 + 320 * (1 - (y - ylim[0]) / (ylim[1] - ylim[0])) for y in dw]
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" '
+                 'stroke-width="1.5"/>')
+    for x, cx, cy in zip(eps, px, py):
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="#1f6fb2"/>')
         parts.append(f'<text x="{cx:.2f}" y="375" font-size="11" '
                      f'text-anchor="middle">{x:g}</text>')
@@ -215,31 +205,34 @@ def _write_sweep_svg(path: Path, states: list[SolutionState],
     path.write_text("\n".join(parts) + "\n")
 
 
-def _reject_inadmissible(args, params: NondimParams):
-    """Exit-2 payload for an inadmissible tension law, None when fine."""
-    report = check_sigma(params.sigma_law, params.rho)
-    if report.admissible or args.force:
-        return None, report
-    return _emit_error(EXIT_REJECTED, "sigma law rejected: " +
-                       "; ".join(report.messages or ("inadmissible",)),
-                       margin=report.margin, worst_mode=report.worst_mode,
-                       omega=report.omega), report
-
-
-def _options(args) -> SolverOptions:
-    return SolverOptions(n_grid=args.grid, modes=args.modes, tol=args.tol)
-
-
-def cmd_solve(args) -> int:
-    params = NondimParams(rho=args.rho, sigma_law=_sigma_from_args(args),
-                          omega=_sigma_from_args(args).omega)
-    bail, _ = _reject_inadmissible(args, params)
-    if bail is not None:
-        return bail
+def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _solve_out_dir(args, params: NondimParams) -> Path | None:
+    """Preamble of solve and sweep: the admissibility gate, then --out.
+
+    Returns None, after printing the exit-2 payload, when the tension law
+    is inadmissible and --force is off.
+    """
+    report = check_sigma(params.sigma_law, params.rho)
+    if not (report.admissible or args.force):
+        _emit_error(EXIT_REJECTED, "sigma law rejected: " +
+                    "; ".join(report.messages or ("inadmissible",)),
+                    margin=report.margin, worst_mode=report.worst_mode,
+                    omega=report.omega)
+        return None
+    return _out_dir(args)
+
+
+def cmd_solve(args, params: NondimParams, options: SolverOptions) -> int:
+    out = _solve_out_dir(args, params)
+    if out is None:
+        return EXIT_REJECTED
     try:
-        state = newton_solve(args.eps, params, options=_options(args))
+        state = newton_solve(args.eps, params, options=options)
     except (SolverError, ValueError) as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc))
     _write_json(out / "solution.json", _state_payload(state, args, params))
@@ -252,17 +245,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    params = NondimParams(rho=args.rho, sigma_law=_sigma_from_args(args),
-                          omega=_sigma_from_args(args).omega)
-    bail, _ = _reject_inadmissible(args, params)
-    if bail is not None:
-        return bail
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(args, params: NondimParams, options: SolverOptions) -> int:
+    out = _solve_out_dir(args, params)
+    if out is None:
+        return EXIT_REJECTED
     partial = False
     try:
-        states = continuation(args.eps_grid, params, options=_options(args))
+        states = continuation(args.eps_grid, params, options=options)
     except ContinuationError as exc:
         states = exc.results
         partial = True
@@ -277,38 +266,25 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_sigma(args) -> int:
-    law = _sigma_from_args(args)
+def cmd_check_sigma(args, params: NondimParams, options: SolverOptions) -> int:
     try:
-        report = check_sigma(law, args.rho)
+        report = check_sigma(params.sigma_law, params.rho)
     except ValueError as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"rho": args.rho,
-               "sigma": {"kind": args.sigma_kind, "c": args.sigma_c,
-                         "p": args.sigma_p},
-               "omega": report.omega, "omega_source": report.omega_source,
-               "omega_uncertainty": report.omega_uncertainty,
-               "margin": report.margin, "worst_mode": report.worst_mode,
-               "excluded": report.excluded,
-               "eps2_sigma_ok": report.eps2_sigma_ok,
-               "derivative_ok": report.derivative_ok,
-               "derivative_ratio_max": report.derivative_ratio_max,
-               "admissible": report.admissible,
-               "messages": list(report.messages)}
-    _write_json(out / "report.json", payload)
+    sigma = {"kind": args.sigma_kind, "c": args.sigma_c, "p": args.sigma_p}
+    _write_json(_out_dir(args) / "report.json",
+                {"rho": params.rho, "sigma": sigma, **asdict(report)})
     print("admissible" if report.admissible else "inadmissible")
     return EXIT_OK
 
 
-def cmd_margin_scan(args) -> int:
-    k0 = 8.0 * args.rho + _HALF_PI_SQ_INV
+def cmd_margin_scan(args, params: NondimParams, options: SolverOptions) -> int:
+    k0 = degeneracy_k0(params.rho)
     lo, hi, n = args.omega_grid
     omegas = np.linspace(lo, hi, int(n))
     scan = []
     for om in omegas:
-        margin, worst = degeneracy_margin(args.rho, float(om))
+        margin, worst = degeneracy_margin(params.rho, float(om))
         scan.append({"omega": float(om), "k": float(om) * k0,
                      "margin": margin, "worst_mode": worst})
     k_lo, k_hi = lo * k0, hi * k0
@@ -316,13 +292,11 @@ def cmd_margin_scan(args) -> int:
     first = max(3, math.ceil(k_lo - 1e-12))
     for k_int in range(first, math.floor(k_hi + 1e-12) + 1):
         om = k_int / k0
-        margin, worst = degeneracy_margin(args.rho, om)
+        margin, worst = degeneracy_margin(params.rho, om)
         flagged.append({"k": k_int, "omega": om, "margin": margin,
                         "worst_mode": worst})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json",
-                {"rho": args.rho, "k0": k0, "scan": scan,
+    _write_json(_out_dir(args) / "report.json",
+                {"rho": params.rho, "k0": k0, "scan": scan,
                  "degenerate_points": flagged})
     print(f"scanned {len(omegas)} omega values; "
           f"{len(flagged)} degenerate points in range")
@@ -330,34 +304,29 @@ def cmd_margin_scan(args) -> int:
 
 
 def _omega_grid(spec: str) -> tuple[float, float, int]:
-    try:
-        a, b, n = spec.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"omega grid must be a:b:n, got {spec!r}") from None
+    a, b, n = _split_grid(spec)
     if a < 0.0 or b <= a or n < 2:
         raise argparse.ArgumentTypeError("omega grid needs 0 <= a < b, n >= 2")
     return a, b, n
 
 
 def _add_common(p: argparse.ArgumentParser, eps_kind: str | None) -> None:
-    p.add_argument("--rho", type=float, default=0.0,
+    p.add_argument("--rho", type=_finite, default=0.0,
                    help="density ratio parameter (>= 0)")
     p.add_argument("--sigma-kind", default="none",
                    choices=["none", "c_over_eps", "c_log_over_eps", "c_power"])
-    p.add_argument("--sigma-c", type=float, default=0.0,
+    p.add_argument("--sigma-c", type=_finite, default=0.0,
                    help="tension coefficient c")
-    p.add_argument("--sigma-p", type=float, default=None,
+    p.add_argument("--sigma-p", type=_finite, default=None,
                    help="exponent for c_power, in (1, 2)")
     p.add_argument("--modes", type=int, default=32, help="cosine truncation M")
     p.add_argument("--grid", type=int, default=256, help="boundary nodes N")
-    p.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
+    p.add_argument("--tol", type=_finite, default=1e-10, help="Newton tolerance")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--force", action="store_true",
                    help="run even if the sigma law is inadmissible")
     if eps_kind == "single":
-        p.add_argument("--eps", type=float, required=True,
+        p.add_argument("--eps", type=_finite, required=True,
                        help="thinness parameter")
     elif eps_kind == "grid":
         p.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid,
@@ -398,12 +367,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _sigma_from_args(args)
+        law = (SigmaLaw() if args.sigma_kind == "none" else
+               SigmaLaw(kind=args.sigma_kind, c=args.sigma_c, p=args.sigma_p))
+        params = NondimParams(rho=args.rho, sigma_law=law, omega=law.omega)
+        options = SolverOptions(n_grid=args.grid, modes=args.modes,
+                                tol=args.tol)
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         print(f"thinring: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.fn(args)
+    return args.fn(args, params, options)
 
 
 if __name__ == "__main__":

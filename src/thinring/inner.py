@@ -41,7 +41,6 @@ __all__ = [
     "InnerSolution",
     "particular_solution",
     "solve_inner",
-    "dtn_disk",
 ]
 
 
@@ -67,19 +66,6 @@ def particular_solution(points: np.ndarray, eps: float):
     g1 = -2.0 * x1 * (2.0 + eps * x1) * (1.0 + eps * x1)
     grad = np.stack([g1, np.zeros_like(g1)], axis=-1)
     return phi, grad
-
-
-def dtn_disk(values: np.ndarray) -> np.ndarray:
-    """Dirichlet-to-Neumann map of the unit disk on uniform boundary samples.
-
-    Acts as the Fourier multiplier |l|: the harmonic extension of
-    cos(l alpha) is s^l cos(l alpha) with outward normal derivative
-    l cos(l alpha).
-    """
-    values = np.asarray(values, dtype=float)
-    spec = np.fft.rfft(values)
-    spec *= np.arange(spec.size)
-    return np.fft.irfft(spec, values.size)
 
 
 def _eta(s: np.ndarray) -> np.ndarray:
@@ -142,7 +128,7 @@ class InnerSolution:
 
 
 def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
-    """One collocation solve; returns (alpha, lam, dnphi, u_grid, nodes)."""
+    """One collocation solve; returns (alpha, lam, dnphi, phi_grid, m)."""
     if n_alpha % 2:
         raise ValueError("n_alpha must be even")
     ns = 2 * n_r - 1                     # odd polynomial degree, no node at 0
@@ -222,7 +208,7 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
 
     phi_grid = u.reshape(h, n_alpha) + particular_solution(
         np.stack([r * cos_a[None, :], r * sin_a[None, :]], axis=2), eps)[0]
-    return alpha, lam, dnphi, phi_grid, t
+    return alpha, lam, dnphi, phi_grid, mb
 
 
 def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
@@ -245,17 +231,13 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     arithmetic by the divergence theorem) and the minimum of phi on the
     collocation grid (positive for the physical core flow).
     """
-    alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
     if vanishing_vorticity:
+        alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
         zero = np.zeros(n_alpha)
         return InnerSolution(alpha=alpha, lam=zero, dnphi=zero.copy(), eps=float(eps),
                              shape=shape, diagnostics={"vanishing_vorticity": True})
 
-    alpha, lam, dnphi, phi_grid, t = _solve_core(shape, eps, n_r, n_alpha)
-
-    th = shape.theta(alpha)
-    dth = shape.dtheta(alpha)
-    m = np.hypot(dth, 1.0 + th)
+    alpha, lam, dnphi, phi_grid, m = _solve_core(shape, eps, n_r, n_alpha)
     flux_defect = float(np.sum(lam * m) * 2.0 * np.pi / n_alpha
                         + 4.0 * (area(shape) + eps * moment_x1(shape)))
     diagnostics = {

@@ -37,13 +37,12 @@ from functools import lru_cache
 import numpy as np
 
 from .shape import BoundaryGrid
-from .special import f_elliptic, f_split
+from .special import SPLIT_S_MAX, f_elliptic, f_split
 
 __all__ = [
     "kress_log_weights",
     "assemble_full",
     "assemble_limit",
-    "kernel_direct",
     "CapacitySolution",
     "OuterSolution",
     "solve_capacity",
@@ -99,7 +98,15 @@ def _log_ratio(grid: BoundaryGrid, s1: np.ndarray) -> np.ndarray:
     return np.log(q)
 
 
-def assemble_full(grid: BoundaryGrid, s_max: float = 1.0) -> np.ndarray:
+def _nystrom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # log part A on the spectral log weights, smooth part B on the trapezoid
+    n = a.shape[0]
+    r = kress_log_weights(n)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return a * r[idx] + (2.0 * np.pi / n) * b
+
+
+def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     """Nystrom matrix of the eps > 0 stream-function operator.
 
     Entries combine the smooth part B on trapezoid weights with the log
@@ -127,9 +134,9 @@ def assemble_full(grid: BoundaryGrid, s_max: float = 1.0) -> np.ndarray:
 
     a = np.empty((n, n))
     b = np.empty((n, n))
-    inside = s <= s_max
-    p_in, q_in = f_split(s[inside], s_max=s_max)
-    a[inside] = (pref * 1.0)[inside] * q_in
+    inside = s <= SPLIT_S_MAX
+    p_in, q_in = f_split(s[inside])
+    a[inside] = pref[inside] * q_in
     b[inside] = pref[inside] * (p_in + q_in * log_eps_term[inside])
     if not np.all(inside):
         chord = _chord_sq(grid.alpha)
@@ -141,10 +148,7 @@ def assemble_full(grid: BoundaryGrid, s_max: float = 1.0) -> np.ndarray:
         far = ~inside
         a[far] = 0.0
         b[far] = pref[far] * f_elliptic(s[far])
-
-    r = kress_log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return a * r[idx] + (2.0 * np.pi / n) * b
+    return _nystrom(a, b)
 
 
 def assemble_limit(grid: BoundaryGrid) -> np.ndarray:
@@ -157,26 +161,7 @@ def assemble_limit(grid: BoundaryGrid) -> np.ndarray:
     s1, _ = _pair_geometry(grid)
     log_q = _log_ratio(grid, s1)
     a = np.tile(-grid.m / (4.0 * np.pi), (n, 1))
-    b = a * log_q
-    r = kress_log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return a * r[idx] + (2.0 * np.pi / n) * b
-
-
-def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
-    """Pointwise kernel values m s2/(2 pi) F(eps^2 s1/s2^2), elliptic path.
-
-    Off-diagonal only (the diagonal is logarithmically singular); used as
-    the independent check of the assembled A log(4 sin^2) + B split.
-    """
-    n = grid.n
-    s1, s2 = _pair_geometry(grid)
-    s = grid.eps**2 * s1 / s2**2
-    out = np.empty((n, n))
-    off = ~np.eye(n, dtype=bool)
-    out[off] = (grid.m[None, :] * s2 / (2.0 * np.pi))[off] * f_elliptic(s[off])
-    out[np.eye(n, dtype=bool)] = np.nan
-    return out
+    return _nystrom(a, a * log_q)
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,10 @@ __all__ = [
     "nu_sigma_rescaled",
     "s_asymptotic",
     "kelvin_hicks",
+    "degeneracy_k0",
     "degeneracy_margin",
     "check_sigma",
 ]
-
-# 8 rho + 1/(2 pi^2) appears in every symbol formula; keep the constant term
-_HALF_PI_SQ_INV = 1.0 / (2.0 * np.pi**2)
 
 _KINDS = ("none", "c_over_eps", "c_log_over_eps", "c_power", "custom")
 
@@ -178,6 +176,10 @@ class NondimParams:
     a: float = 0.0
     b: float = 0.0
 
+    def __post_init__(self):
+        if not self.rho >= 0.0:
+            raise ValueError(f"rho must be >= 0, got {self.rho}")
+
 
 @dataclass(frozen=True)
 class DimensionalState:
@@ -280,6 +282,11 @@ def kelvin_hicks(setup: PhysicalSetup) -> float:
     return w
 
 
+def degeneracy_k0(rho: float) -> float:
+    """Symbol factor 8 rho + 1/(2 pi^2); K = omega times this factor."""
+    return 8.0 * rho + 1.0 / (2.0 * np.pi**2)
+
+
 def degeneracy_margin(rho: float, omega: float | None,
                       l_max: int = 10_000) -> tuple[float, int]:
     """Invertibility margin of the linearized jump condition.
@@ -299,7 +306,7 @@ def degeneracy_margin(rho: float, omega: float | None,
         return math.inf, 2
     if omega < 0.0:
         raise ValueError("omega must be nonnegative")
-    k = omega * (8.0 * rho + _HALF_PI_SQ_INV)
+    k = omega * degeneracy_k0(rho)
     l = np.arange(2, l_max + 1, dtype=float)
     if k > l_max:
         near = [math.floor(k) - 1, math.ceil(k) - 1, math.floor(k), math.ceil(k)]
@@ -384,7 +391,7 @@ def check_sigma(sigma_law: SigmaLaw, rho: float, eps0: float = 0.05) -> SigmaRep
     margin, worst = degeneracy_margin(rho, omega)
     excluded = margin <= max(1e-9, 10.0 * unc)
     if excluded:
-        k = omega * (8.0 * rho + _HALF_PI_SQ_INV)
+        k = omega * degeneracy_k0(rho)
         msgs.append(f"omega(8 rho + 1/(2 pi^2)) = {k:.12g} lies in the "
                     f"excluded integer set (mode {worst})")
 

@@ -45,6 +45,10 @@ __all__ = [
 # uniqueness-window exponent for ||theta||_{H^5} / eps^ell, ell in (1/2, 1)
 _WINDOW_ELL = 0.75
 
+# Newton iteration cap and forward-difference Jacobian step
+_MAX_ITER = 25
+_FD_STEP = 1e-7
+
 
 class SolverError(RuntimeError):
     """Newton failure; carries the last residual norm when available."""
@@ -76,14 +80,18 @@ class SolverOptions:
     n_grid: int = 256
     modes: int = 32
     tol: float = 1e-10
-    max_iter: int = 25
-    fd_step: float = 1e-7
     inner_nr: int = 16
     inner_nalpha: int = 32
 
     def __post_init__(self):
+        if self.modes < 1:
+            raise ValueError("modes must be >= 1")
         if self.n_grid < 4 * (self.modes + 1):
             raise ValueError("n_grid must resolve the mode truncation (>= 4(M+1))")
+        if self.n_grid % 2:
+            raise ValueError("n_grid must be even")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,12 @@ class SolutionState:
     diagnostics: dict
 
 
+def _inner_lam(shape: FourierShape, eps: float,
+               options: SolverOptions) -> np.ndarray:
+    return solve_inner(shape, eps, n_r=options.inner_nr,
+                       n_alpha=options.inner_nalpha).lam_on(options.n_grid)
+
+
 def residual(shape: FourierShape, eps: float, w: float, nu: float,
              params: NondimParams, options: SolverOptions = SolverOptions()
              ) -> ResidualVector:
@@ -144,8 +158,7 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     shape = project_constraints(shape)
     grid = build_grid(shape, eps, options.n_grid)
     if params.rho > 0.0:
-        lam = solve_inner(shape, eps, n_r=options.inner_nr,
-                          n_alpha=options.inner_nalpha).lam_on(options.n_grid)
+        lam = _inner_lam(shape, eps, options)
     else:
         lam = np.zeros(options.n_grid)
     out = solve_outer(grid, w)
@@ -163,7 +176,7 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
 
 
 def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray,
-                step: float = 1e-7) -> np.ndarray:
+                step: float = _FD_STEP) -> np.ndarray:
     """Forward-difference Jacobian, one residual evaluation per column.
 
     Column i uses increment step (1 + |x_i|).  Columns are independent
@@ -209,7 +222,7 @@ def newton_solve(eps: float, params: NondimParams,
     warning is attached when the mode margin at (rho, omega) is below
     0.05 or the Jacobian condition number exceeds 1e12.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     omega = _resolve_omega(params)
     margin, worst = degeneracy_margin(params.rho, omega)
@@ -227,16 +240,6 @@ def newton_solve(eps: float, params: NondimParams,
         c[:take] = src[:take]
         x = np.concatenate([c[2:], [init.w, init.nu]])
 
-    def fun(xv: np.ndarray) -> np.ndarray:
-        try:
-            rv = residual(_shape_from(xv[:-2], m), eps, xv[-2], xv[-1],
-                          params, options)
-        except (GeometryError, ProjectionError) as exc:
-            raise SolverError(
-                f"iterate left the admissible shape region: {exc}{degen_note}"
-            ) from exc
-        return rv.newton_order()
-
     def evaluate(xv: np.ndarray) -> ResidualVector:
         try:
             return residual(_shape_from(xv[:-2], m), eps, xv[-2], xv[-1],
@@ -246,15 +249,18 @@ def newton_solve(eps: float, params: NondimParams,
                 f"iterate left the admissible shape region: {exc}{degen_note}"
             ) from exc
 
+    def fun(xv: np.ndarray) -> np.ndarray:
+        return evaluate(xv).newton_order()
+
     rv = evaluate(x)
     rnorm = float(np.max(np.abs(rv.newton_order())))
     jac = None
     iterations = 0
-    for iterations in range(1, options.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         if rnorm <= options.tol:
             iterations -= 1
             break
-        jac = jacobian_fd(fun, x, rv.newton_order(), step=options.fd_step)
+        jac = jacobian_fd(fun, x, rv.newton_order())
         try:
             dx = np.linalg.solve(jac, -rv.newton_order())
         except np.linalg.LinAlgError as exc:
@@ -272,11 +278,11 @@ def newton_solve(eps: float, params: NondimParams,
                     rnorm)
     else:
         raise SolverError(
-            f"no convergence in {options.max_iter} iterations "
+            f"no convergence in {_MAX_ITER} iterations "
             f"(residual {rnorm:.3e})" + degen_note, rnorm)
 
     if jac is None:
-        jac = jacobian_fd(fun, x, rv.newton_order(), step=options.fd_step)
+        jac = jacobian_fd(fun, x, rv.newton_order())
     cond = float(np.linalg.cond(jac))
 
     warnings_list: list[str] = []
@@ -294,8 +300,7 @@ def newton_solve(eps: float, params: NondimParams,
         # reported even when it does not enter the residual; a failure here
         # must not void the converged state
         try:
-            lam = solve_inner(shape, eps, n_r=options.inner_nr,
-                              n_alpha=options.inner_nalpha).lam_on(options.n_grid)
+            lam = _inner_lam(shape, eps, options)
         except GeometryError as exc:
             warnings_list.append(f"inner velocity report unavailable: {exc}")
     th5 = sobolev_norm(shape, 5)
@@ -328,7 +333,7 @@ def continuation(eps_grid, params: NondimParams,
     states already solved.
     """
     eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0.0 for e in eps_grid):
+    if not all(e > 0.0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid must be strictly descending")

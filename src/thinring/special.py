@@ -12,23 +12,23 @@ radial coordinates.  F has a log singularity at s = 0:
 
 with p, q analytic near 0.  ``f_split`` evaluates that decomposition, which is
 what the quadrature scheme needs; ``f_elliptic`` evaluates F itself through
-the arithmetic-geometric mean; ``f_direct`` is an independent quadrature
-evaluation kept free of any shared code so it can serve as an oracle.
+the arithmetic-geometric mean.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "elliptic_ke",
-    "f_direct",
     "f_elliptic",
     "f_split",
 ]
 
-_LOG8 = 3.0 * np.log(2.0)
+# Guard radius of the truncated series in f_split: at s = 1 the series
+# argument w = s/(4+s) stays below 1/5 and the truncation error is far
+# below 1e-14.
+SPLIT_S_MAX = 1.0
 
 # Series data for K and E about k' = 0, built once at import.  With
 # w = k'^2 and L = -log w,
@@ -96,38 +96,6 @@ def elliptic_ke(k: float) -> tuple[float, float]:
     return _agm_ke(k * k, (1.0 - k) * (1.0 + k))
 
 
-def _direct_integrand(t: float, s: float) -> float:
-    # 2(1 - cos t) written as 4 sin^2(t/2): identical, but immune to the
-    # 1 - cos cancellation that would inject 1e-8 relative noise near t = 0.
-    hs = np.sin(0.5 * t)
-    return np.cos(t) / np.sqrt(4.0 * hs * hs + s)
-
-
-def f_direct(s: float, rtol: float = 1e-12) -> float:
-    """Ring kernel profile by adaptive quadrature; oracle path.
-
-    Evaluates F(s) = int_0^pi cos t / sqrt(2(1 - cos t) + s) dt with
-    adaptive Gauss-Kronrod, splitting at the t = 0 peak.  On the peak
-    interval the substitution t = sqrt(s) sinh(u) flattens the
-    1/sqrt(t^2 + s) profile so the rule converges cleanly.  Shares no
-    code with ``f_elliptic``.  Absolute accuracy ~1e-11 on [1e-8, 1e4].
-    """
-    if s <= 0.0:
-        raise ValueError(f"s must be positive, got {s}")
-    rs = np.sqrt(s)
-    cut = min(0.5, max(rs * 8.0, 1e-6))
-
-    def peak(u: float) -> float:
-        t = rs * np.sinh(u)
-        return _direct_integrand(t, s) * rs * np.cosh(u)
-
-    v1, _ = quad(peak, 0.0, np.arcsinh(cut / rs),
-                 epsabs=1e-12, epsrel=rtol, limit=400)
-    v2, _ = quad(_direct_integrand, cut, np.pi, args=(s,),
-                 epsabs=1e-12, epsrel=rtol, limit=400)
-    return v1 + v2
-
-
 def f_elliptic(s):
     """Ring kernel profile F(s) through AGM elliptic integrals.
 
@@ -149,18 +117,14 @@ def f_elliptic(s):
     return float(out[0]) if scalar else out
 
 
-def f_split(s, s_max: float = 1.0):
+def f_split(s):
     """Log split of the ring kernel profile: F(s) = p(s) + q(s) log s.
 
     Parameters
     ----------
     s : float or ndarray
-        Evaluation points, 0 <= s <= s_max.  s = 0 is allowed and returns
-        the analytic limits p(0) = log 8 - 2, q(0) = -1/2.
-    s_max : float
-        Guard radius for the truncated series (default 1.0, where the
-        series argument w = s/(4+s) stays below 1/5 and the truncation
-        error is far below 1e-14).
+        Evaluation points, 0 <= s <= SPLIT_S_MAX.  s = 0 is allowed and
+        returns the analytic limits p(0) = log 8 - 2, q(0) = -1/2.
 
     Returns
     -------
@@ -169,7 +133,7 @@ def f_split(s, s_max: float = 1.0):
     Raises
     ------
     ValueError
-        If any s is negative or exceeds s_max; callers needing larger s
+        If any s is negative or exceeds SPLIT_S_MAX; callers needing larger s
         must use ``f_elliptic`` directly (no log split is needed away
         from the diagonal).
     """
@@ -177,8 +141,9 @@ def f_split(s, s_max: float = 1.0):
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(sa < 0.0):
         raise ValueError("s must be nonnegative")
-    if np.any(sa > s_max):
-        raise ValueError(f"s exceeds split range s_max={s_max}; use f_elliptic")
+    if np.any(sa > SPLIT_S_MAX):
+        raise ValueError(
+            f"s exceeds split range s_max={SPLIT_S_MAX}; use f_elliptic")
     w = sa / (4.0 + sa)
     # Vandermonde in w against the precomputed series; w <= 1/5 so 44 terms
     # overshoot machine precision comfortably.

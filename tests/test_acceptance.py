@@ -11,14 +11,15 @@ import time
 import numpy as np
 import pytest
 
+from oracles import f_direct, kernel_direct
 from thinring.inner import solve_inner
-from thinring.outer import assemble_full, assemble_limit, kernel_direct, \
-    kress_log_weights, solve_capacity
+from thinring.outer import assemble_full, assemble_limit, kress_log_weights, \
+    solve_capacity
 from thinring.physics import (NondimParams, SigmaLaw, asymptotic_wgn,
                               degeneracy_margin, s_asymptotic)
 from thinring.shape import FourierShape, build_grid
 from thinring.solver import SolverOptions, continuation, newton_solve, residual
-from thinring.special import f_direct, f_elliptic, f_split
+from thinring.special import f_elliptic, f_split
 
 EPS_GRID = [0.04, 0.02, 0.01, 0.005]
 SWEEP_OPTS = SolverOptions(n_grid=256, modes=16)

@@ -89,6 +89,17 @@ def test_solve_invalid_eps_is_numerical_error(tmp_path, capsys):
     ["margin-scan", "--omega-grid", "5:1:10"],        # descending omega grid
     ["frobnicate"],                                   # unknown subcommand
     [],                                               # no subcommand
+    ["solve", "--eps", "0.02", "--rho", "-1"],        # negative rho
+    ["solve", "--eps", "nan"],                        # non-finite eps
+    ["solve", "--eps", "inf"],
+    ["solve", "--eps", "0.02", "--tol", "nan"],       # non-finite tol
+    ["solve", "--eps", "0.02", "--tol", "0"],         # nonpositive tol
+    ["solve", "--eps", "0.02", "--modes", "0"],       # no modes
+    ["solve", "--eps", "0.02", "--grid", "10", "--modes", "8"],  # unresolved
+    ["solve", "--eps", "0.02", "--grid", "129", "--modes", "8"],  # odd grid
+    ["solve", "--eps", "0.02", "--sigma-kind", "c_over_eps",
+     "--sigma-c", "nan"],                             # non-finite tension
+    ["sweep", "--eps-grid", "nan:0.01:3"],            # non-finite grid end
 ])
 def test_usage_errors_exit_64(argv, capsys):
     assert run(argv) == 64
@@ -162,3 +173,13 @@ def test_thread_cap_env_propagates():
          "import thinring.cli, os; print(os.environ['OMP_NUM_THREADS'])"],
         capture_output=True, text=True, env=env)
     assert proc.stdout.strip() == "2"
+
+
+def test_library_imports_without_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import thinring.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

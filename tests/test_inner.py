@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from thinring.inner import dtn_disk, particular_solution, solve_inner
+from oracles import dtn_disk
+from thinring.inner import particular_solution, solve_inner
 from thinring.shape import FourierShape
 
 ZERO = FourierShape(np.zeros(3))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kernel_direct
 from thinring.outer import (assemble_full, assemble_limit, eval_streamfunction,
-                            kernel_direct, kress_log_weights, s_from_w,
-                            solve_capacity, solve_outer, w_from_s)
+                            kress_log_weights, s_from_w, solve_capacity,
+                            solve_outer, w_from_s)
 from thinring.shape import FourierShape, build_grid
 from thinring.special import f_split
 

@@ -156,8 +156,9 @@ def test_residual_is_grid_converged(solved_classical):
 
 
 def test_newton_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        newton_solve(-0.01, P_CLASSICAL, options=OPTS8)
+    for eps in (-0.01, float("nan")):
+        with pytest.raises(ValueError):
+            newton_solve(eps, P_CLASSICAL, options=OPTS8)
 
 
 def test_newton_warns_near_degenerate_tension():
@@ -187,8 +188,9 @@ def test_continuation_matches_cold_start():
 def test_continuation_requires_descending_positive_grid():
     with pytest.raises(ValueError, match="descending"):
         continuation([0.01, 0.02], P_CLASSICAL, options=OPTS8)
-    with pytest.raises(ValueError, match="positive"):
-        continuation([0.02, -0.01], P_CLASSICAL, options=OPTS8)
+    for bad in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            continuation([0.02, bad], P_CLASSICAL, options=OPTS8)
 
 
 def test_continuation_failure_carries_partial_results():
