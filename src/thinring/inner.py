@@ -212,8 +212,7 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
 
 
 def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
-                n_alpha: int = 32, vanishing_vorticity: bool = False,
-                check_resolution: bool = False) -> InnerSolution:
+                n_alpha: int = 32, check_resolution: bool = False) -> InnerSolution:
     """Solve the core problem and return boundary traces.
 
     Parameters
@@ -221,8 +220,6 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     shape, eps : cross-section and aspect ratio.
     n_r : positive radial collocation nodes (Chebyshev, no center node).
     n_alpha : angular nodes, even.
-    vanishing_vorticity : when the core carries no vorticity the potential
-        is taken identically zero, so lambda = 0.
     check_resolution : re-solve on a refined grid and record the trace
         difference in ``diagnostics['refinement_diff']``.
 
@@ -231,12 +228,6 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     arithmetic by the divergence theorem) and the minimum of phi on the
     collocation grid (positive for the physical core flow).
     """
-    if vanishing_vorticity:
-        alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
-        zero = np.zeros(n_alpha)
-        return InnerSolution(alpha=alpha, lam=zero, dnphi=zero.copy(), eps=float(eps),
-                             shape=shape, diagnostics={"vanishing_vorticity": True})
-
     alpha, lam, dnphi, phi_grid, m = _solve_core(shape, eps, n_r, n_alpha)
     flux_defect = float(np.sum(lam * m) * 2.0 * np.pi / n_alpha
                         + 4.0 * (area(shape) + eps * moment_x1(shape)))

@@ -47,12 +47,8 @@ __all__ = [
     "OuterSolution",
     "solve_capacity",
     "solve_outer",
-    "w_from_s",
-    "s_from_w",
     "eval_streamfunction",
 ]
-
-_LOG8 = 3.0 * np.log(2.0)
 
 
 @lru_cache(maxsize=8)
@@ -89,12 +85,10 @@ def _chord_sq(alpha: np.ndarray) -> np.ndarray:
 
 def _log_ratio(grid: BoundaryGrid, s1: np.ndarray) -> np.ndarray:
     # log Q = log(s1 / 4 sin^2) continued to 2 log m on the diagonal
-    n = grid.n
     chord = _chord_sq(grid.alpha)
-    q = np.empty((n, n))
-    off = ~np.eye(n, dtype=bool)
-    q[off] = s1[off] / chord[off]
-    q[np.eye(n, dtype=bool)] = grid.m**2
+    np.fill_diagonal(chord, 1.0)
+    q = s1 / chord
+    np.fill_diagonal(q, grid.m**2)
     return np.log(q)
 
 
@@ -118,34 +112,27 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
 
     which reproduces the kernel exactly since
     A log(4 sin^2) + B = m s2/(2 pi) (p + q log s).  Pairs pushed beyond
-    the series range of the split (possible only at eps of order one) fall
-    back to plain trapezoid on the elliptic evaluation; if that happens
-    inside the near-diagonal zone, where the log split is structurally
-    required, a ValueError is raised.
+    the series range of the split (possible only at eps of order one) are
+    overwritten with plain trapezoid on the elliptic evaluation; if that
+    happens inside the near-diagonal zone, where the log split is
+    structurally required, a ValueError is raised.
     """
-    if grid.eps <= 0.0:
+    if not grid.eps > 0.0:
         raise ValueError("assemble_full requires eps > 0; use assemble_limit")
-    n = grid.n
     s1, s2 = _pair_geometry(grid)
     s = grid.eps**2 * s1 / s2**2
-    log_q = _log_ratio(grid, s1)
     pref = grid.m[None, :] * s2 / (2.0 * np.pi)
-    log_eps_term = 2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
-
-    a = np.empty((n, n))
-    b = np.empty((n, n))
-    inside = s <= SPLIT_S_MAX
-    p_in, q_in = f_split(s[inside])
-    a[inside] = pref[inside] * q_in
-    b[inside] = pref[inside] * (p_in + q_in * log_eps_term[inside])
-    if not np.all(inside):
-        chord = _chord_sq(grid.alpha)
-        near = chord < 0.5
-        if np.any(~inside & near):
+    log_eps_term = (2.0 * np.log(grid.eps) + _log_ratio(grid, s1)
+                    - 2.0 * np.log(s2))
+    p, q = f_split(np.minimum(s, SPLIT_S_MAX))
+    a = pref * q
+    b = pref * (p + q * log_eps_term)
+    far = s > SPLIT_S_MAX
+    if np.any(far):
+        if np.any(far & (_chord_sq(grid.alpha) < 0.5)):
             raise ValueError(
                 "kernel argument left the log-split range near the diagonal; "
                 "eps too large for this section")
-        far = ~inside
         a[far] = 0.0
         b[far] = pref[far] * f_elliptic(s[far])
     return _nystrom(a, b)
@@ -217,16 +204,6 @@ def solve_outer(grid: BoundaryGrid, w: float, mat: np.ndarray | None = None) -> 
     return OuterSolution(mu=mu, gamma=gamma, w=float(w))
 
 
-def w_from_s(eps: float, s: float) -> float:
-    """Ring speed from the affine speed coordinate S."""
-    return (_LOG8 - 0.5 + np.log(1.0 / eps)) / (4.0 * np.pi) + 0.5 * s
-
-
-def s_from_w(eps: float, w: float) -> float:
-    """Affine speed coordinate S from the ring speed (exact inverse of w_from_s)."""
-    return 2.0 * (w - (_LOG8 - 0.5 + np.log(1.0 / eps)) / (4.0 * np.pi))
-
-
 def eval_streamfunction(grid: BoundaryGrid, mu: np.ndarray,
                         points: np.ndarray) -> np.ndarray:
     """Single-layer stream function at off-boundary points, plain trapezoid.
@@ -248,6 +225,6 @@ def eval_streamfunction(grid: BoundaryGrid, mu: np.ndarray,
     radial_src = 1.0 + grid.eps * grid.chi[:, 0]
     s2 = np.sqrt(np.outer(radial_pt, radial_src))
     s = grid.eps**2 * dist_sq / s2**2
-    vals = s2 / (2.0 * np.pi) * f_elliptic(s.ravel()).reshape(s.shape)
+    vals = s2 / (2.0 * np.pi) * f_elliptic(s)
     out = vals @ (grid.m * mu) * grid.weight
     return out if np.asarray(points).ndim > 1 else float(out[0])

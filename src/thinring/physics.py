@@ -6,9 +6,9 @@ speed W, flux constant gamma, and Bernoulli constant nu.  This module owns
 the translation between those and dimensional quantities (ring radius R,
 core radius eps_bar, circulation b_bar, potential vorticity xi_bar, mass
 densities rho_in/rho_out, dimensional tension sigma_bar), the leading-order
-asymptotic values of (W, gamma, nu), the thin-ring speed law with its core
-constant, and the mode-wise invertibility margin of the linearized jump
-condition.
+asymptotic values of (W, gamma, nu), the affine speed coordinate S and its
+map to W, the thin-ring speed law with its core constant, and the
+mode-wise invertibility margin of the linearized jump condition.
 
 Surface-tension laws are admissible when omega = lim 1/(eps sigma(eps))
 exists in [0, inf) outside the excluded set (8 rho + 1/(2 pi^2))^{-1} N_{>=3},
@@ -37,6 +37,8 @@ __all__ = [
     "asymptotic_wgn",
     "nu_sigma_rescaled",
     "s_asymptotic",
+    "w_from_s",
+    "s_from_w",
     "kelvin_hicks",
     "degeneracy_k0",
     "degeneracy_margin",
@@ -223,6 +225,12 @@ def dimensionless_state(setup: PhysicalSetup, dim: DimensionalState,
     )
 
 
+def _w_classical(eps: float) -> float:
+    # (log(8/eps) - 1/2)/(4 pi), the leading ring speed at rho = 0 without
+    # tension; W and the speed coordinate S both measure from it
+    return (math.log(8.0 / eps) - 0.5) / (4.0 * math.pi)
+
+
 def asymptotic_wgn(eps: float, rho: float,
                    sigma_law: SigmaLaw) -> tuple[float, float, float]:
     """Leading-order (W, gamma, nu) of the thin-ring solution.
@@ -236,7 +244,7 @@ def asymptotic_wgn(eps: float, rho: float,
     """
     es = sigma_law.eps_sigma(eps)
     log8e = math.log(8.0 / eps)
-    w = (log8e - 0.5) / (4.0 * math.pi) + rho * math.pi + es * math.pi / 2.0
+    w = _w_classical(eps) + rho * math.pi + es * math.pi / 2.0
     gamma = 3.0 * log8e / (8.0 * math.pi) - 15.0 / (16.0 * math.pi) \
         - rho * math.pi / 2.0 - es * math.pi / 4.0
     nu = 4.0 * rho - 1.0 / (4.0 * math.pi**2) + es
@@ -258,6 +266,16 @@ def nu_sigma_rescaled(eps: float, rho: float, sigma_law: SigmaLaw) -> float:
 def s_asymptotic(eps: float, rho: float, sigma_law: SigmaLaw) -> float:
     """Leading-order affine speed coordinate: S -> 2 rho pi + eps sigma pi."""
     return 2.0 * rho * math.pi + sigma_law.eps_sigma(eps) * math.pi
+
+
+def w_from_s(eps: float, s: float) -> float:
+    """Ring speed from the affine speed coordinate S."""
+    return _w_classical(eps) + 0.5 * s
+
+
+def s_from_w(eps: float, w: float) -> float:
+    """Affine speed coordinate S from the ring speed (exact inverse of w_from_s)."""
+    return 2.0 * (w - _w_classical(eps))
 
 
 def kelvin_hicks(setup: PhysicalSetup) -> float:

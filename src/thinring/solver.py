@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .inner import solve_inner
-from .outer import assemble_full, s_from_w, solve_outer
-from .physics import NondimParams, asymptotic_wgn, check_sigma, degeneracy_margin
+from .outer import assemble_full, solve_outer
+from .physics import (NondimParams, asymptotic_wgn, check_sigma,
+                      degeneracy_margin, s_from_w)
 from .shape import (FourierShape, GeometryError, ProjectionError, area,
                     build_grid, cosine_coeffs, moment_x1, project_constraints,
                     sobolev_norm)

@@ -11,8 +11,9 @@ radial coordinates.  F has a log singularity at s = 0:
     F(s) = p(s) + q(s) log s,    p(0) = log 8 - 2,  q(0) = -1/2,
 
 with p, q analytic near 0.  ``f_split`` evaluates that decomposition, which is
-what the quadrature scheme needs; ``f_elliptic`` evaluates F itself through
-the arithmetic-geometric mean.
+what the quadrature scheme needs, as two power series in w = s/(4+s) for
+0 <= s <= SPLIT_S_MAX; ``f_elliptic`` evaluates F itself for any s > 0
+through the arithmetic-geometric mean, run on whole arrays at once.
 """
 
 from __future__ import annotations
@@ -30,17 +31,16 @@ __all__ = [
 # below 1e-14.
 SPLIT_S_MAX = 1.0
 
-# Series data for K and E about k' = 0, built once at import.  With
-# w = k'^2 and L = -log w,
-#     K = a_K(w) + b_K(w) L,   E = a_E(w) + b_E(w) L,
-# where the coefficients follow from the classical expansion
-#     K = sum_m c_m w^m (L/2 + d_m),  c_m = (C(2m,m)/4^m)^2,
-#     d_0 = log 4,  d_m = d_{m-1} + 1/m - 2/(2m-1),
-# and E = w K - 2 w (1-w) dK/dw (an exact identity).
+# Series table of the log split, built once at import; see f_split.  The
+# coefficients come from the expansion of K about k' = 0 (DLMF 19.12),
+#     K = sum_m c_m w^m (L/2 + d_m),   w = k'^2,  L = -log w,
+#     c_m = (C(2m,m)/4^m)^2,  d_0 = log 4,  d_m = d_{m-1} + 1/m - 2/(2m-1).
 _N_TERMS = 44
 
 
-def _series_data(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_table(n: int) -> np.ndarray:
+    # columns [P | Q]: Q_m = c_m (2m + 1/2),
+    #                  P_m = c_m ((4m+1) d_m - 2) + Q_m log 4
     c = np.empty(n)
     d = np.empty(n)
     c[0] = 1.0
@@ -49,32 +49,35 @@ def _series_data(n: int) -> tuple[np.ndarray, np.ndarray]:
         # c_m = c_{m-1} * ((2m-1)/(2m))^2
         c[m] = c[m - 1] * ((2 * m - 1) / (2 * m)) ** 2
         d[m] = d[m - 1] + 1.0 / m - 2.0 / (2 * m - 1)
-    return c, d
+    m = np.arange(n)
+    q = c * (2 * m + 0.5)
+    p = c * ((4 * m + 1) * d - 2.0) + q * np.log(4.0)
+    return np.column_stack([p, q])
 
 
-_C_M, _D_M = _series_data(_N_TERMS)
+_PQ = _split_table(_N_TERMS)
 _M_IDX = np.arange(_N_TERMS)
 
 
-def _agm_ke(k2: float, kp2: float) -> tuple[float, float]:
-    # AGM core taking both squared moduli; callers that know k'^2 exactly
-    # (e.g. k'^2 = s/(4+s)) avoid the 1-k^2 cancellation near k = 1.
-    a = 1.0
+def _agm_ke(k2, kp2):
+    # AGM on arrays of both squared moduli; callers that know k'^2 exactly
+    # (e.g. k'^2 = s/(4+s)) avoid the 1-k^2 cancellation near k = 1.  An
+    # element that has met the stopping test has a == b, so the extra
+    # sweeps the slower elements need leave it unchanged.
+    a = np.ones_like(kp2)
     b = np.sqrt(kp2)
     # E via the companion sum: E = K (1 - sum 2^{n-1} c_n^2), c_0 = k.
     csum = 0.5 * k2
     pow2 = 0.5
     for _ in range(64):
         c = 0.5 * (a - b)
-        if abs(c) <= 1e-17 * a:
+        if np.all(np.abs(c) <= 1e-17 * a):
             break
-        ab = a * b
-        a, b = 0.5 * (a + b), np.sqrt(ab)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
         pow2 *= 2.0
-        csum += pow2 * c * c
+        csum = csum + pow2 * c * c
     bigk = np.pi / (2.0 * a)
-    bige = bigk * (1.0 - csum)
-    return float(bigk), float(bige)
+    return bigk, bigk * (1.0 - csum)
 
 
 def elliptic_ke(k: float) -> tuple[float, float]:
@@ -93,7 +96,8 @@ def elliptic_ke(k: float) -> tuple[float, float]:
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    return _agm_ke(k * k, (1.0 - k) * (1.0 + k))
+    bigk, bige = _agm_ke(k * k, (1.0 - k) * (1.0 + k))
+    return float(bigk), float(bige)
 
 
 def f_elliptic(s):
@@ -107,18 +111,26 @@ def f_elliptic(s):
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(sa <= 0.0):
         raise ValueError("s must be positive")
-    out = np.empty_like(sa)
-    for i, si in enumerate(sa):
-        # Both squared moduli exactly from s: k^2 = 4/(4+s), k'^2 = s/(4+s);
-        # forming k and squaring back would lose ~1e-9 near s = 0.
-        bigk, bige = _agm_ke(4.0 / (4.0 + si), si / (4.0 + si))
-        root = np.sqrt(4.0 + si)
-        out[i] = (2.0 + si) / root * bigk - root * bige
+    # Both squared moduli exactly from s: k^2 = 4/(4+s), k'^2 = s/(4+s);
+    # forming k and squaring back would lose ~1e-9 near s = 0.
+    bigk, bige = _agm_ke(4.0 / (4.0 + sa), sa / (4.0 + sa))
+    root = np.sqrt(4.0 + sa)
+    out = (2.0 + sa) / root * bigk - root * bige
     return float(out[0]) if scalar else out
 
 
 def f_split(s):
     """Log split of the ring kernel profile: F(s) = p(s) + q(s) log s.
+
+    With w = s/(4+s) = k'^2 the split is two power series in w,
+
+        q = -sqrt(1-w) sum_m Q_m w^m,
+        p =  sqrt(1-w) sum_m P_m w^m + log(1-w) q,
+
+    obtained by inserting the log expansions of K and E about k' = 0
+    (DLMF 19.12; E = w K - 2 w (1-w) dK/dw) into F and moving the regular
+    part of log w = log s - log(4+s) into p.  The prefactors of F are
+    (2+s)/sqrt(4+s) = (1+w)/sqrt(1-w) and sqrt(4+s) = 2/sqrt(1-w).
 
     Parameters
     ----------
@@ -145,29 +157,12 @@ def f_split(s):
         raise ValueError(
             f"s exceeds split range s_max={SPLIT_S_MAX}; use f_elliptic")
     w = sa / (4.0 + sa)
-    # Vandermonde in w against the precomputed series; w <= 1/5 so 44 terms
+    root = np.sqrt(1.0 - w)
+    # Vandermonde in w against the series table; w <= 1/5 so 44 terms
     # overshoot machine precision comfortably.
-    wp = w[..., None] ** _M_IDX
-    sum_c = wp @ _C_M
-    sum_cd = wp @ (_C_M * _D_M)
-    sum_mc = wp @ (_C_M * _M_IDX)
-    sum_mcd = wp @ (_C_M * _D_M * _M_IDX)
-
-    # K = a_K + b_K L with L = -log w:
-    a_k = sum_cd
-    b_k = 0.5 * sum_c
-    # E = w K - 2 w (1-w) dK/dw, with
-    # dK/dw = sum c_m [ m w^{m-1} (L/2 + d_m) - w^{m-1}/2 ]:
-    #   w dK/dw = (L/2) sum_mc + sum_mcd - sum_c / 2
-    a_e = w * a_k - 2.0 * (1.0 - w) * (sum_mcd - 0.5 * sum_c)
-    b_e = w * b_k - (1.0 - w) * sum_mc
-
-    pref1 = (2.0 + sa) / np.sqrt(4.0 + sa)
-    pref2 = np.sqrt(4.0 + sa)
-    # L = log(4+s) - log s; fold the regular piece into p, keep -log s in q.
-    bl = pref1 * b_k - pref2 * b_e
-    p = pref1 * a_k - pref2 * a_e + bl * np.log(4.0 + sa)
-    q = -bl
+    sums = (w[..., None] ** _M_IDX) @ _PQ
+    q = -root * sums[..., 1]
+    p = root * sums[..., 0] + np.log1p(-w) * q
     if scalar:
         return float(p[0]), float(q[0])
     return p, q

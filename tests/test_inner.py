@@ -69,12 +69,6 @@ def test_lambda_shape_derivative(l):
     assert np.max(np.abs(fd - expect)) < 1e-3
 
 
-def test_vanishing_vorticity_short_circuit():
-    sol = solve_inner(ZERO, 0.02, vanishing_vorticity=True)
-    assert np.all(sol.lam == 0.0)
-    assert np.all(sol.dnphi == 0.0)
-
-
 def test_refinement_diagnostic_small():
     shape = FourierShape(np.array([0.0, 0.0, 0.02]))
     sol = solve_inner(shape, 0.05, check_resolution=True)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import kernel_direct
 from thinring.outer import (assemble_full, assemble_limit, eval_streamfunction,
-                            kress_log_weights, s_from_w, solve_capacity,
-                            solve_outer, w_from_s)
+                            kress_log_weights, solve_capacity, solve_outer)
+from thinring.physics import s_from_w, w_from_s
 from thinring.shape import FourierShape, build_grid
 from thinring.special import f_split
 

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thinring.outer import s_from_w
-from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn
+from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
 from thinring.shape import FourierShape
 from thinring.solver import (ContinuationError, ResidualVector, SolverError,
                              SolverOptions, continuation, jacobian_fd,

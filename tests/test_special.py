@@ -53,6 +53,13 @@ def test_split_reconstructs_f():
     assert np.max(np.abs(p + q * np.log(s) - f_elliptic(s))) < 1e-11
 
 
+def test_split_against_frozen_values():
+    s = np.array([v for v in sorted(F_REFERENCE) if v <= 1.0])
+    ref = np.array([F_REFERENCE[v] for v in s])
+    p, q = f_split(s)
+    assert np.max(np.abs(p + q * np.log(s) - ref)) < 1e-14
+
+
 def test_split_endpoint_values():
     # F = p + q log s with p(0) = log 8 - 2 and q(0) = -1/2
     p, q = f_split(np.array([0.0]))
