@@ -15,12 +15,14 @@ whose conormal trace feeds the pressure jump through
 
 so only a homogeneous remainder u with Dirichlet data -phi_p remains.  That
 remainder is solved by collocation on the unit disk after pulling back along
-the radial extension map
+the harmonic extension map
 
-    X(s, alpha) = s (1 + eta(s) theta(alpha)) (cos alpha, sin alpha),
+    X(s, alpha) = s (1 + sum_l a_l s^l cos(l alpha)) (cos alpha, sin alpha),
 
-eta a smooth cutoff vanishing for s <= 1/2 and flat at s = 1, using a
-Chebyshev grid in radius and a uniform Fourier grid in angle.  The radial
+which carries the unit circle onto the boundary r = 1 + theta.  Since
+s^l cos(l alpha) = Re z^l, X is a polynomial in Cartesian coordinates, so the
+pulled-back operator is analytic and the collocation converges spectrally on
+a Chebyshev grid in radius and a uniform Fourier grid in angle.  The radial
 grid lives on [-1, 1] with an odd polynomial degree so no node sits at the
 coordinate singularity; fields at negative radius are identified with their
 antipodes, which keeps spectral accuracy across the center.
@@ -66,24 +68,6 @@ def particular_solution(points: np.ndarray, eps: float):
     g1 = -2.0 * x1 * (2.0 + eps * x1) * (1.0 + eps * x1)
     grad = np.stack([g1, np.zeros_like(g1)], axis=-1)
     return phi, grad
-
-
-def _eta(s: np.ndarray) -> np.ndarray:
-    # Septic smoothstep on [1/2, 1]: identically 0 below s = 1/2, reaching 1
-    # at s = 1 with three flat derivatives at both splice points, so the
-    # boundary metric keeps r_s(1, alpha) = 1 + theta exactly.  A C^3
-    # polynomial resolves far better under Chebyshev collocation than the
-    # C^inf exponential bump, whose transition-edge derivatives dominate
-    # the error at practical grid sizes; lambda itself is independent of
-    # the choice of admissible cutoff.
-    t = np.clip((np.asarray(s, float) - 0.5) * 2.0, 0.0, 1.0)
-    return t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3)
-
-
-def _eta_ds(s: np.ndarray) -> np.ndarray:
-    # d/ds of the septic smoothstep: 140 t^3 (1-t)^3 times dt/ds = 2
-    t = np.clip((np.asarray(s, float) - 0.5) * 2.0, 0.0, 1.0)
-    return 280.0 * t**3 * (1.0 - t) ** 3
 
 
 @lru_cache(maxsize=8)
@@ -137,18 +121,19 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     t = t_all[:h]
     alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
 
-    th = shape.theta(alpha)
-    dth = shape.dtheta(alpha)
-
-    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    # harmonic extension r = s (1 + sum_l a_l s^l cos(l alpha)): one table of
+    # a_l t^l against cos/sin(l alpha); row 0 (t = 1) is the boundary
+    l = np.arange(shape.coeffs.size)
+    cos_l = np.cos(np.multiply.outer(l, alpha))
+    sin_l = np.sin(np.multiply.outer(l, alpha))
+    pw = shape.coeffs * t[:, None] ** l
     s = t[:, None]
-    eta = _eta(t)[:, None]
-    deta = _eta_ds(t)[:, None]
-    r = s * (1.0 + eta * th[None, :])
-    r_s = 1.0 + (eta + s * deta) * th[None, :]
-    r_a = s * eta * dth[None, :]
+    r = s * (1.0 + pw @ cos_l)
+    r_s = 1.0 + (pw * (l + 1)) @ cos_l
+    r_a = -s * ((pw * l) @ sin_l)
     if np.min(r_s) <= 0.0:
-        raise GeometryError("radial extension not invertible: r_s <= 0")
+        raise GeometryError("harmonic extension not invertible: r_s <= 0")
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     one_plus = 1.0 + eps * r * cos_a[None, :]
     if np.min(one_plus) <= 0.0:
         raise GeometryError("eps too large: 1 + eps x1 <= 0 inside the section")
@@ -176,38 +161,27 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     oper = (d_even @ (diag(coef_a) * d_even + diag(coef_b) * d_ang)
             + d_ang @ (diag(coef_b) * d_even + diag(coef_c) * d_ang))
 
-    nuk = h * n_alpha
-    sys_mat = np.empty((nuk, nuk))
-    rhs = np.zeros(nuk)
-    bnd = np.arange(n_alpha)                       # k = 0 rows: t = 1
-    interior = np.arange(n_alpha, nuk)             # k >= 1 rows: PDE
-    sys_mat[interior] = oper[interior]
-    sys_mat[bnd] = 0.0
-    sys_mat[bnd, bnd] = 1.0
-    phi_p_b, grad_p_b = particular_solution(
-        np.stack([(1.0 + th) * cos_a, (1.0 + th) * sin_a], axis=1), eps)
-    rhs[bnd] = -phi_p_b
+    # rows at t = 1 carry the Dirichlet data -phi_p, the others the PDE
+    phi_p, grad_p = particular_solution(
+        np.stack([r * cos_a, r * sin_a], axis=2), eps)
+    oper[:n_alpha] = np.eye(n_alpha, h * n_alpha)
+    rhs = np.zeros(h * n_alpha)
+    rhs[:n_alpha] = -phi_p[0]
 
-    u = np.linalg.solve(sys_mat, rhs)
+    u = np.linalg.solve(oper, rhs)
 
-    # boundary gradient of u by the chain rule through the chart Jacobian
-    u_s_b = (d_even @ u)[:n_alpha]
-    u_a_b = (d_ang @ u)[:n_alpha]
-    rb = 1.0 + th
-    rsb = r_s[0]
-    rab = dth                                     # s eta theta' at s = 1
-    det = rsb * rb
-    # J = [[r_s ca, r_a ca - r sa], [r_s sa, r_a sa + r ca]]; solve J^T g = (u_s, u_a)
-    g1 = ((rab * sin_a + rb * cos_a) * u_s_b - sin_a * rsb * u_a_b) / det
-    g2 = (-(rab * cos_a - rb * sin_a) * u_s_b + cos_a * rsb * u_a_b) / det
+    # conormal trace at s = 1, where J^{-1} n = (m/(rb r_s), -theta'/(m rb));
+    # phi_p has no x2-gradient
+    u_s_b = d_even[:n_alpha] @ u
+    u_a_b = d_ang[:n_alpha] @ u
+    rb, dth = r[0], r_a[0]
     mb = np.hypot(dth, rb)
     nx = (rb * cos_a + dth * sin_a) / mb
-    ny = (rb * sin_a - dth * cos_a) / mb
-    dnphi = nx * (grad_p_b[:, 0] + g1) + ny * (grad_p_b[:, 1] + g2)
-    lam = dnphi / (1.0 + eps * rb * cos_a)
+    dnphi = (nx * grad_p[0, :, 0] + mb * u_s_b / (rb * r_s[0])
+             - dth * u_a_b / (mb * rb))
+    lam = dnphi * beta[0]
 
-    phi_grid = u.reshape(h, n_alpha) + particular_solution(
-        np.stack([r * cos_a[None, :], r * sin_a[None, :]], axis=2), eps)[0]
+    phi_grid = u.reshape(h, n_alpha) + phi_p
     return alpha, lam, dnphi, phi_grid, mb
 
 
@@ -223,11 +197,18 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     check_resolution : re-solve on a refined grid and record the trace
         difference in ``diagnostics['refinement_diff']``.
 
+    The harmonic extension must be invertible on the closed disk,
+    1 + sum_l (l+1) a_l s^l cos(l alpha) > 0 on the collocation grid, and
+    1 + eps x1 must stay positive inside the section; otherwise, or when eps
+    is negative or NaN, GeometryError is raised.
+
     Diagnostics always include the mean-flux defect
     ``int lambda m dalpha + 4 (area + eps moment)`` (zero in exact
     arithmetic by the divergence theorem) and the minimum of phi on the
     collocation grid (positive for the physical core flow).
     """
+    if not eps >= 0.0:
+        raise GeometryError(f"eps must be nonnegative, got {eps}")
     alpha, lam, dnphi, phi_grid, m = _solve_core(shape, eps, n_r, n_alpha)
     flux_defect = float(np.sum(lam * m) * 2.0 * np.pi / n_alpha
                         + 4.0 * (area(shape) + eps * moment_x1(shape)))

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _KINDS = ("none", "c_over_eps", "c_log_over_eps", "c_power", "custom")
+_L_MAX = 10_000   # modes scanned by degeneracy_margin
+_EPS0 = 0.05      # top of check_sigma's geometric eps grid
 
 
 @dataclass(frozen=True)
@@ -305,8 +307,7 @@ def degeneracy_k0(rho: float) -> float:
     return 8.0 * rho + 1.0 / (2.0 * np.pi**2)
 
 
-def degeneracy_margin(rho: float, omega: float | None,
-                      l_max: int = 10_000) -> tuple[float, int]:
+def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
     """Invertibility margin of the linearized jump condition.
 
     Returns min over modes l >= 2 of |omega (8 rho + 1/(2 pi^2))(1 - l)
@@ -325,10 +326,10 @@ def degeneracy_margin(rho: float, omega: float | None,
     if omega < 0.0:
         raise ValueError("omega must be nonnegative")
     k = omega * degeneracy_k0(rho)
-    l = np.arange(2, l_max + 1, dtype=float)
-    if k > l_max:
+    l = np.arange(2, _L_MAX + 1, dtype=float)
+    if k > _L_MAX:
         near = [math.floor(k) - 1, math.ceil(k) - 1, math.floor(k), math.ceil(k)]
-        l = np.concatenate([l, [x for x in near if x > l_max]])
+        l = np.concatenate([l, [x for x in near if x > _L_MAX]])
     vals = np.abs(k * (1.0 - l) - 1.0 + l**2) / l
     i = int(np.argmin(vals))
     return float(vals[i]), int(l[i])
@@ -351,11 +352,11 @@ class SigmaReport:
     messages: tuple[str, ...]
 
 
-def _estimate_omega(law: SigmaLaw, eps0: float) -> tuple[float, float]:
+def _estimate_omega(law: SigmaLaw) -> tuple[float, float]:
     # Limit of g(eps) = 1/(eps sigma) by Neville extrapolation to u = 0 in
     # the variable u = 1/log(1/eps): admissible tails are polynomial in u
     # (log-type decay) or superpolynomially small (power-type decay).
-    eps = eps0 * 0.5 ** np.arange(16, 24)
+    eps = _EPS0 * 0.5 ** np.arange(16, 24)
     u = 1.0 / np.log(1.0 / eps)
     g = np.array([1.0 / law.eps_sigma(e) for e in eps])
     tab = g.copy()
@@ -369,17 +370,18 @@ def _estimate_omega(law: SigmaLaw, eps0: float) -> tuple[float, float]:
     return est, unc
 
 
-def check_sigma(sigma_law: SigmaLaw, rho: float, eps0: float = 0.05) -> SigmaReport:
+def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
     """Admissibility of a tension law: omega, excluded set, decay, derivative.
 
     Checks lim 1/(eps sigma) in [0, inf) off the excluded set
     (8 rho + 1/(2 pi^2))^{-1} N_{>=3}, eps^2 sigma -> 0, and
-    eps |sigma'| <~ sigma, each on a geometric grid below eps0.  Laws with
-    a declared omega use it; black-box laws get an Aitken estimate.
+    eps |sigma'| <~ sigma, each on a geometric grid below eps = 0.05.
+    Laws with a declared omega use it; black-box laws get an Aitken
+    estimate.
     Raises ValueError if sigma is negative anywhere on the grid.
     """
     msgs: list[str] = []
-    grid = eps0 * 0.5 ** np.arange(20)
+    grid = _EPS0 * 0.5 ** np.arange(20)
     if sigma_law.is_zero:
         return SigmaReport(
             omega=math.inf, omega_source="analytic", omega_uncertainty=0.0,
@@ -395,7 +397,7 @@ def check_sigma(sigma_law: SigmaLaw, rho: float, eps0: float = 0.05) -> SigmaRep
     if sigma_law.omega is not None:
         omega, unc, source = sigma_law.omega, 0.0, "analytic"
     else:
-        omega, unc = _estimate_omega(sigma_law, eps0)
+        omega, unc = _estimate_omega(sigma_law)
         source = "estimated"
         msgs.append(f"omega estimated numerically, uncertainty {unc:.2e}")
     if not math.isfinite(omega) or omega < 0.0:

@@ -121,11 +121,12 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
     """Sample the boundary geometry on n uniform angles.
 
     Derivatives of theta are evaluated by exact differentiation of the
-    cosine series.  Raises GeometryError if the polar graph degenerates
-    (1 + theta <= 0), the torus embedding fails (eps (1 + sup theta) >= 1),
-    or n < 4 (modes + 1) undersamples the quadratures.
+    cosine series.  Raises GeometryError if eps is negative or NaN, the
+    polar graph degenerates (1 + theta <= 0), the torus embedding fails
+    (eps (1 + sup theta) >= 1), or n < 4 (modes + 1) undersamples the
+    quadratures.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
     if n < 4 * (shape.modes + 1):
         raise GeometryError(

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dtn_disk
 from thinring.inner import particular_solution, solve_inner
-from thinring.shape import FourierShape
+from thinring.shape import FourierShape, GeometryError
 
 ZERO = FourierShape(np.zeros(3))
 
@@ -29,6 +29,36 @@ def test_flux_identity_nontrivial_shape():
     assert abs(sol.diagnostics["flux_defect"]) < 1e-3
     fine = solve_inner(shape, 0.08, n_r=28, n_alpha=64)
     assert abs(fine.diagnostics["flux_defect"]) < 1e-4
+
+
+def test_flux_identity_spectral_on_default_grid():
+    # the polynomial extension map keeps the collocation spectrally accurate
+    shape = FourierShape(np.array([0.0, 0.0, 0.03, -0.01]))
+    sol = solve_inner(shape, 0.08)
+    assert abs(sol.diagnostics["flux_defect"]) < 1e-10
+
+
+def test_lambda_grid_converged():
+    shape = FourierShape(np.array([0.0, 0.0, 1e-3, -1e-5]))
+    coarse = solve_inner(shape, 0.04, n_r=8)
+    default = solve_inner(shape, 0.04)
+    assert np.max(np.abs(coarse.lam - default.lam)) < 1e-10
+
+
+def test_extension_invertibility_rule():
+    # invertible iff 1 + sum (l+1) a_l s^l cos(l alpha) > 0 on the disk
+    c8 = np.zeros(9)
+    c8[8] = 0.15                      # 1 - 9 a_8 < 0 at s = 1
+    with pytest.raises(GeometryError, match="not invertible"):
+        solve_inner(FourierShape(c8), 0.0)
+    sol = solve_inner(FourierShape(np.array([0.0, 0.0, 0.3])), 0.0)
+    assert np.all(np.isfinite(sol.lam))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -0.1])
+def test_rejects_invalid_eps(eps):
+    with pytest.raises(GeometryError):
+        solve_inner(ZERO, eps)
 
 
 def test_interior_positivity():
@@ -61,7 +91,7 @@ def test_lambda_shape_derivative(l):
     t = 1e-5
     c = np.zeros(l + 1)
     c[l] = t
-    # default radial grid under-resolves the extension cutoff here
+    # refined grid: its discretization error over 2t stays far below 1e-3
     p = solve_inner(FourierShape(c), 0.0, n_r=32, n_alpha=64)
     m = solve_inner(FourierShape(-c), 0.0, n_r=32, n_alpha=64)
     fd = (p.lam - m.lam) / (2.0 * t)

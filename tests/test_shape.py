@@ -116,6 +116,8 @@ def test_geometry_validation():
         build_grid(small_shape([0.0] * 17), 0.0, 32)  # n < 4 (M+1)
     with pytest.raises(ValueError):
         build_grid(FourierShape(np.zeros(3)), -0.1, 64)
+    with pytest.raises(ValueError):
+        build_grid(FourierShape(np.zeros(3)), float("nan"), 64)
 
 
 def test_cosine_projection_round_trip():

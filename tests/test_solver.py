@@ -154,6 +154,15 @@ def test_residual_is_grid_converged(solved_classical):
     assert float(np.max(np.abs(rv.newton_order()))) < 1e-9
 
 
+def test_core_solve_is_grid_converged_at_positive_rho():
+    # W, gamma and nu at rho > 0 carry the core solve's lambda
+    params = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
+    coarse, fine = (newton_solve(0.04, params, options=SolverOptions(
+        n_grid=128, modes=8, inner_nr=nr)) for nr in (12, 16))
+    for name in ("w", "gamma", "nu"):
+        assert abs(getattr(coarse, name) - getattr(fine, name)) < 1e-9, name
+
+
 def test_newton_rejects_nonpositive_eps():
     for eps in (-0.01, float("nan")):
         with pytest.raises(ValueError):
