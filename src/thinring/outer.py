@@ -26,6 +26,15 @@ by the same split with A = -m/(4 pi) exactly.
 Both operators are used through bordered (n+1) systems that append the
 unknown constant (capacity constant or flux constant gamma) and the
 circulation row sum m mu = 1.
+
+Every section is even (a cosine series) and the grid alpha_j = 2 pi j / n
+has even n, so the reflection alpha -> -alpha maps node j to node n - j and
+the matrices satisfy M[n-i, n-j] = M[i, j].  The kernel is therefore
+evaluated on rows 0..n/2 only and the other rows are filled by the
+reflection; the bordered systems, whose right sides are even, fold to
+n/2 + 2 unknowns (mu_0..mu_{n/2} and the constant) and are unfolded after
+the solve.  A matrix passed in through ``mat=`` must have the same
+reflection symmetry.
 """
 
 from __future__ import annotations
@@ -68,36 +77,48 @@ def kress_log_weights(n: int) -> np.ndarray:
     return r
 
 
-def _pair_geometry(grid: BoundaryGrid):
+@lru_cache(maxsize=8)
+def _half_tables(n: int):
+    # The n-only tables on rows 0..n/2: 4 sin^2((alpha_i - alpha_j)/2) with
+    # its zeros on the diagonal set to 1, and the log weights R[(i-j) mod n].
+    r = kress_log_weights(n)
+    h = n // 2
+    alpha = 2.0 * np.pi * np.arange(n) / n
+    chord = 4.0 * np.sin(0.5 * (alpha[:h + 1, None] - alpha[None, :])) ** 2
+    np.fill_diagonal(chord, 1.0)
+    weights = r[(np.arange(h + 1)[:, None] - np.arange(n)[None, :]) % n]
+    chord.setflags(write=False)
+    weights.setflags(write=False)
+    return chord, weights
+
+
+def _half_pairs(grid: BoundaryGrid):
+    # s1, s2 and log Q = log(s1 / 4 sin^2) on rows 0..n/2 against all n
+    # columns; log Q is continued to 2 log m on the diagonal
+    h = grid.n // 2
     chi = grid.chi
-    d = chi[:, None, :] - chi[None, :, :]
+    d = chi[:h + 1, None, :] - chi[None, :, :]
     s1 = np.einsum("ijk,ijk->ij", d, d)
     radial = 1.0 + grid.eps * chi[:, 0]
-    s2 = np.sqrt(np.outer(radial, radial))
-    return s1, s2
-
-
-def _chord_sq(alpha: np.ndarray) -> np.ndarray:
-    # 4 sin^2((alpha_i - alpha_j)/2) with exact zeros on the diagonal
-    half = 0.5 * (alpha[:, None] - alpha[None, :])
-    return 4.0 * np.sin(half) ** 2
-
-
-def _log_ratio(grid: BoundaryGrid, s1: np.ndarray) -> np.ndarray:
-    # log Q = log(s1 / 4 sin^2) continued to 2 log m on the diagonal
-    chord = _chord_sq(grid.alpha)
-    np.fill_diagonal(chord, 1.0)
-    q = s1 / chord
-    np.fill_diagonal(q, grid.m**2)
-    return np.log(q)
+    s2 = np.sqrt(np.outer(radial[:h + 1], radial))
+    q = s1 / _half_tables(grid.n)[0]
+    np.fill_diagonal(q, grid.m[:h + 1] ** 2)
+    return s1, s2, np.log(q)
 
 
 def _nystrom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # log part A on the spectral log weights, smooth part B on the trapezoid
-    n = a.shape[0]
-    r = kress_log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return a * r[idx] + (2.0 * np.pi / n) * b
+    # log part A on the spectral log weights, smooth part B on the
+    # trapezoid, both given on rows 0..n/2; the other rows follow from
+    # M[n-i, n-j] = M[i, j], and rows 0 and n/2 are their own mirror images
+    n = a.shape[1]
+    h = n // 2
+    half = a * _half_tables(n)[1] + (2.0 * np.pi / n) * b
+    mat = np.empty((n, n))
+    mat[:h + 1] = half
+    mat[[0, h], h + 1:] = half[[0, h], h - 1:0:-1]
+    mat[h + 1:, 0] = half[h - 1:0:-1, 0]
+    mat[h + 1:, 1:] = half[h - 1:0:-1, :0:-1]
+    return mat
 
 
 def assemble_full(grid: BoundaryGrid) -> np.ndarray:
@@ -119,17 +140,16 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     """
     if not grid.eps > 0.0:
         raise ValueError("assemble_full requires eps > 0; use assemble_limit")
-    s1, s2 = _pair_geometry(grid)
+    s1, s2, log_q = _half_pairs(grid)
     s = grid.eps**2 * s1 / s2**2
     pref = grid.m[None, :] * s2 / (2.0 * np.pi)
-    log_eps_term = (2.0 * np.log(grid.eps) + _log_ratio(grid, s1)
-                    - 2.0 * np.log(s2))
+    log_eps_term = 2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
     p, q = f_split(np.minimum(s, SPLIT_S_MAX))
     a = pref * q
     b = pref * (p + q * log_eps_term)
     far = s > SPLIT_S_MAX
     if np.any(far):
-        if np.any(far & (_chord_sq(grid.alpha) < 0.5)):
+        if np.any(far & (_half_tables(grid.n)[0] < 0.5)):
             raise ValueError(
                 "kernel argument left the log-split range near the diagonal; "
                 "eps too large for this section")
@@ -144,10 +164,8 @@ def assemble_limit(grid: BoundaryGrid) -> np.ndarray:
     The log-weight factor is A = -m(alpha~)/(4 pi) exactly; the smooth part
     is -(m/4 pi) log Q with diagonal -(m/2 pi) log m.
     """
-    n = grid.n
-    s1, _ = _pair_geometry(grid)
-    log_q = _log_ratio(grid, s1)
-    a = np.tile(-grid.m / (4.0 * np.pi), (n, 1))
+    _, _, log_q = _half_pairs(grid)
+    a = np.broadcast_to(-grid.m / (4.0 * np.pi), log_q.shape)
     return _nystrom(a, a * log_q)
 
 
@@ -165,15 +183,21 @@ class OuterSolution:
 
 
 def _bordered_solve(grid: BoundaryGrid, mat: np.ndarray, rhs: np.ndarray):
-    n = grid.n
-    sys_mat = np.empty((n + 1, n + 1))
-    sys_mat[:n, :n] = mat
-    sys_mat[:n, n] = -1.0
-    sys_mat[n, :n] = grid.m * grid.weight
-    sys_mat[n, n] = 0.0
-    full_rhs = np.concatenate([rhs, [1.0]])
-    sol = np.linalg.solve(sys_mat, full_rhs)
-    return sol[:n], float(sol[n])
+    # The (n+1) system [mat, -1; m w, 0] (mu, c) = (rhs, 1) folded by the
+    # reflection j -> n-j: with mat reflection-symmetric and rhs even, mu is
+    # even, so rows 0..n/2 with the columns j and n-j added and the
+    # circulation row on the weights 1, 2, ..., 2, 1 determine it.
+    h = grid.n // 2
+    sys_mat = np.empty((h + 2, h + 2))
+    sys_mat[:h + 1, :h + 1] = mat[:h + 1, :h + 1]
+    sys_mat[:h + 1, 1:h] += mat[:h + 1, :h:-1]
+    sys_mat[:h + 1, h + 1] = -1.0
+    sys_mat[h + 1, :h + 1] = 2.0 * grid.weight * grid.m[:h + 1]
+    sys_mat[h + 1, [0, h]] *= 0.5
+    sys_mat[h + 1, h + 1] = 0.0
+    sol = np.linalg.solve(sys_mat, np.append(rhs[:h + 1], 1.0))
+    mu = sol[:h + 1]
+    return np.concatenate([mu, mu[h - 1:0:-1]]), float(sol[h + 1])
 
 
 def solve_capacity(grid: BoundaryGrid, mat: np.ndarray | None = None) -> CapacitySolution:

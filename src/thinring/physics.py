@@ -68,8 +68,9 @@ class SigmaLaw:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown sigma kind {self.kind!r}")
-        if self.kind != "none" and self.kind != "custom" and self.c < 0.0:
-            raise ValueError("sigma coefficient must be nonnegative")
+        if (self.kind != "none" and self.kind != "custom"
+                and not 0.0 <= self.c < math.inf):
+            raise ValueError("sigma coefficient must be nonnegative and finite")
         if self.kind == "c_power":
             if self.p is None or not 1.0 < self.p < 2.0:
                 raise ValueError("c_power law requires exponent p in (1, 2)")
@@ -181,8 +182,8 @@ class NondimParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.rho >= 0.0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ radial coordinates.  F has a log singularity at s = 0:
 
 with p, q analytic near 0.  ``f_split`` evaluates that decomposition, which is
 what the quadrature scheme needs, as two power series in w = s/(4+s) for
-0 <= s <= SPLIT_S_MAX; ``f_elliptic`` evaluates F itself for any s > 0
+0 <= s <= SPLIT_S_MAX, summed by Horner's rule and truncated where the
+largest w of the call makes the next term negligible (a handful of terms
+in the thin regime); ``f_elliptic`` evaluates F itself for any s > 0
 through the arithmetic-geometric mean, run on whole arrays at once.
 """
 
@@ -27,8 +29,8 @@ __all__ = [
 ]
 
 # Guard radius of the truncated series in f_split: at s = 1 the series
-# argument w = s/(4+s) stays below 1/5 and the truncation error is far
-# below 1e-14.
+# argument w = s/(4+s) stays below 1/5 and 26 of the _N_TERMS terms reach
+# the truncation bound.
 SPLIT_S_MAX = 1.0
 
 # Series table of the log split, built once at import; see f_split.  The
@@ -56,7 +58,11 @@ def _split_table(n: int) -> np.ndarray:
 
 
 _PQ = _split_table(_N_TERMS)
-_M_IDX = np.arange(_N_TERMS)
+# Largest coefficient of each order, the bound f_split truncates against.
+# From order 1 on the row maxima lie between 0.84 and 0.89, so for w <= 1/5
+# the omitted terms sum to less than 1.3 times the first of them.
+_PQ_ROW_MAX = np.max(np.abs(_PQ), axis=1)
+_TRUNCATION = 1e-18
 
 
 def _agm_ke(k2, kp2):
@@ -132,6 +138,11 @@ def f_split(s):
     part of log w = log s - log(4+s) into p.  The prefactors of F are
     (2+s)/sqrt(4+s) = (1+w)/sqrt(1-w) and sqrt(4+s) = 2/sqrt(1-w).
 
+    Both sums are evaluated by Horner's rule and truncated at the first
+    order whose term, bounded at the largest w of the call, is below 1e-18,
+    so a value does not depend on the batch it is evaluated in beyond
+    roundoff.
+
     Parameters
     ----------
     s : float or ndarray
@@ -158,11 +169,20 @@ def f_split(s):
             f"s exceeds split range s_max={SPLIT_S_MAX}; use f_elliptic")
     w = sa / (4.0 + sa)
     root = np.sqrt(1.0 - w)
-    # Vandermonde in w against the series table; w <= 1/5 so 44 terms
-    # overshoot machine precision comfortably.
-    sums = (w[..., None] ** _M_IDX) @ _PQ
-    q = -root * sums[..., 1]
-    p = root * sums[..., 0] + np.log1p(-w) * q
+    # k terms: at most 7 for eps <= 0.04 (s below about 1e-2), 26 at
+    # s = SPLIT_S_MAX
+    bound = _PQ_ROW_MAX * np.max(w, initial=0.0) ** np.arange(_N_TERMS)
+    small = np.flatnonzero(bound <= _TRUNCATION)
+    k = small[0] if small.size else _N_TERMS
+    sum_p = np.full_like(w, _PQ[k - 1, 0])
+    sum_q = np.full_like(w, _PQ[k - 1, 1])
+    for coeff_p, coeff_q in _PQ[:k - 1][::-1]:
+        sum_p *= w
+        sum_p += coeff_p
+        sum_q *= w
+        sum_q += coeff_q
+    q = -root * sum_q
+    p = root * sum_p + np.log1p(-w) * q
     if scalar:
         return float(p[0]), float(q[0])
     return p, q

@@ -3,8 +3,9 @@
 ``f_direct`` evaluates the ring kernel profile by adaptive quadrature and
 shares no code with ``thinring.special``; ``kernel_direct`` evaluates the
 outer kernel pointwise on the elliptic path, without the log split;
-``dtn_disk`` is the Dirichlet-to-Neumann map of the unit disk as a Fourier
-multiplier.
+``bordered_solve_dense`` solves the outer bordered system on all n nodes,
+without the even-symmetry fold; ``dtn_disk`` is the Dirichlet-to-Neumann
+map of the unit disk as a Fourier multiplier.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from thinring.outer import _pair_geometry
 from thinring.shape import BoundaryGrid
 from thinring.special import f_elliptic
 
@@ -56,13 +56,28 @@ def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
     the independent check of the assembled A log(4 sin^2) + B split.
     """
     n = grid.n
-    s1, s2 = _pair_geometry(grid)
+    d = grid.chi[:, None, :] - grid.chi[None, :, :]
+    s1 = np.sum(d * d, axis=2)
+    radial = 1.0 + grid.eps * grid.chi[:, 0]
+    s2 = np.sqrt(np.outer(radial, radial))
     s = grid.eps**2 * s1 / s2**2
     out = np.empty((n, n))
     off = ~np.eye(n, dtype=bool)
     out[off] = (grid.m[None, :] * s2 / (2.0 * np.pi))[off] * f_elliptic(s[off])
     out[np.eye(n, dtype=bool)] = np.nan
     return out
+
+
+def bordered_solve_dense(grid: BoundaryGrid, mat: np.ndarray,
+                         rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unfolded (n+1) system [mat, -1; m w, 0] (mu, c) = (rhs, 1)."""
+    n = grid.n
+    sys_mat = np.zeros((n + 1, n + 1))
+    sys_mat[:n, :n] = mat
+    sys_mat[:n, n] = -1.0
+    sys_mat[n, :n] = grid.m * grid.weight
+    sol = np.linalg.solve(sys_mat, np.append(rhs, 1.0))
+    return sol[:n], float(sol[n])
 
 
 def dtn_disk(values: np.ndarray) -> np.ndarray:

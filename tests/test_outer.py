@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_direct
+from oracles import bordered_solve_dense, kernel_direct
 from thinring.outer import (assemble_full, assemble_limit, eval_streamfunction,
                             kress_log_weights, solve_capacity, solve_outer)
 from thinring.physics import s_from_w, w_from_s
@@ -247,6 +247,42 @@ def test_outer_solution_has_unit_circulation():
     assert abs(np.sum(g.m * sol.mu) * g.weight - 1.0) < 1e-12
     cap = solve_capacity(build_grid(wavy_shape((2, 0.05)), 0.0, 128))
     assert abs(np.sum(g.m * cap.mu) * g.weight - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(wavy_shape((2, 0.05), (3, -0.02), (5, 0.01)), 0.02, 128),
+    circle_grid(0.6, 96),
+], ids=["wavy", "far_field"])
+def test_folded_outer_solve_matches_dense(grid):
+    # the even-symmetry fold against the unfolded (n+1) bordered system;
+    # eps = 0.6 also takes the far-pair fallback of the assembly
+    mat = assemble_full(grid)
+    sol = solve_outer(grid, 0.4, mat=mat)
+    rhs = 0.2 * (1.0 + grid.eps * grid.chi[:, 0]) ** 2
+    mu, gamma = bordered_solve_dense(grid, mat, rhs)
+    assert np.max(np.abs(sol.mu - mu)) < 1e-12
+    assert abs(sol.gamma - gamma) < 1e-12
+
+
+def test_folded_capacity_solve_matches_dense():
+    grid = build_grid(wavy_shape((2, 0.05), (3, -0.02), (5, 0.01)), 0.0, 128)
+    mat = assemble_limit(grid)
+    sol = solve_capacity(grid, mat=mat)
+    mu, const = bordered_solve_dense(grid, mat, np.zeros(grid.n))
+    assert np.max(np.abs(sol.mu - mu)) < 1e-12
+    assert abs(sol.const - const) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.0, 96),
+    build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.02, 96),
+    circle_grid(0.6, 96),
+], ids=["limit", "wavy", "far_field"])
+def test_assembly_is_reflection_symmetric(grid):
+    # alpha -> -alpha maps node j to n - j; M[n-i, n-j] = M[i, j] exactly
+    mat = assemble_full(grid) if grid.eps > 0.0 else assemble_limit(grid)
+    rev = (-np.arange(grid.n)) % grid.n
+    assert np.array_equal(mat[rev][:, rev], mat)
 
 
 def test_precomputed_matrix_is_equivalent():

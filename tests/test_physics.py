@@ -55,6 +55,13 @@ def test_sigma_law_validation():
         SigmaLaw(kind="custom")
     with pytest.raises(ValueError, match="eps"):
         SigmaLaw(kind="c_over_eps", c=1.0)(0.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SigmaLaw(kind="c_over_eps", c=c)
+        with pytest.raises(ValueError, match="finite"):
+            SigmaLaw(kind="c_power", c=c, p=1.5)
+    with pytest.raises(ValueError, match="finite"):
+        NondimParams(rho=math.inf, sigma_law=SigmaLaw(), omega=math.inf)
 
 
 def test_sigma_law_omega_and_zero_flag():

@@ -1,6 +1,9 @@
 """Newton solver: residual bookkeeping, convergence, continuation."""
 
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +216,36 @@ def test_continuation_failure_carries_partial_results():
     assert len(partial) == 1
     assert partial[0].eps == 0.02
     assert partial[0].diagnostics["residual_norm"] <= OPTS8.tol
+
+
+# ------------------------------------------------------------- heap reuse
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn
+from thinring.shape import FourierShape
+from thinring.solver import SolverOptions, residual
+options = SolverOptions()
+params = NondimParams(rho=0.0, omega=0.25,
+                      sigma_law=SigmaLaw(kind="c_over_eps", c=4.0))
+w, _, nu = asymptotic_wgn(0.01, 0.0, params.sigma_law)
+shape = FourierShape(np.zeros(options.modes + 1))
+for _ in range(3):
+    residual(shape, 0.01, w, nu, params, options)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    residual(shape, 0.01, w, nu, params, options)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap thresholds are set through glibc mallopt")
+def test_residual_reuses_freed_heap():
+    # a fresh process at default options: once warm, residuals take their
+    # temporaries from the heap instead of faulting in new pages (about
+    # 1000 minor faults per residual when glibc returns them to the OS)
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import f_direct
-from thinring.special import elliptic_ke, f_elliptic, f_split
+from thinring.special import SPLIT_S_MAX, elliptic_ke, f_elliptic, f_split
 
 # F(s) to 21 digits, computed from the defining integral
 # int_0^pi cos t / sqrt(4 sin^2(t/2) + s) dt with 40-digit quadrature
@@ -65,6 +65,28 @@ def test_split_endpoint_values():
     p, q = f_split(np.array([0.0]))
     assert abs(p[0] - (LOG8 - 2.0)) < 1e-14
     assert abs(q[0] + 0.5) < 1e-14
+
+
+def test_split_value_independent_of_batch():
+    # the series is truncated from the largest w of a call; a point
+    # evaluated alone and beside s = SPLIT_S_MAX must agree to roundoff
+    s = np.geomspace(1e-12, 1e-3, 50)
+    p_all, q_all = f_split(np.append(s, SPLIT_S_MAX))
+    for i, v in enumerate(s):
+        p, q = f_split(v)
+        assert abs(p - p_all[i]) <= 2e-16
+        assert abs(q - q_all[i]) <= 2e-16
+
+
+def test_split_empty_and_zero_inputs():
+    p, q = f_split(np.array([]))
+    assert p.shape == (0,) and q.shape == (0,)
+    # every zero takes the one-term sum: q is exactly -1/2 and p is the
+    # table's p(0) = log 8 - 2, which the double log(8) - 2 misses by 1.8e-16
+    p, q = f_split(np.zeros(4))
+    p0, q0 = f_split(0.0)
+    assert np.all(p == p0) and np.all(q == q0) and q0 == -0.5
+    assert abs(p0 - (LOG8 - 2.0)) <= 2e-16
 
 
 def test_split_range_guard():
