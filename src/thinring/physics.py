@@ -82,8 +82,8 @@ class SigmaLaw:
         return self.kind == "none" or (self.kind != "custom" and self.c == 0.0)
 
     def __call__(self, eps: float) -> float:
-        if eps <= 0.0:
-            raise ValueError("sigma law evaluated at eps <= 0")
+        if not eps > 0.0:
+            raise ValueError(f"sigma law evaluated at eps = {eps}, need eps > 0")
         if self.kind == "none":
             return 0.0
         if self.kind == "c_over_eps":
@@ -150,6 +150,9 @@ class PhysicalSetup:
     sigma_bar_law: SigmaLaw = SigmaLaw()
 
     def __post_init__(self):
+        for name in ("rho_in", "rho_out", "R", "eps_bar", "b_bar", "xi_bar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho_in < 0.0 or self.rho_out <= 0.0:
             raise ValueError("densities require rho_in >= 0, rho_out > 0")
         if self.rho_out < self.rho_in:

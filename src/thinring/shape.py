@@ -13,9 +13,10 @@ in-plane curvature and the full mean-curvature factor
 
     h = kappa + eps (n . e1) / (1 + eps chi_1),
 
-which is what multiplies the surface tension in the pressure jump.  The
-admissible set is pinned by two geometric constraints, area pi and vanishing
-first moment, enforced on the (a_0, a_1) pair by ``project_constraints``.
+which is what multiplies the surface tension in the pressure jump; theta,
+theta' and theta'' come from one inverse real FFT of the coefficients.  The
+admissible set is pinned by area pi and vanishing first moment, enforced on
+the (a_0, a_1) pair by ``project_constraints`` with an exact 2x2 Jacobian.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class FourierShape:
         l = np.arange(self.coeffs.size)
         return -np.sin(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * self.coeffs)
 
-    def ddtheta(self, alpha: np.ndarray) -> np.ndarray:
-        l = np.arange(self.coeffs.size)
-        return -np.cos(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * l * self.coeffs)
-
     def with_coeffs(self, **updates: float) -> "FourierShape":
         """Copy with individual modes replaced, e.g. with_coeffs(a0=..., a1=...)."""
         c = np.array(self.coeffs)
@@ -120,11 +117,9 @@ class BoundaryGrid:
 def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
     """Sample the boundary geometry on n uniform angles.
 
-    Derivatives of theta are evaluated by exact differentiation of the
-    cosine series.  Raises GeometryError if eps is negative or NaN, the
-    polar graph degenerates (1 + theta <= 0), the torus embedding fails
-    (eps (1 + sup theta) >= 1), or n < 4 (modes + 1) undersamples the
-    quadratures.
+    Raises GeometryError if eps is negative or NaN, the polar graph
+    degenerates (1 + theta <= 0), the torus embedding fails (eps (1 + sup
+    theta) >= 1), or n < 4 (modes + 1) undersamples the quadratures.
     """
     if not eps >= 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
@@ -132,9 +127,7 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
         raise GeometryError(
             f"n = {n} undersamples an M = {shape.modes} shape; need n >= {4 * (shape.modes + 1)}")
     alpha = 2.0 * np.pi * np.arange(n) / n
-    th = shape.theta(alpha)
-    dth = shape.dtheta(alpha)
-    ddth = shape.ddtheta(alpha)
+    th, dth, ddth = _samples(shape.coeffs, n)
     r = 1.0 + th
     if np.min(r) <= 0.0:
         raise GeometryError("polar graph degenerate: 1 + theta <= 0")
@@ -153,60 +146,66 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
                         eps=float(eps), shape=shape)
 
 
-def _uniform_samples(shape: FourierShape, factor: int = 4):
-    n = factor * (shape.modes + 2)
-    alpha = 2.0 * np.pi * np.arange(n) / n
-    return alpha, shape.theta(alpha), n
+def _samples(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Rows theta, theta', theta'' on n uniform angles; exact while n > 2M."""
+    a = coeffs * (0.5 * n)
+    a[0] *= 2.0   # irfft counts mode 0 once and every other mode twice
+    l = np.arange(a.size)
+    spec = np.zeros((3, n // 2 + 1), dtype=complex)
+    spec[0, : a.size] = a
+    spec[1, : a.size] = 1j * l * a
+    spec[2, : a.size] = -(l * l) * a
+    return np.fft.irfft(spec, n)
 
 
 def area(shape: FourierShape) -> float:
-    """Cross-section area (1/2) int (1+theta)^2 d alpha.
-
-    Trapezoid on >= 4(M+2) angles, exact for the degree-2M integrand.
-    """
-    _, th, n = _uniform_samples(shape)
-    return float(0.5 * np.sum((1.0 + th) ** 2) * 2.0 * np.pi / n)
+    """Cross-section area (1/2) int (1+theta)^2 = pi (1+a_0)^2 + (pi/2) sum_{l>=1} a_l^2."""
+    a = shape.coeffs
+    return float(np.pi * (1.0 + a[0]) ** 2 + 0.5 * np.pi * np.dot(a[1:], a[1:]))
 
 
 def moment_x1(shape: FourierShape) -> float:
     """First moment int_Omega y_1 dy = (1/3) int (1+theta)^3 cos alpha d alpha."""
-    alpha, th, n = _uniform_samples(shape)
-    return float(np.sum((1.0 + th) ** 3 * np.cos(alpha)) / 3.0 * 2.0 * np.pi / n)
+    n = 4 * (shape.modes + 2)   # the trapezoid is exact for the degree-(3M+1) integrand
+    r = 1.0 + _samples(shape.coeffs, n)[0]
+    return float(np.sum(r**3 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 3.0 * 2.0 * np.pi / n)
 
 
-def project_constraints(shape: FourierShape, tol: float = 1e-12,
-                        max_iter: int = 20) -> FourierShape:
+_PROJ_TOL = 1e-12
+_PROJ_MAX_ITER = 20
+
+
+def project_constraints(shape: FourierShape) -> FourierShape:
     """Slave (a_0, a_1) to the geometric constraints area = pi, moment = 0.
 
-    Higher modes are untouched.  Newton iteration on the 2x2 system; the
-    Jacobian d(area)/d a_0 = 2 pi (1 + a_0) + ..., d(moment)/d a_1 ~ pi
-    is well conditioned for admissible shapes.
+    Higher modes are untouched (a one-coefficient shape is padded).  Newton on
+    r = 1 + theta_high + a_0 + a_1 cos alpha, theta_high sampled once, with the
+    exact Jacobian [[2 pi (1+a_0), pi a_1], [int r^2 cos, int r^2 cos^2]].
     """
-    cur = shape
-    for _ in range(max_iter):
-        g1 = area(cur) - np.pi
-        g2 = moment_x1(cur)
-        if abs(g1) <= tol and abs(g2) <= tol:
-            return cur
-        # finite-difference 2x2 Jacobian in (a_0, a_1); cheap and robust
-        step = 1e-7
-        c = np.array(cur.coeffs)
-        if c.size < 2:
-            c = np.concatenate([c, [0.0]])
-            cur = FourierShape(c)
-        sp0 = cur.with_coeffs(a0=c[0] + step)
-        sp1 = cur.with_coeffs(a1=c[1] + step)
-        j = np.array([
-            [(area(sp0) - (g1 + np.pi)) / step, (area(sp1) - (g1 + np.pi)) / step],
-            [(moment_x1(sp0) - g2) / step, (moment_x1(sp1) - g2) / step],
-        ])
-        try:
-            delta = np.linalg.solve(j, [g1, g2])
-        except np.linalg.LinAlgError as exc:
-            raise ProjectionError("constraint Jacobian singular") from exc
-        cur = cur.with_coeffs(a0=c[0] - delta[0], a1=c[1] - delta[1])
+    c = np.zeros(max(shape.coeffs.size, 2))
+    c[: shape.coeffs.size] = shape.coeffs
+    a0, a1 = float(c[0]), float(c[1])
+    c[:2] = 0.0
+    high_sq = float(np.dot(c, c))
+    n = 4 * (c.size + 1)
+    cos_a = np.cos(2.0 * np.pi * np.arange(n) / n)
+    base = 1.0 + _samples(c, n)[0]
+    for _ in range(_PROJ_MAX_ITER):
+        r = base + a0 + a1 * cos_a
+        r2c = r * r * cos_a * (2.0 * np.pi / n)   # with the trapezoid weight
+        g1 = np.pi * (1.0 + a0) ** 2 + 0.5 * np.pi * (a1 * a1 + high_sq) - np.pi
+        g2 = float(np.dot(r2c, r)) / 3.0
+        if abs(g1) <= _PROJ_TOL and abs(g2) <= _PROJ_TOL:
+            c[0], c[1] = a0, a1
+            return FourierShape(c)
+        j00, j01 = 2.0 * np.pi * (1.0 + a0), np.pi * a1
+        j10, j11 = float(np.sum(r2c)), float(np.dot(r2c, cos_a))
+        det = j00 * j11 - j01 * j10
+        if det == 0.0:
+            raise ProjectionError("constraint Jacobian singular")
+        a0, a1 = a0 - (g1 * j11 - j01 * g2) / det, a1 - (j00 * g2 - j10 * g1) / det
     raise ProjectionError(
-        f"no convergence in {max_iter} iterations: area defect {g1:.3e}, moment {g2:.3e}")
+        f"no convergence in {_PROJ_MAX_ITER} iterations: area defect {g1:.3e}, moment {g2:.3e}")
 
 
 def sobolev_norm(shape: FourierShape, k: int = 5) -> float:

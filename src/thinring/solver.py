@@ -93,6 +93,10 @@ class SolverOptions:
             raise ValueError("n_grid must be even")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if self.inner_nr < 2:
+            raise ValueError("inner_nr must be >= 2")
+        if self.inner_nalpha < 2 or self.inner_nalpha % 2:
+            raise ValueError("inner_nalpha must be even and >= 2")
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,8 @@ def newton_solve(eps: float, params: NondimParams,
     warning is attached when the mode margin at (rho, omega) is below
     0.05 or the Jacobian condition number exceeds 1e12.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     omega = _resolve_omega(params)
     margin, worst = degeneracy_margin(params.rho, omega)
     degen_note = (f" (degeneracy margin {margin:.3e} at mode {worst})"
@@ -334,8 +338,8 @@ def continuation(eps_grid, params: NondimParams,
     states already solved.
     """
     eps_grid = [float(e) for e in eps_grid]
-    if not all(e > 0.0 for e in eps_grid):
-        raise ValueError("eps grid must be positive")
+    if not all(0.0 < e < math.inf for e in eps_grid):
+        raise ValueError("eps grid must be positive and finite")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid must be strictly descending")
     results: list[SolutionState] = []

@@ -55,6 +55,8 @@ def test_sigma_law_validation():
         SigmaLaw(kind="custom")
     with pytest.raises(ValueError, match="eps"):
         SigmaLaw(kind="c_over_eps", c=1.0)(0.0)
+    with pytest.raises(ValueError, match="eps"):
+        SigmaLaw(kind="c_over_eps", c=1.0)(math.nan)
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SigmaLaw(kind="c_over_eps", c=c)
@@ -137,6 +139,10 @@ def test_physical_setup_validation():
         water_air_setup(b_bar=0.0)
     with pytest.raises(ValueError, match="positive"):
         water_air_setup(R=-1.0)
+    for field in ("rho_in", "rho_out", "R", "eps_bar", "b_bar", "xi_bar"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                water_air_setup(**{field: bad})
     assert water_air_setup().eps == 0.02
 
 

@@ -72,9 +72,32 @@ def test_projection_restores_constraints_and_keeps_high_modes():
     assert proj.coeffs[0] < 0.0
 
 
+def test_grid_samples_at_smallest_allowed_n():
+    # n = 4 (M + 1) is the coarsest grid build_grid accepts
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=9) * 0.02
+    shape = FourierShape(a)
+    g = build_grid(shape, 0.02, 36)
+    l = np.arange(a.size)
+    ddtheta = -np.cos(np.multiply.outer(g.alpha, l)) @ (l * l * a)
+    assert np.max(np.abs(g.theta - shape.theta(g.alpha))) < 1e-13
+    assert np.max(np.abs(g.dtheta - shape.dtheta(g.alpha))) < 1e-13
+    assert np.max(np.abs(g.ddtheta - ddtheta)) < 1e-13
+
+
+@pytest.mark.parametrize("coeffs", [[0.1], [0.0, 0.2, 0.05]])
+def test_projection_pads_and_handles_large_a1(coeffs):
+    shape = small_shape(coeffs)
+    proj = project_constraints(shape)
+    assert proj.coeffs.size == max(len(coeffs), 2)
+    assert abs(area(proj) - np.pi) < 1e-12
+    assert abs(moment_x1(proj)) < 1e-12
+    assert np.array_equal(proj.coeffs[2:], shape.coeffs[2:])
+
+
 def test_projection_failure_is_reported():
     with pytest.raises(ProjectionError):
-        project_constraints(small_shape([0.0, 0.0, 5.0]), max_iter=3)
+        project_constraints(small_shape([0.0, 0.0, 5.0]))
 
 
 def test_sobolev_norm_single_mode_pin():

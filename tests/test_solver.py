@@ -81,6 +81,22 @@ def test_options_require_resolved_modes():
         SolverOptions(n_grid=64, modes=32)
 
 
+@pytest.mark.parametrize("inner_nr, inner_nalpha, field", [
+    (1, 32, "inner_nr"), (0, 32, "inner_nr"), (16, 31, "inner_nalpha"),
+    (16, 0, "inner_nalpha"), (16, 1, "inner_nalpha"), (16, -2, "inner_nalpha"),
+])
+def test_options_reject_unusable_core_grid(inner_nr, inner_nalpha, field):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(inner_nr=inner_nr, inner_nalpha=inner_nalpha)
+
+
+def test_smallest_core_grid_solves():
+    for nalpha in (2, 4):
+        opts = SolverOptions(n_grid=128, modes=8, inner_nr=2, inner_nalpha=nalpha)
+        state = newton_solve(0.02, P_CLASSICAL, options=opts)
+        assert state.lam.size == 128 and np.all(np.isfinite(state.lam))
+
+
 # ------------------------------------------------------------ jacobian pieces
 
 def test_jacobian_fd_exact_on_affine_maps():
@@ -170,6 +186,8 @@ def test_newton_rejects_nonpositive_eps():
     for eps in (-0.01, float("nan")):
         with pytest.raises(ValueError):
             newton_solve(eps, P_CLASSICAL, options=OPTS8)
+    with pytest.raises(ValueError, match="positive and finite"):
+        newton_solve(math.inf, P_CLASSICAL, options=OPTS8)
 
 
 def test_newton_warns_near_degenerate_tension():
@@ -202,6 +220,8 @@ def test_continuation_requires_descending_positive_grid():
     for bad in (-0.01, float("nan")):
         with pytest.raises(ValueError, match="positive"):
             continuation([0.02, bad], P_CLASSICAL, options=OPTS8)
+    with pytest.raises(ValueError, match="positive and finite"):
+        continuation([math.inf, 0.02], P_CLASSICAL, options=OPTS8)
 
 
 def test_continuation_failure_carries_partial_results():
