@@ -25,7 +25,16 @@ pulled-back operator is analytic and the collocation converges spectrally on
 a Chebyshev grid in radius and a uniform Fourier grid in angle.  The radial
 grid lives on [-1, 1] with an odd polynomial degree so no node sits at the
 coordinate singularity; fields at negative radius are identified with their
-antipodes, which keeps spectral accuracy across the center.
+antipodes, which keeps spectral accuracy across the center (Trefethen,
+Spectral Methods in MATLAB, ch. 11).
+
+The discrete operator is written once, as a function on stacks of fields:
+the radial derivative is a Chebyshev matrix product plus its antipodal
+partner, the angular derivative a Fourier matrix product.  The section is
+a cosine series, so u is even in alpha and the unknowns are its values on
+the half grid alpha_0 .. alpha_{n/2}; the collocation matrix is the
+operator applied to the unit fields of that half grid, unfolded by
+reflection.
 
 At theta = 0, eps = 0 the solution is phi = 1 - |x|^2 and lambda = -2.
 """
@@ -113,8 +122,6 @@ class InnerSolution:
 
 def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     """One collocation solve; returns (alpha, lam, dnphi, phi_grid, m)."""
-    if n_alpha % 2:
-        raise ValueError("n_alpha must be even")
     ns = 2 * n_r - 1                     # odd polynomial degree, no node at 0
     t_all, d_all = _cheb(ns)
     h = n_r                              # positive nodes t_0=1 > ... > t_{h-1}
@@ -139,41 +146,52 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
         raise GeometryError("eps too large: 1 + eps x1 <= 0 inside the section")
     beta = 1.0 / one_plus
 
-    # metric-form coefficients of div((1/(1+eps x1)) grad .) in (s, alpha)
-    coef_a = beta * (r_a * r_a + r * r) / (r_s * r)
-    coef_b = -beta * r_a / r
-    coef_c = beta * r_s / r
+    # metric-form coefficients of div((1/(1+eps x1)) grad .) in (s, alpha),
+    # with a trailing axis for stacks of fields
+    a = (beta * (r_a * r_a + r * r) / (r_s * r))[..., None]
+    b = (-beta * r_a / r)[..., None]
+    c = (beta * r_s / r)[..., None]
 
-    # folded radial differentiation: rows/cols on positive nodes, with the
-    # reach into t < 0 rerouted to the antipodal column (alpha + pi); fields
-    # even across the center pick up a + sign there, and every field this
-    # operator is applied to below (u, then a u_s + b u_alpha) is even
+    # folded radial differentiation on stacks of fields (h, n_alpha, k): rows
+    # on the positive nodes, with the reach into t < 0 rerouted to the
+    # antipodal angle alpha + pi; fields even across the center pick up a +
+    # sign there, and every field this is applied to (u, then a u_s + b u_a)
+    # is even
     d_pp = d_all[:h, :h]
     d_fold = d_all[:h, ns - np.arange(h)]          # column for mirror node m
-    ident = np.eye(n_alpha)
-    tshift = np.roll(ident, n_alpha // 2, axis=1)  # f(alpha) -> f(alpha + pi)
-    d_even = np.kron(d_pp, ident) + np.kron(d_fold, tshift)
-    d_ang = np.kron(np.eye(h), _fourier_diff(n_alpha))
+    d_ang = _fourier_diff(n_alpha)                 # broadcasts over rows
 
-    def diag(field):
-        return field.reshape(-1)[:, None]
+    def d_s(v):
+        return (np.tensordot(d_pp, v, 1)
+                + np.tensordot(d_fold, np.roll(v, -(n_alpha // 2), axis=1), 1))
 
-    oper = (d_even @ (diag(coef_a) * d_even + diag(coef_b) * d_ang)
-            + d_ang @ (diag(coef_b) * d_even + diag(coef_c) * d_ang))
+    def oper(v):
+        u_s, u_a = d_s(v), d_ang @ v
+        return d_s(a * u_s + b * u_a) + d_ang @ (b * u_s + c * u_a)
+
+    # u is even in alpha (a, c even, b odd, the Dirichlet data even, and the
+    # reflection j -> n - j commutes with both derivatives and the antipodal
+    # shift), so the unknowns are its values on alpha_0 .. alpha_{n/2}; the
+    # matrix is the operator applied to the unfolded unit fields
+    half = n_alpha // 2 + 1
+    n_unk = h * half
+    mirror = np.minimum(np.arange(n_alpha), np.arange(n_alpha, 0, -1))  # j, n-j
+    units = np.eye(n_unk).reshape(h, half, n_unk)[:, mirror]
+    mat = oper(units)[:, :half].reshape(n_unk, n_unk)
 
     # rows at t = 1 carry the Dirichlet data -phi_p, the others the PDE
     phi_p, grad_p = particular_solution(
         np.stack([r * cos_a, r * sin_a], axis=2), eps)
-    oper[:n_alpha] = np.eye(n_alpha, h * n_alpha)
-    rhs = np.zeros(h * n_alpha)
-    rhs[:n_alpha] = -phi_p[0]
+    mat[:half] = np.eye(half, n_unk)
+    rhs = np.zeros(n_unk)
+    rhs[:half] = -phi_p[0, :half]
 
-    u = np.linalg.solve(oper, rhs)
+    u = np.linalg.solve(mat, rhs).reshape(h, half)[:, mirror]
 
     # conormal trace at s = 1, where J^{-1} n = (m/(rb r_s), -theta'/(m rb));
     # phi_p has no x2-gradient
-    u_s_b = d_even[:n_alpha] @ u
-    u_a_b = d_ang[:n_alpha] @ u
+    u_s_b = d_s(u[..., None])[0, :, 0]
+    u_a_b = d_ang @ u[0]
     rb, dth = r[0], r_a[0]
     mb = np.hypot(dth, rb)
     nx = (rb * cos_a + dth * sin_a) / mb
@@ -181,7 +199,7 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
              - dth * u_a_b / (mb * rb))
     lam = dnphi * beta[0]
 
-    phi_grid = u.reshape(h, n_alpha) + phi_p
+    phi_grid = u + phi_p
     return alpha, lam, dnphi, phi_grid, mb
 
 
@@ -192,21 +210,27 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     Parameters
     ----------
     shape, eps : cross-section and aspect ratio.
-    n_r : positive radial collocation nodes (Chebyshev, no center node).
-    n_alpha : angular nodes, even.
+    n_r : positive radial collocation nodes (Chebyshev, no center node),
+        at least 2.
+    n_alpha : angular nodes, even and at least 2.
     check_resolution : re-solve on a refined grid and record the trace
         difference in ``diagnostics['refinement_diff']``.
 
     The harmonic extension must be invertible on the closed disk,
     1 + sum_l (l+1) a_l s^l cos(l alpha) > 0 on the collocation grid, and
     1 + eps x1 must stay positive inside the section; otherwise, or when eps
-    is negative or NaN, GeometryError is raised.
+    is negative or NaN, GeometryError is raised.  An unusable grid raises
+    ValueError before any work.
 
     Diagnostics always include the mean-flux defect
     ``int lambda m dalpha + 4 (area + eps moment)`` (zero in exact
     arithmetic by the divergence theorem) and the minimum of phi on the
     collocation grid (positive for the physical core flow).
     """
+    if n_r < 2:
+        raise ValueError(f"n_r must be >= 2, got {n_r}")
+    if n_alpha < 2 or n_alpha % 2:
+        raise ValueError(f"n_alpha must be even and >= 2, got {n_alpha}")
     if not eps >= 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
     alpha, lam, dnphi, phi_grid, m = _solve_core(shape, eps, n_r, n_alpha)

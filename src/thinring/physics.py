@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _KINDS = ("none", "c_over_eps", "c_log_over_eps", "c_power", "custom")
-_L_MAX = 10_000   # modes scanned by degeneracy_margin
 _EPS0 = 0.05      # top of check_sigma's geometric eps grid
 
 
@@ -317,9 +316,10 @@ def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
     Returns min over modes l >= 2 of |omega (8 rho + 1/(2 pi^2))(1 - l)
     - 1 + l^2| / l together with the minimizing mode.  The symbol factors
     as (l - 1)(l + 1 - K) with K = omega (8 rho + 1/(2 pi^2)), so the
-    margin vanishes exactly when K is an integer >= 3.  For l beyond the
-    scan cap the margin grows linearly once l + 1 > K, so candidates near
-    l = K - 1 are appended when K exceeds the cap.  omega = inf (zero
+    margin vanishes exactly when K is an integer >= 3.  On l <= K - 1 the
+    margin is K - l - (K - 1)/l, concave in l, and on l >= K - 1 it rises, so
+    its minimum over the integers l >= 2 is at l = 2, floor(K) - 1 or
+    ceil(K) - 1; only those candidates are evaluated.  omega = inf (zero
     tension) returns an infinite margin: the sigma-free symbol
     (8 rho + 1/(2 pi^2))(1 - l) never vanishes for l >= 2.
     """
@@ -330,10 +330,8 @@ def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
     if omega < 0.0:
         raise ValueError("omega must be nonnegative")
     k = omega * degeneracy_k0(rho)
-    l = np.arange(2, _L_MAX + 1, dtype=float)
-    if k > _L_MAX:
-        near = [math.floor(k) - 1, math.ceil(k) - 1, math.floor(k), math.ceil(k)]
-        l = np.concatenate([l, [x for x in near if x > _L_MAX]])
+    near = np.array([np.floor(k), np.ceil(k)]) - 1.0
+    l = np.concatenate([[2.0], near[near > 2.0]])     # ascending: ties go low
     vals = np.abs(k * (1.0 - l) - 1.0 + l**2) / l
     i = int(np.argmin(vals))
     return float(vals[i]), int(l[i])

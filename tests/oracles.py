@@ -4,8 +4,10 @@
 shares no code with ``thinring.special``; ``kernel_direct`` evaluates the
 outer kernel pointwise on the elliptic path, without the log split;
 ``bordered_solve_dense`` solves the outer bordered system on all n nodes,
-without the even-symmetry fold; ``dtn_disk`` is the Dirichlet-to-Neumann
-map of the unit disk as a Fourier multiplier.
+without the even-symmetry fold; ``core_solve_dense`` is the core
+collocation solve on all angles, its operator assembled as dense ``np.kron``
+products rather than applied to the folded unit fields; ``dtn_disk`` is the
+Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from thinring.shape import BoundaryGrid
+from thinring.inner import _cheb, _fourier_diff, particular_solution
+from thinring.shape import BoundaryGrid, FourierShape, GeometryError
 from thinring.special import f_elliptic
 
 
@@ -78,6 +81,84 @@ def bordered_solve_dense(grid: BoundaryGrid, mat: np.ndarray,
     sys_mat[n, :n] = grid.m * grid.weight
     sol = np.linalg.solve(sys_mat, np.append(rhs, 1.0))
     return sol[:n], float(sol[n])
+
+
+def core_solve_dense(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
+    """Core collocation on all n_alpha angles, operator built by ``np.kron``.
+
+    The unfolded dense assembly: returns (alpha, lam, dnphi, phi_grid, m)
+    like ``thinring.inner._solve_core``, with no even-symmetry fold.
+    """
+    if n_alpha % 2:
+        raise ValueError("n_alpha must be even")
+    ns = 2 * n_r - 1                     # odd polynomial degree, no node at 0
+    t_all, d_all = _cheb(ns)
+    h = n_r                              # positive nodes t_0=1 > ... > t_{h-1}
+    t = t_all[:h]
+    alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
+
+    # harmonic extension r = s (1 + sum_l a_l s^l cos(l alpha)): one table of
+    # a_l t^l against cos/sin(l alpha); row 0 (t = 1) is the boundary
+    l = np.arange(shape.coeffs.size)
+    cos_l = np.cos(np.multiply.outer(l, alpha))
+    sin_l = np.sin(np.multiply.outer(l, alpha))
+    pw = shape.coeffs * t[:, None] ** l
+    s = t[:, None]
+    r = s * (1.0 + pw @ cos_l)
+    r_s = 1.0 + (pw * (l + 1)) @ cos_l
+    r_a = -s * ((pw * l) @ sin_l)
+    if np.min(r_s) <= 0.0:
+        raise GeometryError("harmonic extension not invertible: r_s <= 0")
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    one_plus = 1.0 + eps * r * cos_a[None, :]
+    if np.min(one_plus) <= 0.0:
+        raise GeometryError("eps too large: 1 + eps x1 <= 0 inside the section")
+    beta = 1.0 / one_plus
+
+    # metric-form coefficients of div((1/(1+eps x1)) grad .) in (s, alpha)
+    coef_a = beta * (r_a * r_a + r * r) / (r_s * r)
+    coef_b = -beta * r_a / r
+    coef_c = beta * r_s / r
+
+    # folded radial differentiation: rows/cols on positive nodes, with the
+    # reach into t < 0 rerouted to the antipodal column (alpha + pi); fields
+    # even across the center pick up a + sign there, and every field this
+    # operator is applied to below (u, then a u_s + b u_alpha) is even
+    d_pp = d_all[:h, :h]
+    d_fold = d_all[:h, ns - np.arange(h)]          # column for mirror node m
+    ident = np.eye(n_alpha)
+    tshift = np.roll(ident, n_alpha // 2, axis=1)  # f(alpha) -> f(alpha + pi)
+    d_even = np.kron(d_pp, ident) + np.kron(d_fold, tshift)
+    d_ang = np.kron(np.eye(h), _fourier_diff(n_alpha))
+
+    def diag(field):
+        return field.reshape(-1)[:, None]
+
+    oper = (d_even @ (diag(coef_a) * d_even + diag(coef_b) * d_ang)
+            + d_ang @ (diag(coef_b) * d_even + diag(coef_c) * d_ang))
+
+    # rows at t = 1 carry the Dirichlet data -phi_p, the others the PDE
+    phi_p, grad_p = particular_solution(
+        np.stack([r * cos_a, r * sin_a], axis=2), eps)
+    oper[:n_alpha] = np.eye(n_alpha, h * n_alpha)
+    rhs = np.zeros(h * n_alpha)
+    rhs[:n_alpha] = -phi_p[0]
+
+    u = np.linalg.solve(oper, rhs)
+
+    # conormal trace at s = 1, where J^{-1} n = (m/(rb r_s), -theta'/(m rb));
+    # phi_p has no x2-gradient
+    u_s_b = d_even[:n_alpha] @ u
+    u_a_b = d_ang[:n_alpha] @ u
+    rb, dth = r[0], r_a[0]
+    mb = np.hypot(dth, rb)
+    nx = (rb * cos_a + dth * sin_a) / mb
+    dnphi = (nx * grad_p[0, :, 0] + mb * u_s_b / (rb * r_s[0])
+             - dth * u_a_b / (mb * rb))
+    lam = dnphi * beta[0]
+
+    phi_grid = u.reshape(h, n_alpha) + phi_p
+    return alpha, lam, dnphi, phi_grid, mb
 
 
 def dtn_disk(values: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dtn_disk
+from oracles import core_solve_dense, dtn_disk
 from thinring.inner import particular_solution, solve_inner
 from thinring.shape import FourierShape, GeometryError
 
@@ -59,6 +59,28 @@ def test_extension_invertibility_rule():
 def test_rejects_invalid_eps(eps):
     with pytest.raises(GeometryError):
         solve_inner(ZERO, eps)
+
+
+@pytest.mark.parametrize("n_r, n_alpha, field", [
+    (1, 32, "n_r"), (0, 32, "n_r"), (16, 0, "n_alpha"),
+    (16, -2, "n_alpha"), (16, 3, "n_alpha")])
+def test_rejects_unusable_grid(n_r, n_alpha, field):
+    with pytest.raises(ValueError, match=field):
+        solve_inner(ZERO, 0.0, n_r=n_r, n_alpha=n_alpha)
+
+
+@pytest.mark.parametrize("n_r, n_alpha", [(16, 32), (8, 64), (2, 4)])
+@pytest.mark.parametrize("coeffs", [
+    np.zeros(3), np.array([0.0, 0.0, 0.03, -0.01, 0.004]),
+    np.r_[0.0, 0.0, 0.01 / np.arange(2, 33) ** 2]],
+    ids=["zero", "wavy", "decaying"])
+@pytest.mark.parametrize("eps", [0.0, 0.04, 0.2])
+def test_folded_core_solve_matches_dense(n_r, n_alpha, coeffs, eps):
+    # the even-half-grid operator apply against the unfolded kron assembly
+    shape = FourierShape(coeffs)
+    lam = solve_inner(shape, eps, n_r=n_r, n_alpha=n_alpha).lam
+    lam_dense = core_solve_dense(shape, eps, n_r, n_alpha)[1]
+    assert np.max(np.abs(lam - lam_dense)) < 1e-10
 
 
 def test_interior_positivity():

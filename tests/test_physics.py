@@ -241,6 +241,18 @@ def test_margin_beyond_scan_cap():
     assert abs(margin - 0.3 * 19998.0 / 19999.0) < 1e-8
 
 
+@pytest.mark.parametrize("k", [100.5, 999.999, 9999.5, 10000.5, 10001.2,
+                               1e6 + 0.3])
+def test_margin_matches_brute_force_scan(k):
+    # the three closed-form candidates against every mode up to past K
+    omega = k / K0_RHO0
+    k_used = omega * K0_RHO0
+    l = np.arange(2, math.ceil(k_used) + 3, dtype=float)
+    vals = np.abs(k_used * (1.0 - l) - 1.0 + l**2) / l
+    assert degeneracy_margin(0.0, omega) == (float(np.min(vals)),
+                                             int(l[np.argmin(vals)]))
+
+
 def test_margin_validation():
     with pytest.raises(ValueError, match="omega"):
         degeneracy_margin(0.0, None)
