@@ -4,21 +4,21 @@ The outer flow is a single layer on the section boundary for the
 axisymmetric stream-function operator.  In blown-up coordinates the kernel
 in the angle variables is
 
-    K(alpha, alpha~) = m(alpha~) (s2 / 2 pi) F(eps^2 s1 / s2^2),
+    K(alpha, alpha~) = m(alpha~) (sqrt(rho rho~) / 2 pi) F(s),
+    s = eps^2 |chi(alpha) - chi(alpha~)|^2 / (rho rho~),
+    rho = 1 + eps chi_1,
 
-    s1 = |chi(alpha) - chi(alpha~)|^2,
-    s2 = sqrt((1 + eps chi_1(alpha)) (1 + eps chi_1(alpha~))),
+with F the elliptic ring profile (see ``special``).  Write F = p + q log s
+and the chord in polar form,
 
-with F the elliptic ring profile (see ``special``).  Writing
-F = p + q log s and splitting the chordal log via
+    |chi - chi~|^2 = 4 sin^2((alpha-alpha~)/2) Q,
+    Q = (r - r~)^2 / (4 sin^2((alpha-alpha~)/2)) + r r~,   r = 1 + theta,
 
-    log s1 = log(4 sin^2((alpha-alpha~)/2)) + log Q,
-    Q = 1 + theta + theta~ + theta theta~ + (theta-theta~)^2 / |y-y~|^2,
-
-puts the kernel in the product-quadrature form A log(4 sin^2) + B with A, B
-smooth and periodic, so the trapezoid weights for B and the spectral log
-weights for A integrate trigonometric densities of degree < n/2 exactly.
-On the diagonal Q -> m^2.
+so that log s = log(4 sin^2) + log(eps^2 Q / (rho rho~)).  This puts the
+kernel in the product-quadrature form A log(4 sin^2) + B with A, B smooth
+and periodic, so the trapezoid weights for B and the spectral log weights
+for A integrate trigonometric densities of degree < n/2 exactly.  On the
+diagonal Q -> m^2.
 
 The eps -> 0 limit kernel is -(m(alpha~)/2 pi) log |chi - chi~|, assembled
 by the same split with A = -m/(4 pi) exactly.
@@ -66,15 +66,13 @@ def kress_log_weights(n: int) -> np.ndarray:
 
     Returns R with int log(4 sin^2((alpha_i - a~)/2)) f(a~) da~
     ~ sum_j R[(i-j) mod n] f(alpha_j), exact for trigonometric polynomials
-    of degree < n/2 (the m-th harmonic integrates to -2 pi / m).
+    of degree < n/2: the m-th harmonic integrates to -2 pi / m, so R is one
+    inverse real FFT of the multiplier -2 pi / m, m = 1..n/2 (Kress,
+    *Linear Integral Equations*, 3rd ed., 2014, sec. 12.3).
     """
     if n % 2:
         raise ValueError("n must be even")
-    k = np.arange(n)
-    m = np.arange(1, n // 2)
-    r = -(4.0 * np.pi / n) * np.cos(2.0 * np.pi * np.outer(k, m) / n) @ (1.0 / m)
-    r -= (4.0 * np.pi / n**2) * (-1.0) ** k
-    return r
+    return np.fft.irfft(np.r_[0.0, -2.0 * np.pi / np.arange(1, n // 2 + 1)], n)
 
 
 @lru_cache(maxsize=8)
@@ -92,18 +90,15 @@ def _half_tables(n: int):
     return chord, weights
 
 
-def _half_pairs(grid: BoundaryGrid):
-    # s1, s2 and log Q = log(s1 / 4 sin^2) on rows 0..n/2 against all n
-    # columns; log Q is continued to 2 log m on the diagonal
+def _half_pairs(grid: BoundaryGrid) -> np.ndarray:
+    # Q = |chi_i - chi_j|^2 / 4 sin^2 in polar form, (r_i - r_j)^2 / 4 sin^2
+    # + r_i r_j with r = 1 + theta, on rows 0..n/2 against all n columns;
+    # Q is continued to m^2 on the diagonal
     h = grid.n // 2
-    chi = grid.chi
-    d = chi[:h + 1, None, :] - chi[None, :, :]
-    s1 = np.einsum("ijk,ijk->ij", d, d)
-    radial = 1.0 + grid.eps * chi[:, 0]
-    s2 = np.sqrt(np.outer(radial[:h + 1], radial))
-    q = s1 / _half_tables(grid.n)[0]
+    r = 1.0 + grid.theta
+    q = (r[:h + 1, None] - r) ** 2 / _half_tables(grid.n)[0] + np.outer(r[:h + 1], r)
     np.fill_diagonal(q, grid.m[:h + 1] ** 2)
-    return s1, s2, np.log(q)
+    return q
 
 
 def _nystrom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,28 +123,33 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     part A on the spectral log weights:
 
         M[i, j] = A[i, j] R[i-j] + (2 pi / n) B[i, j],
-        A = m s2 / (2 pi) q(s),      s = eps^2 s1 / s2^2,
-        B = m s2 / (2 pi) (p(s) + q(s) log(eps^2 Q / s2^2)),
+        A = m sqrt(rho rho~) / (2 pi) q(s),   s = eps^2 Q chord / (rho rho~),
+        B = m sqrt(rho rho~) / (2 pi) (p(s) + q(s) log(eps^2 Q / (rho rho~))),
 
+    with chord = 4 sin^2((alpha_i - alpha_j)/2) and s = 0 on the diagonal,
     which reproduces the kernel exactly since
-    A log(4 sin^2) + B = m s2/(2 pi) (p + q log s).  Pairs pushed beyond
-    the series range of the split (possible only at eps of order one) are
-    overwritten with plain trapezoid on the elliptic evaluation; if that
-    happens inside the near-diagonal zone, where the log split is
+    A log(chord) + B = m sqrt(rho rho~)/(2 pi) (p + q log s).  Pairs pushed
+    beyond the series range of the split (possible only at eps of order
+    one) are overwritten with plain trapezoid on the elliptic evaluation;
+    if that happens inside the near-diagonal zone, where the log split is
     structurally required, a ValueError is raised.
     """
     if not grid.eps > 0.0:
         raise ValueError("assemble_full requires eps > 0; use assemble_limit")
-    s1, s2, log_q = _half_pairs(grid)
-    s = grid.eps**2 * s1 / s2**2
-    pref = grid.m[None, :] * s2 / (2.0 * np.pi)
-    log_eps_term = 2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
+    h = grid.n // 2
+    chord = _half_tables(grid.n)[0]
+    rho = 1.0 + grid.eps * grid.chi[:, 0]
+    ratio = grid.eps**2 * _half_pairs(grid) / np.outer(rho[:h + 1], rho)
+    s = ratio * chord
+    np.fill_diagonal(s, 0.0)
+    root = np.sqrt(rho)
+    pref = np.outer(root[:h + 1], grid.m * root / (2.0 * np.pi))
     p, q = f_split(np.minimum(s, SPLIT_S_MAX))
     a = pref * q
-    b = pref * (p + q * log_eps_term)
+    b = pref * (p + q * np.log(ratio))
     far = s > SPLIT_S_MAX
     if np.any(far):
-        if np.any(far & (_half_tables(grid.n)[0] < 0.5)):
+        if np.any(far & (chord < 0.5)):
             raise ValueError(
                 "kernel argument left the log-split range near the diagonal; "
                 "eps too large for this section")
@@ -164,7 +164,7 @@ def assemble_limit(grid: BoundaryGrid) -> np.ndarray:
     The log-weight factor is A = -m(alpha~)/(4 pi) exactly; the smooth part
     is -(m/4 pi) log Q with diagonal -(m/2 pi) log m.
     """
-    _, _, log_q = _half_pairs(grid)
+    log_q = np.log(_half_pairs(grid))
     a = np.broadcast_to(-grid.m / (4.0 * np.pi), log_q.shape)
     return _nystrom(a, a * log_q)
 

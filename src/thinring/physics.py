@@ -186,6 +186,8 @@ class NondimParams:
     def __post_init__(self):
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        if self.omega is not None and not self.omega >= 0.0:
+            raise ValueError(f"omega must be None or in [0, inf], got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +329,7 @@ def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
         raise ValueError("omega unknown; run check_sigma first")
     if math.isinf(omega):
         return math.inf, 2
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise ValueError("omega must be nonnegative")
     k = omega * degeneracy_k0(rho)
     near = np.array([np.floor(k), np.ceil(k)]) - 1.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .inner import solve_inner
-from .outer import assemble_full, solve_outer
+from .outer import solve_outer
 from .physics import (NondimParams, asymptotic_wgn, check_sigma,
                       degeneracy_margin, s_from_w)
 from .shape import (FourierShape, GeometryError, ProjectionError, area,

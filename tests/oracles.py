@@ -3,6 +3,8 @@
 ``f_direct`` evaluates the ring kernel profile by adaptive quadrature and
 shares no code with ``thinring.special``; ``kernel_direct`` evaluates the
 outer kernel pointwise on the elliptic path, without the log split;
+``assemble_cartesian`` assembles the outer Nystrom matrix from Cartesian
+point differences rather than the polar form of ``Q``;
 ``bordered_solve_dense`` solves the outer bordered system on all n nodes,
 without the even-symmetry fold; ``core_solve_dense`` is the core
 collocation solve on all angles, its operator assembled as dense ``np.kron``
@@ -16,8 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from thinring.inner import _cheb, _fourier_diff, particular_solution
+from thinring.outer import _half_tables, _nystrom
 from thinring.shape import BoundaryGrid, FourierShape, GeometryError
-from thinring.special import f_elliptic
+from thinring.special import SPLIT_S_MAX, f_elliptic, f_split
 
 
 def _direct_integrand(t: float, s: float) -> float:
@@ -69,6 +72,44 @@ def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
     out[off] = (grid.m[None, :] * s2 / (2.0 * np.pi))[off] * f_elliptic(s[off])
     out[np.eye(n, dtype=bool)] = np.nan
     return out
+
+
+def assemble_cartesian(grid: BoundaryGrid) -> np.ndarray:
+    """Outer Nystrom matrix from Cartesian point differences; oracle path.
+
+    ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0, with
+    s1 = |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i
+    rho_j), log Q = log(s1 / 4 sin^2) and the smooth log split as
+    2 log eps + log Q - 2 log s2.  Shares ``f_split``, ``f_elliptic``, the
+    log weights and the reflection fill with the library.
+    """
+    h = grid.n // 2
+    chi = grid.chi
+    d = chi[:h + 1, None, :] - chi[None, :, :]
+    s1 = np.einsum("ijk,ijk->ij", d, d)
+    radial = 1.0 + grid.eps * chi[:, 0]
+    s2 = np.sqrt(np.outer(radial[:h + 1], radial))
+    q = s1 / _half_tables(grid.n)[0]
+    np.fill_diagonal(q, grid.m[:h + 1] ** 2)
+    log_q = np.log(q)
+    if grid.eps == 0.0:
+        a = np.broadcast_to(-grid.m / (4.0 * np.pi), log_q.shape)
+        return _nystrom(a, a * log_q)
+    s = grid.eps**2 * s1 / s2**2
+    pref = grid.m[None, :] * s2 / (2.0 * np.pi)
+    log_eps_term = 2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
+    p, q = f_split(np.minimum(s, SPLIT_S_MAX))
+    a = pref * q
+    b = pref * (p + q * log_eps_term)
+    far = s > SPLIT_S_MAX
+    if np.any(far):
+        if np.any(far & (_half_tables(grid.n)[0] < 0.5)):
+            raise ValueError(
+                "kernel argument left the log-split range near the diagonal; "
+                "eps too large for this section")
+        a[far] = 0.0
+        b[far] = pref[far] * f_elliptic(s[far])
+    return _nystrom(a, b)
 
 
 def bordered_solve_dense(grid: BoundaryGrid, mat: np.ndarray,

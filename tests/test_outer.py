@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bordered_solve_dense, kernel_direct
+from oracles import assemble_cartesian, bordered_solve_dense, kernel_direct
 from thinring.outer import (assemble_full, assemble_limit, eval_streamfunction,
                             kress_log_weights, solve_capacity, solve_outer)
 from thinring.physics import s_from_w, w_from_s
@@ -172,8 +172,10 @@ def test_full_assembly_rejects_eps_zero():
 def test_full_assembly_rejects_section_too_fat_for_split():
     # at eps near 1 the kernel argument leaves the series range next to the
     # diagonal, where the log split is structurally required
-    with pytest.raises(ValueError, match="eps too large"):
-        assemble_full(circle_grid(0.99, 64))
+    for grid in (circle_grid(0.99, 64),
+                 build_grid(wavy_shape((2, 0.05), (3, -0.02), (4, 0.01)), 0.6, 96)):
+        with pytest.raises(ValueError, match="eps too large"):
+            assemble_full(grid)
 
 
 def test_far_pair_fallback_keeps_assembly_usable():
@@ -184,6 +186,30 @@ def test_far_pair_fallback_keeps_assembly_usable():
     assert np.all(np.isfinite(mat))
     m = mat / g.m[None, :]
     assert np.max(np.abs(m - m.T)) < 1e-10
+
+
+ORACLE_SHAPES = {
+    "circle": np.zeros(3),
+    "wavy": np.array([0.0, 0.0, 0.05, -0.02, 0.01]),
+    "decay": np.r_[0.0, 0.02 / (1.0 + np.arange(1, 33)) ** 2],
+}
+ORACLE_CASES = [
+    (eps, shape, n)
+    for eps in (0.0, 0.005, 0.02, 0.3)
+    for shape, coeffs in ORACLE_SHAPES.items()
+    for n in (96, 256) if n >= 4 * coeffs.size
+] + [(0.6, "circle", 96), (0.6, "circle", 256)]
+
+
+@pytest.mark.parametrize("eps, shape, n", ORACLE_CASES)
+def test_polar_assembly_matches_cartesian(eps, shape, n):
+    # Q in polar form and one smooth log against the Cartesian difference
+    # tensor on every entry, diagonal included; eps = 0 is the limit
+    # operator and eps = 0.6 takes the far-pair fallback
+    grid = build_grid(FourierShape(ORACLE_SHAPES[shape].copy()), eps, n)
+    mat = assemble_full(grid) if eps > 0.0 else assemble_limit(grid)
+    ref = assemble_cartesian(grid)
+    assert np.max(np.abs(mat - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------- diagonal of B part

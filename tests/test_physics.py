@@ -64,6 +64,9 @@ def test_sigma_law_validation():
             SigmaLaw(kind="c_power", c=c, p=1.5)
     with pytest.raises(ValueError, match="finite"):
         NondimParams(rho=math.inf, sigma_law=SigmaLaw(), omega=math.inf)
+    for omega in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="omega"):
+            NondimParams(rho=0.0, sigma_law=SigmaLaw(), omega=omega)
 
 
 def test_sigma_law_omega_and_zero_flag():
@@ -256,8 +259,9 @@ def test_margin_matches_brute_force_scan(k):
 def test_margin_validation():
     with pytest.raises(ValueError, match="omega"):
         degeneracy_margin(0.0, None)
-    with pytest.raises(ValueError, match="nonnegative"):
-        degeneracy_margin(0.0, -1.0)
+    for omega in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            degeneracy_margin(0.0, omega)
 
 
 @settings(max_examples=60, deadline=None)
