@@ -319,9 +319,12 @@ def _add_common(p: argparse.ArgumentParser, eps_kind: str | None) -> None:
                    help="tension coefficient c")
     p.add_argument("--sigma-p", type=_finite, default=None,
                    help="exponent for c_power, in (1, 2)")
-    p.add_argument("--modes", type=int, default=32, help="cosine truncation M")
-    p.add_argument("--grid", type=int, default=256, help="boundary nodes N")
-    p.add_argument("--tol", type=_finite, default=1e-10, help="Newton tolerance")
+    p.add_argument("--modes", type=int, default=SolverOptions.modes,
+                   help="cosine truncation M")
+    p.add_argument("--grid", type=int, default=SolverOptions.n_grid,
+                   help="boundary nodes N")
+    p.add_argument("--tol", type=_finite, default=SolverOptions.tol,
+                   help="Newton tolerance")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--force", action="store_true",
                    help="run even if the sigma law is inadmissible")

@@ -168,6 +168,11 @@ class PhysicalSetup:
         return self.eps_bar / self.R
 
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+
+
 @dataclass(frozen=True)
 class NondimParams:
     """Dimensionless solve parameters.
@@ -184,8 +189,7 @@ class NondimParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < math.inf:
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        _check_rho(self.rho)
         if self.omega is not None and not self.omega >= 0.0:
             raise ValueError(f"omega must be None or in [0, inf], got {self.omega}")
 
@@ -323,8 +327,10 @@ def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
     its minimum over the integers l >= 2 is at l = 2, floor(K) - 1 or
     ceil(K) - 1; only those candidates are evaluated.  omega = inf (zero
     tension) returns an infinite margin: the sigma-free symbol
-    (8 rho + 1/(2 pi^2))(1 - l) never vanishes for l >= 2.
+    (8 rho + 1/(2 pi^2))(1 - l) never vanishes for l >= 2.  Raises
+    ValueError unless 0 <= rho < inf.
     """
+    _check_rho(rho)
     if omega is None:
         raise ValueError("omega unknown; run check_sigma first")
     if math.isinf(omega):
@@ -382,8 +388,10 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
     eps |sigma'| <~ sigma, each on a geometric grid below eps = 0.05.
     Laws with a declared omega use it; black-box laws get an Aitken
     estimate.
-    Raises ValueError if sigma is negative anywhere on the grid.
+    Raises ValueError unless 0 <= rho < inf, or if sigma is negative
+    anywhere on the grid.
     """
+    _check_rho(rho)
     msgs: list[str] = []
     grid = _EPS0 * 0.5 ** np.arange(20)
     if sigma_law.is_zero:

@@ -6,10 +6,13 @@ A steady ring section is a root of the pointwise jump residual
 
 where lambda is the rescaled inner normal velocity, mu the outer sheet
 strength at ring speed w, and h the rescaled curvature trace.  The residual
-is projected onto cosine modes 0..M; the unknown vector is
-(a_2, ..., a_M, w, nu) with (a_0, a_1) slaved to the area and moment
-constraints inside every evaluation.  Mode 1 of the residual pairs with w
-(the mode where the shape Jacobian degenerates) and mode 0 with nu.
+is projected onto cosine modes 0..M.  Newton's unknowns are
+x = (w, a_2, ..., a_M), the coefficient slots 1..M with slot 1 holding w,
+against the residual rows r_1..r_M in mode order; (a_0, a_1) are slaved to
+the area and moment constraints inside every evaluation.  Mode 1 pairs with
+w because the shape Jacobian degenerates there.  nu enters only as an
+additive constant, so it moves r_0 alone: it is not a Newton unknown but
+the closed form (1 + eps sigma) r_0 of the residual evaluated at nu = 0.
 
 For sigma > 0 the residual is rescaled by 1/(1 + eps sigma(eps)): the root
 set is unchanged and the Jacobian diagonal stays O(1) uniformly in the
@@ -85,6 +88,9 @@ class SolverOptions:
     inner_nalpha: int = 32
 
     def __post_init__(self):
+        for name in ("n_grid", "modes", "inner_nr", "inner_nalpha"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
         if self.n_grid < 4 * (self.modes + 1):
@@ -103,9 +109,10 @@ class SolverOptions:
 class ResidualVector:
     """Cosine projections of the jump residual plus constraint defects.
 
-    r[l] is the mode-l projection; newton_order() permutes to the row
-    order (r_2..r_M, r_1, r_0) matching the unknowns (a_2..a_M, w, nu).
-    The boundary samples used to form it ride along for diagnostics.
+    r[l] is the mode-l projection.  Newton pairs r_1..r_M with its unknowns
+    (w, a_2..a_M); r_0 evaluated at nu = 0, times 1 + eps sigma for
+    sigma > 0, is the nu that zeroes r_0.  The boundary samples used to
+    form it ride along for diagnostics.
     """
 
     r: np.ndarray
@@ -117,15 +124,15 @@ class ResidualVector:
     h: np.ndarray
     shape: FourierShape
 
-    def newton_order(self) -> np.ndarray:
-        return np.concatenate([self.r[2:], self.r[1:2], self.r[0:1]])
-
 
 @dataclass(frozen=True)
 class SolutionState:
     """Converged steady section with its scalar data and diagnostics.
 
-    diagnostics keys: residual_norm, iterations, jacobian_cond, margin,
+    nu is the mode-0 projection of the jump residual at nu = 0, times
+    1 + eps sigma for sigma > 0.  diagnostics keys: residual_norm
+    (max |r_1..r_M|), iterations, jacobian_cond (of the M x M Newton
+    Jacobian in (w, a_2..a_M), to 3 significant digits), margin,
     worst_mode, theta_sup, theta_h5, window_theta (||theta||_{H^5}/eps^0.75),
     window_speed (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
     moment_residual, warnings (tuple of strings).
@@ -148,6 +155,10 @@ def _inner_lam(shape: FourierShape, eps: float,
                        n_alpha=options.inner_nalpha).lam_on(options.n_grid)
 
 
+def _tension_scale(eps: float, sig: float) -> float:
+    return 1.0 + eps * sig if sig > 0.0 else 1.0
+
+
 def residual(shape: FourierShape, eps: float, w: float, nu: float,
              params: NondimParams, options: SolverOptions = SolverOptions()
              ) -> ResidualVector:
@@ -168,9 +179,8 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
         lam = np.zeros(options.n_grid)
     out = solve_outer(grid, w)
     sig = params.sigma_law(eps)
-    point = params.rho * lam**2 - out.mu**2 + eps * sig * grid.h - nu
-    if sig > 0.0:
-        point = point / (1.0 + eps * sig)
+    point = ((params.rho * lam**2 - out.mu**2 + eps * sig * grid.h - nu)
+             / _tension_scale(eps, sig))
     if not np.all(np.isfinite(point)):
         raise SolverError("non-finite jump residual (inner/outer breakdown)")
     r = cosine_coeffs(point, options.modes)
@@ -180,27 +190,20 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
         lam=lam, h=grid.h, shape=shape)
 
 
-def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray,
-                step: float = _FD_STEP) -> np.ndarray:
+def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian, one residual evaluation per column.
 
-    Column i uses increment step (1 + |x_i|).  Columns are independent
+    Column i uses increment _FD_STEP (1 + |x_i|).  Columns are independent
     evaluations; they are run sequentially so BLAS keeps its threads.
     """
     n = x.size
     jac = np.empty((f0.size, n))
     for i in range(n):
-        h = step * (1.0 + abs(x[i]))
+        h = _FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xp[i] += h
         jac[:, i] = (fun(xp) - f0) / h
     return jac
-
-
-def _shape_from(coeffs_high: np.ndarray, modes: int) -> FourierShape:
-    c = np.zeros(modes + 1)
-    c[2:] = coeffs_high
-    return FourierShape(c)
 
 
 def _resolve_omega(params: NondimParams) -> float:
@@ -217,11 +220,13 @@ def newton_solve(eps: float, params: NondimParams,
                  options: SolverOptions = SolverOptions()) -> SolutionState:
     """Solve the steady jump condition at fixed eps.
 
-    Unknowns (a_2..a_M, w, nu); Jacobian by forward differences each step;
-    convergence when the projected residual infinity norm drops below
-    options.tol.  Without an initializer the asymptotic values (zero
-    shape, leading-order w and nu) are used; they are inside the Newton
-    basin throughout the thin regime eps <= 0.05.
+    Unknowns (w, a_2..a_M) against residual modes r_1..r_M; M x M
+    Jacobian by forward differences each step; convergence when max
+    |r_1..r_M| drops below options.tol.  nu is then (1 + eps sigma) r_0 at
+    nu = 0, which zeroes r_0.  Without an initializer the zero shape and the
+    leading-order w are used; they are inside the Newton basin throughout
+    the thin regime eps <= 0.05.  A warm start reads init.w and
+    init.shape only, not init.nu.
 
     Raises SolverError on non-convergence or stagnation.  A degeneracy
     warning is attached when the mode margin at (rho, omega) is below
@@ -234,40 +239,37 @@ def newton_solve(eps: float, params: NondimParams,
     degen_note = (f" (degeneracy margin {margin:.3e} at mode {worst})"
                   if margin < 0.05 else "")
 
-    m = options.modes
+    x = np.zeros(options.modes)
     if init is None:
-        w0, _, nu0 = asymptotic_wgn(eps, params.rho, params.sigma_law)
-        x = np.concatenate([np.zeros(m - 1), [w0, nu0]])
+        x[0] = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
     else:
-        c = np.zeros(m + 1)
-        src = init.shape.coeffs
-        take = min(src.size, m + 1)
-        c[:take] = src[:take]
-        x = np.concatenate([c[2:], [init.w, init.nu]])
+        high = init.shape.coeffs[2:options.modes + 1]
+        x[0] = init.w
+        x[1:1 + high.size] = high
 
     def evaluate(xv: np.ndarray) -> ResidualVector:
         try:
-            return residual(_shape_from(xv[:-2], m), eps, xv[-2], xv[-1],
-                            params, options)
+            return residual(FourierShape(np.r_[0.0, 0.0, xv[1:]]), eps, xv[0],
+                            0.0, params, options)
         except (GeometryError, ProjectionError) as exc:
             raise SolverError(
                 f"iterate left the admissible shape region: {exc}{degen_note}"
             ) from exc
 
     def fun(xv: np.ndarray) -> np.ndarray:
-        return evaluate(xv).newton_order()
+        return evaluate(xv).r[1:]
 
     rv = evaluate(x)
-    rnorm = float(np.max(np.abs(rv.newton_order())))
+    rnorm = float(np.max(np.abs(rv.r[1:])))
     jac = None
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         if rnorm <= options.tol:
             iterations -= 1
             break
-        jac = jacobian_fd(fun, x, rv.newton_order())
+        jac = jacobian_fd(fun, x, rv.r[1:])
         try:
-            dx = np.linalg.solve(jac, -rv.newton_order())
+            dx = np.linalg.solve(jac, -rv.r[1:])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Newton Jacobian" + degen_note,
                               rnorm) from exc
@@ -275,7 +277,7 @@ def newton_solve(eps: float, params: NondimParams,
             raise SolverError("non-finite Newton step" + degen_note, rnorm)
         x = x + dx
         rv = evaluate(x)
-        rnorm = float(np.max(np.abs(rv.newton_order())))
+        rnorm = float(np.max(np.abs(rv.r[1:])))
         if float(np.max(np.abs(dx))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             if rnorm > options.tol:
                 raise SolverError(
@@ -287,8 +289,8 @@ def newton_solve(eps: float, params: NondimParams,
             f"(residual {rnorm:.3e})" + degen_note, rnorm)
 
     if jac is None:
-        jac = jacobian_fd(fun, x, rv.newton_order())
-    cond = float(np.linalg.cond(jac))
+        jac = jacobian_fd(fun, x, rv.r[1:])
+    cond = float(f"{np.linalg.cond(jac):.3g}")
 
     warnings_list: list[str] = []
     if margin < 0.05:
@@ -299,7 +301,8 @@ def newton_solve(eps: float, params: NondimParams,
         warnings_list.append(f"Jacobian condition {cond:.3e} exceeds 1e12")
 
     shape = rv.shape
-    w, nu = float(x[-2]), float(x[-1])
+    w = float(x[0])
+    nu = _tension_scale(eps, params.sigma_law(eps)) * float(rv.r[0])
     lam = rv.lam
     if params.rho == 0.0:
         # reported even when it does not enter the residual; a failure here
@@ -332,10 +335,10 @@ def continuation(eps_grid, params: NondimParams,
                  options: SolverOptions = SolverOptions()) -> list[SolutionState]:
     """Warm-started solves over a descending eps grid.
 
-    Each solve is initialized from the previous state with w and nu
-    shifted by the change in their asymptotic values (the shape carries
-    over unchanged).  The first failure aborts; the exception carries the
-    states already solved.
+    Each solve is initialized from the previous state with w shifted by
+    the change in its asymptotic value (the shape carries over unchanged).
+    The first failure aborts; the exception carries the states already
+    solved.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not all(0.0 < e < math.inf for e in eps_grid):
@@ -347,10 +350,9 @@ def continuation(eps_grid, params: NondimParams,
     for eps in eps_grid:
         init = None
         if prev is not None:
-            w_new, _, nu_new = asymptotic_wgn(eps, params.rho, params.sigma_law)
-            w_old, _, nu_old = asymptotic_wgn(prev.eps, params.rho, params.sigma_law)
-            init = replace(prev, w=prev.w + w_new - w_old,
-                           nu=prev.nu + nu_new - nu_old, eps=eps)
+            w_new = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
+            w_old = asymptotic_wgn(prev.eps, params.rho, params.sigma_law)[0]
+            init = replace(prev, w=prev.w + w_new - w_old, eps=eps)
         try:
             prev = newton_solve(eps, params, init=init, options=options)
         except (SolverError, ValueError) as exc:

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from thinring.cli import main
+from thinring.cli import build_parser, main
+from thinring.solver import SolverOptions
 
 FAST = ["--grid", "128", "--modes", "8"]
 DEGENERATE_C = f"{1.0 / (6.0 * math.pi**2):.17g}"  # K = omega/(2 pi^2) = 3
@@ -124,6 +125,13 @@ def test_sweep_writes_descending_table(tmp_path, capsys):
     assert abs(eps[0] - 0.04) < 1e-15 and abs(eps[2] - 0.02) < 1e-15
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_cli_defaults_are_solver_defaults():
+    args = build_parser().parse_args(["solve", "--eps", "0.01"])
+    opts = SolverOptions()
+    assert (args.grid, args.modes, args.tol) == (opts.n_grid, opts.modes,
+                                                 opts.tol)
 
 
 def test_check_sigma_report(tmp_path, capsys):

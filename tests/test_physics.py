@@ -262,6 +262,10 @@ def test_margin_validation():
     for omega in (-1.0, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             degeneracy_margin(0.0, omega)
+    for rho in (-5.0, math.nan, math.inf, -math.inf):
+        for omega in (0.25, math.inf, None):
+            with pytest.raises(ValueError, match="rho"):
+                degeneracy_margin(rho, omega)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,6 +287,13 @@ def test_check_sigma_zero_law_is_classical():
     assert report.admissible
     assert math.isinf(report.omega) and math.isinf(report.margin)
     assert any("classical" in m for m in report.messages)
+
+
+def test_check_sigma_rejects_invalid_rho():
+    for law in (SigmaLaw(), SigmaLaw(kind="c_over_eps", c=1.0)):
+        for rho in (-5.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rho"):
+                check_sigma(law, rho)
 
 
 def test_check_sigma_reciprocal_law():

@@ -4,20 +4,22 @@ import math
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
 from thinring.shape import FourierShape
-from thinring.solver import (ContinuationError, ResidualVector, SolverError,
-                             SolverOptions, continuation, jacobian_fd,
-                             newton_solve, residual)
+from thinring.solver import (ContinuationError, SolverError, SolverOptions,
+                             continuation, jacobian_fd, newton_solve,
+                             residual)
 
 OPTS8 = SolverOptions(n_grid=128, modes=8)
 P_CLASSICAL = NondimParams(rho=0.0, sigma_law=SigmaLaw(), omega=math.inf)
 P_TENSION = NondimParams(rho=0.0, sigma_law=SigmaLaw(kind="c_over_eps", c=4.0),
                          omega=0.25)
+P_CORE = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
 
 
 def zero_shape(modes=8):
@@ -69,13 +71,6 @@ def test_residual_rejects_nonfinite_speed():
         residual(zero_shape(), 0.02, float("nan"), 0.0, P_CLASSICAL, OPTS8)
 
 
-def test_newton_order_permutation():
-    rv = ResidualVector(r=np.array([10.0, 11.0, 12.0, 13.0]), area_residual=0.0,
-                        moment_residual=0.0, gamma=0.0, mu=np.zeros(1),
-                        lam=np.zeros(1), h=np.zeros(1), shape=zero_shape(3))
-    assert np.array_equal(rv.newton_order(), [12.0, 13.0, 11.0, 10.0])
-
-
 def test_options_require_resolved_modes():
     with pytest.raises(ValueError, match="4"):
         SolverOptions(n_grid=64, modes=32)
@@ -84,10 +79,20 @@ def test_options_require_resolved_modes():
 @pytest.mark.parametrize("inner_nr, inner_nalpha, field", [
     (1, 32, "inner_nr"), (0, 32, "inner_nr"), (16, 31, "inner_nalpha"),
     (16, 0, "inner_nalpha"), (16, 1, "inner_nalpha"), (16, -2, "inner_nalpha"),
+    (16.0, 32, "inner_nr"), (16, 32.0, "inner_nalpha"),
 ])
 def test_options_reject_unusable_core_grid(inner_nr, inner_nalpha, field):
     with pytest.raises(ValueError, match=field):
         SolverOptions(inner_nr=inner_nr, inner_nalpha=inner_nalpha)
+
+
+@pytest.mark.parametrize("field, value", [("n_grid", 128.0), ("modes", 8.0)])
+def test_options_require_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{"n_grid": 128, "modes": 8, field: value})
+    opts = SolverOptions(n_grid=np.int64(128), modes=np.int32(8),
+                         inner_nr=np.int64(16), inner_nalpha=np.int16(32))
+    assert opts.n_grid == 128 and opts.inner_nalpha == 32
 
 
 def test_smallest_core_grid_solves():
@@ -108,12 +113,13 @@ def test_jacobian_fd_exact_on_affine_maps():
     def fun(v):
         return a @ v + b
 
-    jac = jacobian_fd(fun, x, fun(x), step=1e-7)
+    jac = jacobian_fd(fun, x, fun(x))
     assert np.max(np.abs(jac - a)) < 1e-7
 
 
 def test_jacobian_diagonal_matches_symbol_without_tension():
-    # at theta = 0 the mode-l diagonal is (8 rho + 1/(2 pi^2))(1 - l) + O(eps)
+    # at theta = 0 the mode-l diagonal is (8 rho + 1/(2 pi^2))(1 - l) + O(eps);
+    # the full (a_2..a_M, w, nu) system against rows (r_2..r_M, r_1, r_0)
     eps, m = 0.01, 8
     params = NondimParams(rho=1.0, sigma_law=SigmaLaw(), omega=math.inf)
     w0, _, nu0 = asymptotic_wgn(eps, 1.0, SigmaLaw())
@@ -123,7 +129,7 @@ def test_jacobian_diagonal_matches_symbol_without_tension():
         c = np.zeros(m + 1)
         c[2:] = v[:-2]
         return residual(FourierShape(c), eps, v[-2], v[-1], params,
-                        OPTS8).newton_order()
+                        OPTS8).r[[*range(2, m + 1), 1, 0]]
 
     jac = jacobian_fd(fun, x, fun(x))
     k0 = 8.0 + 1.0 / (2.0 * np.pi**2)
@@ -153,6 +159,32 @@ def test_newton_converges_under_large_tension(solved_tension):
     assert abs(st.nu - nu_asym) < 0.05 * abs(nu_asym)
 
 
+@pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION, P_CORE],
+                         ids=["classical", "tension", "core"])
+def test_nu_zeroes_mode_zero(params):
+    # nu is the mode-0 projection in closed form, not a Newton iterate
+    st = newton_solve(0.02, params, options=OPTS8)
+    rv = residual(st.shape, 0.02, st.w, st.nu, params, OPTS8)
+    assert abs(rv.r[0]) < 1e-14
+
+
+def test_warm_start_ignores_initial_nu(solved_classical):
+    st = solved_classical
+    again = newton_solve(0.02, P_CLASSICAL, options=OPTS8,
+                         init=replace(st, nu=float("nan")))
+    assert again.diagnostics["iterations"] == 0
+    for name in ("w", "gamma", "nu"):
+        assert abs(getattr(again, name) - getattr(st, name)) < 1e-14, name
+    assert np.max(np.abs(again.shape.coeffs - st.shape.coeffs)) < 1e-14
+
+
+def test_jacobian_cond_keeps_three_digits(solved_classical, solved_tension):
+    # the forward-difference Jacobian holds about 7 digits; report 3
+    for st in (solved_classical, solved_tension):
+        cond = st.diagnostics["jacobian_cond"]
+        assert cond > 1.0 and cond == float(f"{cond:.3g}")
+
+
 def test_solution_density_is_even(solved_classical):
     mu = solved_classical.mu
     n = mu.size
@@ -170,7 +202,7 @@ def test_residual_is_grid_converged(solved_classical):
     st = solved_classical
     fine = SolverOptions(n_grid=256, modes=8)
     rv = residual(st.shape, st.eps, st.w, st.nu, P_CLASSICAL, fine)
-    assert float(np.max(np.abs(rv.newton_order()))) < 1e-9
+    assert float(np.max(np.abs(rv.r))) < 1e-9
 
 
 def test_core_solve_is_grid_converged_at_positive_rho():
