@@ -39,6 +39,10 @@ EXIT_NUMERICAL = 1
 EXIT_REJECTED = 2
 EXIT_USAGE = 64
 
+# bound on the points of an eps or omega grid and on the integer K that
+# margin-scan visits: past it a typo would run for hours or fill the disk
+MAX_POINTS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; reserve 2 for admissibility rejection
@@ -92,6 +96,8 @@ def _split_grid(spec: str) -> tuple[float, float, int]:
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"grid must be a:b:n with finite a, b, got {spec!r}") from None
+    if n > MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"grid n must be <= {MAX_POINTS}")
     return a, b, n
 
 
@@ -99,6 +105,8 @@ def _parse_grid(spec: str) -> list[float]:
     a, b, n = _split_grid(spec)
     if a <= 0.0 or b <= 0.0 or n < 1:
         raise argparse.ArgumentTypeError("grid endpoints must be positive, n >= 1")
+    if a == b and n > 1:
+        raise argparse.ArgumentTypeError("grid endpoints must differ when n > 1")
     if n == 1:
         return [a]
     pts = np.geomspace(a, b, n)
@@ -281,13 +289,17 @@ def cmd_check_sigma(args, params: NondimParams, options: SolverOptions) -> int:
 def cmd_margin_scan(args, params: NondimParams, options: SolverOptions) -> int:
     k0 = degeneracy_k0(params.rho)
     lo, hi, n = args.omega_grid
+    k_lo, k_hi = lo * k0, hi * k0
+    if not k_hi - max(k_lo, 3.0) < MAX_POINTS:   # also an overflowing k_hi
+        print(f"thinring margin-scan: error: K = omega k0 must span less "
+              f"than {MAX_POINTS} (k0 = {k0:.6g})", file=sys.stderr)
+        return EXIT_USAGE
     omegas = np.linspace(lo, hi, int(n))
     scan = []
     for om in omegas:
         margin, worst = degeneracy_margin(params.rho, float(om))
         scan.append({"omega": float(om), "k": float(om) * k0,
                      "margin": margin, "worst_mode": worst})
-    k_lo, k_hi = lo * k0, hi * k0
     flagged = []
     first = max(3, math.ceil(k_lo - 1e-12))
     for k_int in range(first, math.floor(k_hi + 1e-12) + 1):

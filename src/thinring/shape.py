@@ -241,19 +241,19 @@ def resample_trig(values: np.ndarray, n_target: int) -> np.ndarray:
 
     Exact for functions band-limited below the source Nyquist mode; used to
     carry boundary traces between operator grids of different resolution.
+    One rfft, the spectrum zero-padded (an even source's Nyquist bin halved,
+    its sine dropped), one irfft.  Only upsampling: n_target >= n.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
+    if n_target < n:
+        raise ValueError(f"n_target = {n_target} below the {n} source samples")
     if n_target == n:
         return values.copy()
-    spec = np.fft.rfft(values)
-    a = 2.0 * spec.real / n
-    b = -2.0 * spec.imag / n
-    a[0] *= 0.5
+    spec = np.zeros(n_target // 2 + 1, dtype=complex)
+    spec[: n // 2 + 1] = np.fft.rfft(values) * (n_target / n)
     if n % 2 == 0:
-        a[-1] *= 0.5   # Nyquist cosine appears once in the sum
-        b[-1] = 0.0    # sin(n alpha/2) vanishes on the source grid
-    alpha = 2.0 * np.pi * np.arange(n_target) / n_target
-    l = np.arange(a.size)
-    arg = np.multiply.outer(alpha, l)
-    return np.cos(arg) @ a + np.sin(arg) @ b
+        # the Nyquist cosine appears once in the sum, sin(n alpha/2)
+        # vanishes on the source grid
+        spec[n // 2] = 0.5 * spec[n // 2].real
+    return np.fft.irfft(spec, n_target)

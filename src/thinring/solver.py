@@ -22,7 +22,7 @@ large-tension regime eps sigma >> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,21 +107,19 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Cosine projections of the jump residual plus constraint defects.
+    """Cosine projections of the jump residual and what a solution reports.
 
     r[l] is the mode-l projection.  Newton pairs r_1..r_M with its unknowns
     (w, a_2..a_M); r_0 evaluated at nu = 0, times 1 + eps sigma for
-    sigma > 0, is the nu that zeroes r_0.  The boundary samples used to
-    form it ride along for diagnostics.
+    sigma > 0, is the nu that zeroes r_0.  gamma, the boundary samples mu
+    and lam, and the constrained shape they were formed on are carried
+    into the converged state.
     """
 
     r: np.ndarray
-    area_residual: float
-    moment_residual: float
     gamma: float
     mu: np.ndarray
     lam: np.ndarray
-    h: np.ndarray
     shape: FourierShape
 
 
@@ -165,8 +163,9 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     """Projected jump residual at a trial (shape, w, nu).
 
     (a_0, a_1) of the shape are replaced by their constrained values before
-    anything is evaluated, so the returned constraint defects are at the
-    projection tolerance.  The inner solve is skipped when rho = 0 (lambda
+    anything is evaluated, and the returned shape is that constrained one;
+    no constraint defects are returned (they are at the projection
+    tolerance by construction).  The inner solve is skipped when rho = 0 (lambda
     enters multiplied by rho); for sigma > 0 the pointwise residual is
     scaled by 1/(1 + eps sigma), which shifts r_0 under nu -> nu + c by
     -c/(1 + eps sigma) and leaves higher modes untouched.
@@ -184,10 +183,8 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     if not np.all(np.isfinite(point)):
         raise SolverError("non-finite jump residual (inner/outer breakdown)")
     r = cosine_coeffs(point, options.modes)
-    return ResidualVector(
-        r=r, area_residual=area(shape) - math.pi,
-        moment_residual=moment_x1(shape), gamma=out.gamma, mu=out.mu,
-        lam=lam, h=grid.h, shape=shape)
+    return ResidualVector(r=r, gamma=out.gamma, mu=out.mu, lam=lam,
+                          shape=shape)
 
 
 def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -225,8 +222,10 @@ def newton_solve(eps: float, params: NondimParams,
     |r_1..r_M| drops below options.tol.  nu is then (1 + eps sigma) r_0 at
     nu = 0, which zeroes r_0.  Without an initializer the zero shape and the
     leading-order w are used; they are inside the Newton basin throughout
-    the thin regime eps <= 0.05.  A warm start reads init.w and
-    init.shape only, not init.nu.
+    the thin regime eps <= 0.05.  A warm start reads init.w, init.shape
+    and init.eps, not init.nu: w starts at init.w shifted by the change of
+    its asymptotic value from init.eps to eps, and the shape's modes
+    2..M carry over (truncated or zero-padded).
 
     Raises SolverError on non-convergence or stagnation.  A degeneracy
     warning is attached when the mode margin at (rho, omega) is below
@@ -240,11 +239,11 @@ def newton_solve(eps: float, params: NondimParams,
                   if margin < 0.05 else "")
 
     x = np.zeros(options.modes)
-    if init is None:
-        x[0] = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
-    else:
+    x[0] = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
+    if init is not None:
+        w_old = asymptotic_wgn(init.eps, params.rho, params.sigma_law)[0]
         high = init.shape.coeffs[2:options.modes + 1]
-        x[0] = init.w
+        x[0] = init.w + x[0] - w_old
         x[1:1 + high.size] = high
 
     def evaluate(xv: np.ndarray) -> ResidualVector:
@@ -259,14 +258,20 @@ def newton_solve(eps: float, params: NondimParams,
     def fun(xv: np.ndarray) -> np.ndarray:
         return evaluate(xv).r[1:]
 
-    rv = evaluate(x)
-    rnorm = float(np.max(np.abs(rv.r[1:])))
     jac = None
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
+    stalled = False
+    for iterations in range(_MAX_ITER + 1):
+        rv = evaluate(x)
+        rnorm = float(np.max(np.abs(rv.r[1:])))
         if rnorm <= options.tol:
-            iterations -= 1
             break
+        if stalled:
+            raise SolverError(
+                f"Newton stagnated at residual {rnorm:.3e}" + degen_note, rnorm)
+        if iterations == _MAX_ITER:
+            raise SolverError(
+                f"no convergence in {_MAX_ITER} iterations "
+                f"(residual {rnorm:.3e})" + degen_note, rnorm)
         jac = jacobian_fd(fun, x, rv.r[1:])
         try:
             dx = np.linalg.solve(jac, -rv.r[1:])
@@ -276,17 +281,8 @@ def newton_solve(eps: float, params: NondimParams,
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite Newton step" + degen_note, rnorm)
         x = x + dx
-        rv = evaluate(x)
-        rnorm = float(np.max(np.abs(rv.r[1:])))
-        if float(np.max(np.abs(dx))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
-            if rnorm > options.tol:
-                raise SolverError(
-                    f"Newton stagnated at residual {rnorm:.3e}" + degen_note,
-                    rnorm)
-    else:
-        raise SolverError(
-            f"no convergence in {_MAX_ITER} iterations "
-            f"(residual {rnorm:.3e})" + degen_note, rnorm)
+        stalled = (float(np.max(np.abs(dx)))
+                   <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
 
     if jac is None:
         jac = jacobian_fd(fun, x, rv.r[1:])
@@ -322,8 +318,8 @@ def newton_solve(eps: float, params: NondimParams,
         "theta_h5": th5,
         "window_theta": th5 / eps**_WINDOW_ELL,
         "window_speed": abs(w) * math.log(1.0 / eps) * (eps**2 + th5**2),
-        "area_residual": rv.area_residual,
-        "moment_residual": rv.moment_residual,
+        "area_residual": area(shape) - math.pi,
+        "moment_residual": moment_x1(shape),
         "warnings": tuple(warnings_list),
     }
     return SolutionState(shape=shape, w=w, gamma=rv.gamma, nu=nu,
@@ -335,10 +331,10 @@ def continuation(eps_grid, params: NondimParams,
                  options: SolverOptions = SolverOptions()) -> list[SolutionState]:
     """Warm-started solves over a descending eps grid.
 
-    Each solve is initialized from the previous state with w shifted by
-    the change in its asymptotic value (the shape carries over unchanged).
-    The first failure aborts; the exception carries the states already
-    solved.
+    Each solve is newton_solve with init set to the previous state, which
+    shifts w by the change of its asymptotic value and carries the shape
+    over.  The first failure aborts; the exception carries the states
+    already solved.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not all(0.0 < e < math.inf for e in eps_grid):
@@ -348,13 +344,8 @@ def continuation(eps_grid, params: NondimParams,
     results: list[SolutionState] = []
     prev: SolutionState | None = None
     for eps in eps_grid:
-        init = None
-        if prev is not None:
-            w_new = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
-            w_old = asymptotic_wgn(prev.eps, params.rho, params.sigma_law)[0]
-            init = replace(prev, w=prev.w + w_new - w_old, eps=eps)
         try:
-            prev = newton_solve(eps, params, init=init, options=options)
+            prev = newton_solve(eps, params, init=prev, options=options)
         except (SolverError, ValueError) as exc:
             raise ContinuationError(
                 f"continuation failed at eps = {eps:.6g}: {exc}", results) from exc

@@ -9,7 +9,9 @@ point differences rather than the polar form of ``Q``;
 without the even-symmetry fold; ``core_solve_dense`` is the core
 collocation solve on all angles, its operator assembled as dense ``np.kron``
 products rather than applied to the folded unit fields; ``dtn_disk`` is the
-Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier.
+Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
+``resample_dense`` is trigonometric interpolation summed on dense cosine and
+sine tables rather than by a zero-padded inverse FFT.
 """
 
 from __future__ import annotations
@@ -213,3 +215,26 @@ def dtn_disk(values: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(values)
     spec *= np.arange(spec.size)
     return np.fft.irfft(spec, values.size)
+
+
+def resample_dense(values: np.ndarray, n_target: int) -> np.ndarray:
+    """Trigonometric interpolation of uniform-grid samples onto n_target angles.
+
+    Exact for functions band-limited below the source Nyquist mode; used to
+    carry boundary traces between operator grids of different resolution.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n_target == n:
+        return values.copy()
+    spec = np.fft.rfft(values)
+    a = 2.0 * spec.real / n
+    b = -2.0 * spec.imag / n
+    a[0] *= 0.5
+    if n % 2 == 0:
+        a[-1] *= 0.5   # Nyquist cosine appears once in the sum
+        b[-1] = 0.0    # sin(n alpha/2) vanishes on the source grid
+    alpha = 2.0 * np.pi * np.arange(n_target) / n_target
+    l = np.arange(a.size)
+    arg = np.multiply.outer(alpha, l)
+    return np.cos(arg) @ a + np.sin(arg) @ b

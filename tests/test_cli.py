@@ -101,9 +101,25 @@ def test_solve_invalid_eps_is_numerical_error(tmp_path, capsys):
     ["solve", "--eps", "0.02", "--sigma-kind", "c_over_eps",
      "--sigma-c", "nan"],                             # non-finite tension
     ["sweep", "--eps-grid", "nan:0.01:3"],            # non-finite grid end
+    ["sweep", "--eps-grid", "0.02:0.02:3"],           # equal ends, n > 1
 ])
 def test_usage_errors_exit_64(argv, capsys):
     assert run(argv) == 64
+
+
+def test_grid_size_is_bounded():
+    # parse only: an accepted grid would start 100,001 solves
+    with pytest.raises(SystemExit) as exc_info:
+        build_parser().parse_args(["sweep", "--eps-grid", "0.04:0.005:100001"])
+    assert exc_info.value.code == 64
+
+
+def test_margin_scan_bounds_integer_k(tmp_path, capsys):
+    # K = omega / (2 pi^2) at rho = 0 reaches about 152,000
+    code = run(["margin-scan", "--omega-grid", "0:3e6:2",
+                "--out", str(tmp_path)])
+    assert code == 64
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_usage_error_power_law_without_exponent(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import resample_dense
 from thinring.shape import (FourierShape, GeometryError, ProjectionError,
                             area, build_grid, cosine_coeffs, moment_x1,
                             project_constraints, resample_trig, sobolev_norm)
@@ -164,6 +165,18 @@ def test_resample_preserves_band_limited_data():
     up = resample_trig(vals, 48)
     expect = 0.3 + np.cos(3 * alpha48) - 0.2 * np.sin(7 * alpha48)
     assert np.max(np.abs(up - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 31, 32, 64])
+def test_resample_matches_dense_sum(n):
+    rng = np.random.default_rng(n)
+    for n_target in (n, n + 1, 2 * n, 256, 257):
+        vals = rng.standard_normal(n)
+        up = resample_trig(vals, n_target)
+        assert up.shape == (n_target,)
+        assert np.max(np.abs(up - resample_dense(vals, n_target))) < 1e-13
+    with pytest.raises(ValueError):
+        resample_trig(rng.standard_normal(n), n - 1)
 
 
 @settings(max_examples=30, deadline=None)

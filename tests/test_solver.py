@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
-from thinring.shape import FourierShape
+from thinring.shape import FourierShape, area, moment_x1
 from thinring.solver import (ContinuationError, SolverError, SolverOptions,
                              continuation, jacobian_fd, newton_solve,
                              residual)
@@ -61,8 +61,8 @@ def test_residual_slaves_low_modes_to_constraints():
     shape = zero_shape().with_coeffs(a0=0.05, a1=-0.03, a2=0.01)
     rv = residual(shape, 0.02, 0.5, 0.0, P_CLASSICAL, OPTS8)
     assert rv.shape.coeffs[0] != 0.05
-    assert abs(rv.area_residual) < 1e-10
-    assert abs(rv.moment_residual) < 1e-10
+    assert abs(area(rv.shape) - math.pi) < 1e-10
+    assert abs(moment_x1(rv.shape)) < 1e-10
     assert rv.shape.coeffs[2] == 0.01
 
 
@@ -176,6 +176,30 @@ def test_warm_start_ignores_initial_nu(solved_classical):
     for name in ("w", "gamma", "nu"):
         assert abs(getattr(again, name) - getattr(st, name)) < 1e-14, name
     assert np.max(np.abs(again.shape.coeffs - st.shape.coeffs)) < 1e-14
+
+
+def test_newton_converges_on_the_last_allowed_step(monkeypatch):
+    # the cold classical solve at eps = 0.02 takes exactly 2 steps
+    monkeypatch.setattr("thinring.solver._MAX_ITER", 2)
+    st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+    assert st.diagnostics["iterations"] == 2
+    assert st.diagnostics["residual_norm"] <= OPTS8.tol
+    monkeypatch.setattr("thinring.solver._MAX_ITER", 1)
+    with pytest.raises(SolverError, match="no convergence in 1 iterations"):
+        newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+
+
+@pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION],
+                         ids=["classical", "tension"])
+def test_warm_start_shifts_w_like_continuation(params):
+    # a direct warm start from another eps is the continuation step
+    prev = continuation([0.04], params, OPTS8)[0]
+    direct = newton_solve(0.02, params, init=prev, options=OPTS8)
+    swept = continuation([0.04, 0.02], params, OPTS8)[1]
+    for name in ("w", "gamma", "nu"):
+        assert getattr(direct, name) == getattr(swept, name), name
+    assert (direct.diagnostics["iterations"]
+            == swept.diagnostics["iterations"])
 
 
 def test_jacobian_cond_keeps_three_digits(solved_classical, solved_tension):
