@@ -242,12 +242,15 @@ def resample_trig(values: np.ndarray, n_target: int) -> np.ndarray:
     Exact for functions band-limited below the source Nyquist mode; used to
     carry boundary traces between operator grids of different resolution.
     One rfft, the spectrum zero-padded (an even source's Nyquist bin halved,
-    its sine dropped), one irfft.  Only upsampling: n_target >= n.
+    its sine dropped), one irfft.  A coarser target (n_target < n) is every
+    m-th point of the interpolant on the m * n_target >= n grid, so it is
+    still exact point evaluation.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n_target < n:
-        raise ValueError(f"n_target = {n_target} below the {n} source samples")
+        m = -(-n // n_target)
+        return resample_trig(values, m * n_target)[::m]
     if n_target == n:
         return values.copy()
     spec = np.zeros(n_target // 2 + 1, dtype=complex)

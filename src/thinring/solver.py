@@ -225,7 +225,9 @@ def newton_solve(eps: float, params: NondimParams,
     the thin regime eps <= 0.05.  A warm start reads init.w, init.shape
     and init.eps, not init.nu: w starts at init.w shifted by the change of
     its asymptotic value from init.eps to eps, and the shape's modes
-    2..M carry over (truncated or zero-padded).
+    2..M carry over (truncated or zero-padded).  At init.eps == eps the
+    shift is zero, but w is formed as (init.w + W) - W, so it equals
+    init.w only up to roundoff.
 
     Raises SolverError on non-convergence or stagnation.  A degeneracy
     warning is attached when the mode margin at (rho, omega) is below

@@ -102,6 +102,16 @@ def test_smallest_core_grid_solves():
         assert state.lam.size == 128 and np.all(np.isfinite(state.lam))
 
 
+@pytest.mark.parametrize("params", [P_CLASSICAL, P_CORE],
+                         ids=["classical", "core"])
+def test_outer_grid_coarser_than_core_grid_solves(params):
+    # the default 32-angle core trace is sampled down onto 20 outer angles
+    opts = SolverOptions(n_grid=20, modes=4)
+    st = newton_solve(0.04, params, options=opts)
+    assert st.lam.size == 20 and np.all(np.isfinite(st.lam))
+    assert st.diagnostics["residual_norm"] <= opts.tol
+
+
 # ------------------------------------------------------------ jacobian pieces
 
 def test_jacobian_fd_exact_on_affine_maps():
