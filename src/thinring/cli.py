@@ -88,6 +88,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _rho(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"rho must be >= 0, got {text!r}")
+    return value
+
+
 def _split_grid(spec: str) -> tuple[float, float, int]:
     # a:b:n with finite endpoints; callers check the ranges they need
     try:
@@ -274,7 +281,7 @@ def cmd_sweep(args, params: NondimParams, options: SolverOptions) -> int:
     return EXIT_OK
 
 
-def cmd_check_sigma(args, params: NondimParams, options: SolverOptions) -> int:
+def cmd_check_sigma(args, params: NondimParams) -> int:
     try:
         report = check_sigma(params.sigma_law, params.rho)
     except ValueError as exc:
@@ -286,8 +293,8 @@ def cmd_check_sigma(args, params: NondimParams, options: SolverOptions) -> int:
     return EXIT_OK
 
 
-def cmd_margin_scan(args, params: NondimParams, options: SolverOptions) -> int:
-    k0 = degeneracy_k0(params.rho)
+def cmd_margin_scan(args) -> int:
+    k0 = degeneracy_k0(args.rho)
     lo, hi, n = args.omega_grid
     k_lo, k_hi = lo * k0, hi * k0
     if not k_hi - max(k_lo, 3.0) < MAX_POINTS:   # also an overflowing k_hi
@@ -297,18 +304,18 @@ def cmd_margin_scan(args, params: NondimParams, options: SolverOptions) -> int:
     omegas = np.linspace(lo, hi, int(n))
     scan = []
     for om in omegas:
-        margin, worst = degeneracy_margin(params.rho, float(om))
+        margin, worst = degeneracy_margin(args.rho, float(om))
         scan.append({"omega": float(om), "k": float(om) * k0,
                      "margin": margin, "worst_mode": worst})
     flagged = []
     first = max(3, math.ceil(k_lo - 1e-12))
     for k_int in range(first, math.floor(k_hi + 1e-12) + 1):
         om = k_int / k0
-        margin, worst = degeneracy_margin(params.rho, om)
+        margin, worst = degeneracy_margin(args.rho, om)
         flagged.append({"k": k_int, "omega": om, "margin": margin,
                         "worst_mode": worst})
     _write_json(_out_dir(args) / "report.json",
-                {"rho": params.rho, "k0": k0, "scan": scan,
+                {"rho": args.rho, "k0": k0, "scan": scan,
                  "degenerate_points": flagged})
     print(f"scanned {len(omegas)} omega values; "
           f"{len(flagged)} degenerate points in range")
@@ -322,31 +329,45 @@ def _omega_grid(spec: str) -> tuple[float, float, int]:
     return a, b, n
 
 
-def _add_common(p: argparse.ArgumentParser, eps_kind: str | None) -> None:
-    p.add_argument("--rho", type=_finite, default=0.0,
+def _params(args) -> NondimParams:
+    law = (SigmaLaw() if args.sigma_kind == "none" else
+           SigmaLaw(kind=args.sigma_kind, c=args.sigma_c, p=args.sigma_p))
+    return NondimParams(rho=args.rho, sigma_law=law, omega=law.omega)
+
+
+def _options(args) -> SolverOptions:
+    return SolverOptions(n_grid=args.grid, modes=args.modes, tol=args.tol)
+
+
+def _add_command(sub, name: str, summary: str, fn, *inputs):
+    """Subparser for fn(args, *(build(args) for build in inputs)).
+
+    Every command takes --rho and --out; the tension flags come with
+    _params, the discretization flags and --force with _options.
+    """
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--rho", type=_rho, default=0.0,
                    help="density ratio parameter (>= 0)")
-    p.add_argument("--sigma-kind", default="none",
-                   choices=["none", "c_over_eps", "c_log_over_eps", "c_power"])
-    p.add_argument("--sigma-c", type=_finite, default=0.0,
-                   help="tension coefficient c")
-    p.add_argument("--sigma-p", type=_finite, default=None,
-                   help="exponent for c_power, in (1, 2)")
-    p.add_argument("--modes", type=int, default=SolverOptions.modes,
-                   help="cosine truncation M")
-    p.add_argument("--grid", type=int, default=SolverOptions.n_grid,
-                   help="boundary nodes N")
-    p.add_argument("--tol", type=_finite, default=SolverOptions.tol,
-                   help="Newton tolerance")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--force", action="store_true",
-                   help="run even if the sigma law is inadmissible")
-    if eps_kind == "single":
-        p.add_argument("--eps", type=_finite, required=True,
-                       help="thinness parameter")
-    elif eps_kind == "grid":
-        p.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid,
-                       required=True, metavar="A:B:N",
-                       help="log-spaced eps grid, swept descending")
+    if _params in inputs:
+        p.add_argument("--sigma-kind", default="none",
+                       choices=["none", "c_over_eps", "c_log_over_eps",
+                                "c_power"])
+        p.add_argument("--sigma-c", type=_finite, default=0.0,
+                       help="tension coefficient c")
+        p.add_argument("--sigma-p", type=_finite, default=None,
+                       help="exponent for c_power, in (1, 2)")
+    if _options in inputs:
+        p.add_argument("--modes", type=int, default=SolverOptions.modes,
+                       help="cosine truncation M")
+        p.add_argument("--grid", type=int, default=SolverOptions.n_grid,
+                       help="boundary nodes N")
+        p.add_argument("--tol", type=_finite, default=SolverOptions.tol,
+                       help="Newton tolerance")
+        p.add_argument("--force", action="store_true",
+                       help="run even if the sigma law is inadmissible")
+    p.set_defaults(fn=fn, inputs=inputs)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,24 +375,25 @@ def build_parser() -> argparse.ArgumentParser:
                   description="steady thin vortex rings with surface tension")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="single steady solve", parents=[])
-    _add_common(p, "single")
-    p.set_defaults(fn=cmd_solve)
+    p = _add_command(sub, "solve", "single steady solve", cmd_solve,
+                     _params, _options)
+    p.add_argument("--eps", type=_finite, required=True,
+                   help="thinness parameter")
 
-    p = sub.add_parser("sweep", help="continuation over an eps grid")
-    _add_common(p, "grid")
+    p = _add_command(sub, "sweep", "continuation over an eps grid", cmd_sweep,
+                     _params, _options)
+    p.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid,
+                   required=True, metavar="A:B:N",
+                   help="log-spaced eps grid, swept descending")
     p.add_argument("--plot", action="store_true", help="also write sweep.svg")
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("check-sigma", help="tension-law admissibility report")
-    _add_common(p, None)
-    p.set_defaults(fn=cmd_check_sigma)
+    _add_command(sub, "check-sigma", "tension-law admissibility report",
+                 cmd_check_sigma, _params)
 
-    p = sub.add_parser("margin-scan", help="degeneracy margins over omega")
-    _add_common(p, None)
+    p = _add_command(sub, "margin-scan", "degeneracy margins over omega",
+                     cmd_margin_scan)
     p.add_argument("--omega-grid", type=_omega_grid, default=(0.0, 60.0, 601),
                    metavar="A:B:N", help="linear omega grid (default 0:60:601)")
-    p.set_defaults(fn=cmd_margin_scan)
     return top
 
 
@@ -382,16 +404,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        law = (SigmaLaw() if args.sigma_kind == "none" else
-               SigmaLaw(kind=args.sigma_kind, c=args.sigma_c, p=args.sigma_p))
-        params = NondimParams(rho=args.rho, sigma_law=law, omega=law.omega)
-        options = SolverOptions(n_grid=args.grid, modes=args.modes,
-                                tol=args.tol)
+        inputs = [build(args) for build in args.inputs]
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         print(f"thinring: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.fn(args, params, options)
+    return args.fn(args, *inputs)
 
 
 if __name__ == "__main__":

@@ -110,9 +110,6 @@ class InnerSolution:
 
     alpha: np.ndarray
     lam: np.ndarray        # (1/(1+eps x1)) d_n phi on the boundary
-    dnphi: np.ndarray      # plain conormal trace d_n phi on the boundary
-    eps: float
-    shape: FourierShape
     diagnostics: dict
 
     def lam_on(self, n: int) -> np.ndarray:
@@ -121,7 +118,7 @@ class InnerSolution:
 
 
 def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
-    """One collocation solve; returns (alpha, lam, dnphi, phi_grid, m)."""
+    """One collocation solve; returns (alpha, lam, phi_grid, m)."""
     ns = 2 * n_r - 1                     # odd polynomial degree, no node at 0
     t_all, d_all = _cheb(ns)
     h = n_r                              # positive nodes t_0=1 > ... > t_{h-1}
@@ -195,12 +192,11 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     rb, dth = r[0], r_a[0]
     mb = np.hypot(dth, rb)
     nx = (rb * cos_a + dth * sin_a) / mb
-    dnphi = (nx * grad_p[0, :, 0] + mb * u_s_b / (rb * r_s[0])
-             - dth * u_a_b / (mb * rb))
-    lam = dnphi * beta[0]
+    lam = beta[0] * (nx * grad_p[0, :, 0] + mb * u_s_b / (rb * r_s[0])
+                     - dth * u_a_b / (mb * rb))
 
     phi_grid = u + phi_p
-    return alpha, lam, dnphi, phi_grid, mb
+    return alpha, lam, phi_grid, mb
 
 
 def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
@@ -233,18 +229,15 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
         raise ValueError(f"n_alpha must be even and >= 2, got {n_alpha}")
     if not eps >= 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
-    alpha, lam, dnphi, phi_grid, m = _solve_core(shape, eps, n_r, n_alpha)
+    alpha, lam, phi_grid, m = _solve_core(shape, eps, n_r, n_alpha)
     flux_defect = float(np.sum(lam * m) * 2.0 * np.pi / n_alpha
                         + 4.0 * (area(shape) + eps * moment_x1(shape)))
     diagnostics = {
         "flux_defect": flux_defect,
         "min_phi": float(np.min(phi_grid[1:])),   # interior rows; phi = 0 + roundoff on the boundary ring
-        "n_r": n_r,
-        "n_alpha": n_alpha,
     }
     if check_resolution:
-        _, lam_f, _, _, _ = _solve_core(shape, eps, n_r + 6, 2 * n_alpha)
+        lam_f = _solve_core(shape, eps, n_r + 6, 2 * n_alpha)[1]
         diagnostics["refinement_diff"] = float(
             np.max(np.abs(resample_trig(lam, 2 * n_alpha) - lam_f)))
-    return InnerSolution(alpha=alpha, lam=lam, dnphi=dnphi, eps=float(eps),
-                         shape=shape, diagnostics=diagnostics)
+    return InnerSolution(alpha=alpha, lam=lam, diagnostics=diagnostics)

@@ -33,8 +33,7 @@ the matrices satisfy M[n-i, n-j] = M[i, j].  The kernel is therefore
 evaluated on rows 0..n/2 only and the other rows are filled by the
 reflection; the bordered systems, whose right sides are even, fold to
 n/2 + 2 unknowns (mu_0..mu_{n/2} and the constant) and are unfolded after
-the solve.  A matrix passed in through ``mat=`` must have the same
-reflection symmetry.
+the solve.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .shape import BoundaryGrid
+from .shape import BoundaryGrid, GeometryError
 from .special import SPLIT_S_MAX, f_elliptic, f_split
 
 __all__ = [
@@ -132,7 +131,8 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     beyond the series range of the split (possible only at eps of order
     one) are overwritten with plain trapezoid on the elliptic evaluation;
     if that happens inside the near-diagonal zone, where the log split is
-    structurally required, a ValueError is raised.
+    structurally required, a GeometryError (a ValueError) is raised: the
+    section is too fat for its eps.
     """
     if not grid.eps > 0.0:
         raise ValueError("assemble_full requires eps > 0; use assemble_limit")
@@ -150,7 +150,7 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     far = s > SPLIT_S_MAX
     if np.any(far):
         if np.any(far & (chord < 0.5)):
-            raise ValueError(
+            raise GeometryError(
                 "kernel argument left the log-split range near the diagonal; "
                 "eps too large for this section")
         a[far] = 0.0
@@ -179,7 +179,6 @@ class CapacitySolution:
 class OuterSolution:
     mu: np.ndarray
     gamma: float
-    w: float
 
 
 def _bordered_solve(grid: BoundaryGrid, mat: np.ndarray, rhs: np.ndarray):
@@ -200,20 +199,18 @@ def _bordered_solve(grid: BoundaryGrid, mat: np.ndarray, rhs: np.ndarray):
     return np.concatenate([mu, mu[h - 1:0:-1]]), float(sol[h + 1])
 
 
-def solve_capacity(grid: BoundaryGrid, mat: np.ndarray | None = None) -> CapacitySolution:
+def solve_capacity(grid: BoundaryGrid) -> CapacitySolution:
     """Capacity density: K mu = const with unit weighted mass.
 
     Solves the bordered system [K, -1; m w, 0] (mu, const) = (0, 1) on the
     limit operator.  At theta = 0 the density is 1/(2 pi) and const = 0;
     for small shapes |const| = O(||theta||^2).
     """
-    if mat is None:
-        mat = assemble_limit(grid)
-    mu, const = _bordered_solve(grid, mat, np.zeros(grid.n))
+    mu, const = _bordered_solve(grid, assemble_limit(grid), np.zeros(grid.n))
     return CapacitySolution(mu=mu, const=const)
 
 
-def solve_outer(grid: BoundaryGrid, w: float, mat: np.ndarray | None = None) -> OuterSolution:
+def solve_outer(grid: BoundaryGrid, w: float) -> OuterSolution:
     """Outer layer density for ring speed w.
 
     Boundary data (w/2)(1 + eps chi_1)^2 together with unit circulation
@@ -221,11 +218,9 @@ def solve_outer(grid: BoundaryGrid, w: float, mat: np.ndarray | None = None) -> 
     bordered column.  (mu, gamma) is affine in w since only the right side
     depends on it.
     """
-    if mat is None:
-        mat = assemble_full(grid)
     rhs = 0.5 * w * (1.0 + grid.eps * grid.chi[:, 0]) ** 2
-    mu, gamma = _bordered_solve(grid, mat, rhs)
-    return OuterSolution(mu=mu, gamma=gamma, w=float(w))
+    mu, gamma = _bordered_solve(grid, assemble_full(grid), rhs)
+    return OuterSolution(mu=mu, gamma=gamma)
 
 
 def eval_streamfunction(grid: BoundaryGrid, mu: np.ndarray,

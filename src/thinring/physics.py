@@ -185,8 +185,6 @@ class NondimParams:
     rho: float
     sigma_law: SigmaLaw
     omega: float | None
-    a: float = 0.0
-    b: float = 0.0
 
     def __post_init__(self):
         _check_rho(self.rho)
@@ -207,16 +205,17 @@ def nondimensionalize(setup: PhysicalSetup) -> NondimParams:
     b = setup.R * setup.b_bar
     rho = (a / b) ** 2 * (setup.rho_in / setup.rho_out) / (4.0 * math.pi) ** 2
     sigma_law = setup.sigma_bar_law.scaled(2.0 * setup.R**3 / (setup.rho_out * b**2))
-    return NondimParams(rho=rho, sigma_law=sigma_law, omega=sigma_law.omega, a=a, b=b)
+    return NondimParams(rho=rho, sigma_law=sigma_law, omega=sigma_law.omega)
 
 
-def redimensionalize(params: NondimParams, state, setup: PhysicalSetup) -> DimensionalState:
+def redimensionalize(state, setup: PhysicalSetup) -> DimensionalState:
     """Dimensional (W, gamma, nu) from a solved dimensionless state.
 
-    ``state`` needs attributes w, gamma, nu, eps.  The maps are
-    w_bar = (b/R^2) w, gamma_bar = b gamma, nu_bar = rho_out b^2 nu / eps^2.
+    ``state`` needs attributes w, gamma, nu, eps.  With b = R b_bar the maps
+    are w_bar = (b/R^2) w, gamma_bar = b gamma,
+    nu_bar = rho_out b^2 nu / eps^2.
     """
-    b = params.b if params.b else setup.R * setup.b_bar
+    b = setup.R * setup.b_bar
     rsq = setup.R**2
     return DimensionalState(
         w_bar=b / rsq * state.w,

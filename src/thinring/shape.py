@@ -74,15 +74,6 @@ class FourierShape:
         l = np.arange(self.coeffs.size)
         return -np.sin(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * self.coeffs)
 
-    def with_coeffs(self, **updates: float) -> "FourierShape":
-        """Copy with individual modes replaced, e.g. with_coeffs(a0=..., a1=...)."""
-        c = np.array(self.coeffs)
-        for key, val in updates.items():
-            if not key.startswith("a"):
-                raise KeyError(key)
-            c[int(key[1:])] = val
-        return FourierShape(c)
-
     def sup_norm(self) -> float:
         alpha = np.linspace(0.0, np.pi, 8 * self.coeffs.size + 16)
         return float(np.max(np.abs(self.theta(alpha))))

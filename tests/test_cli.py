@@ -102,6 +102,12 @@ def test_solve_invalid_eps_is_numerical_error(tmp_path, capsys):
      "--sigma-c", "nan"],                             # non-finite tension
     ["sweep", "--eps-grid", "nan:0.01:3"],            # non-finite grid end
     ["sweep", "--eps-grid", "0.02:0.02:3"],           # equal ends, n > 1
+    ["check-sigma", "--modes", "8"],                  # flags the command
+    ["check-sigma", "--force"],                       # does not read
+    ["margin-scan", "--sigma-kind", "c_over_eps", "--sigma-c", "1"],
+    ["margin-scan", "--grid", "256"],
+    ["check-sigma", "--rho", "-1"],                   # negative rho
+    ["margin-scan", "--rho", "-1"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
     assert run(argv) == 64

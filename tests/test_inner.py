@@ -98,15 +98,6 @@ def test_lambda_eps_derivative():
     assert np.max(np.abs(fd + 0.5 * np.cos(alpha))) < 1e-3
 
 
-def test_normal_velocity_eps_derivative():
-    # the unnormalized trace moves as -(5/2) cos(alpha)
-    t = 1e-5
-    p = solve_inner(ZERO, t)
-    m = solve_inner(ZERO, 0.0)
-    fd = (p.dnphi - m.dnphi) / t
-    assert np.max(np.abs(fd + 2.5 * np.cos(p.alpha))) < 1e-3
-
-
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_lambda_shape_derivative(l):
     # D_theta lambda = 2 L delta - 2 delta with L the |l| multiplier

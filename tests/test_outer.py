@@ -259,10 +259,9 @@ def test_smooth_part_diagonal_matches_extrapolation():
 
 def test_outer_solution_affine_in_speed():
     g = circle_grid(0.02, 128)
-    mat = assemble_full(g)
-    lo = solve_outer(g, 0.3, mat=mat)
-    hi = solve_outer(g, 0.7, mat=mat)
-    mid = solve_outer(g, 0.5, mat=mat)
+    lo = solve_outer(g, 0.3)
+    hi = solve_outer(g, 0.7)
+    mid = solve_outer(g, 0.5)
     assert np.max(np.abs(lo.mu + hi.mu - 2.0 * mid.mu)) < 1e-12
     assert abs(lo.gamma + hi.gamma - 2.0 * mid.gamma) < 1e-12
 
@@ -282,19 +281,17 @@ def test_outer_solution_has_unit_circulation():
 def test_folded_outer_solve_matches_dense(grid):
     # the even-symmetry fold against the unfolded (n+1) bordered system;
     # eps = 0.6 also takes the far-pair fallback of the assembly
-    mat = assemble_full(grid)
-    sol = solve_outer(grid, 0.4, mat=mat)
+    sol = solve_outer(grid, 0.4)
     rhs = 0.2 * (1.0 + grid.eps * grid.chi[:, 0]) ** 2
-    mu, gamma = bordered_solve_dense(grid, mat, rhs)
+    mu, gamma = bordered_solve_dense(grid, assemble_full(grid), rhs)
     assert np.max(np.abs(sol.mu - mu)) < 1e-12
     assert abs(sol.gamma - gamma) < 1e-12
 
 
 def test_folded_capacity_solve_matches_dense():
     grid = build_grid(wavy_shape((2, 0.05), (3, -0.02), (5, 0.01)), 0.0, 128)
-    mat = assemble_limit(grid)
-    sol = solve_capacity(grid, mat=mat)
-    mu, const = bordered_solve_dense(grid, mat, np.zeros(grid.n))
+    sol = solve_capacity(grid)
+    mu, const = bordered_solve_dense(grid, assemble_limit(grid), np.zeros(grid.n))
     assert np.max(np.abs(sol.mu - mu)) < 1e-12
     assert abs(sol.const - const) < 1e-12
 
@@ -309,14 +306,6 @@ def test_assembly_is_reflection_symmetric(grid):
     mat = assemble_full(grid) if grid.eps > 0.0 else assemble_limit(grid)
     rev = (-np.arange(grid.n)) % grid.n
     assert np.array_equal(mat[rev][:, rev], mat)
-
-
-def test_precomputed_matrix_is_equivalent():
-    g = circle_grid(0.05, 64)
-    mat = assemble_full(g)
-    a = solve_outer(g, 0.5)
-    b = solve_outer(g, 0.5, mat=mat)
-    assert np.array_equal(a.mu, b.mu) and a.gamma == b.gamma
 
 
 def test_flux_constant_leading_order():

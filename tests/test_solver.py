@@ -58,7 +58,7 @@ def test_nu_shift_is_rescaled_under_tension():
 
 def test_residual_slaves_low_modes_to_constraints():
     # junk (a_0, a_1) must be replaced before evaluation
-    shape = zero_shape().with_coeffs(a0=0.05, a1=-0.03, a2=0.01)
+    shape = FourierShape(np.r_[0.05, -0.03, 0.01, np.zeros(6)])
     rv = residual(shape, 0.02, 0.5, 0.0, P_CLASSICAL, OPTS8)
     assert rv.shape.coeffs[0] != 0.05
     assert abs(area(rv.shape) - math.pi) < 1e-10
@@ -254,6 +254,12 @@ def test_newton_rejects_nonpositive_eps():
             newton_solve(eps, P_CLASSICAL, options=OPTS8)
     with pytest.raises(ValueError, match="positive and finite"):
         newton_solve(math.inf, P_CLASSICAL, options=OPTS8)
+
+
+def test_newton_reports_too_fat_section_as_solver_error():
+    # at eps = 0.7 the kernel leaves the log-split range near the diagonal
+    with pytest.raises(SolverError, match="admissible shape region"):
+        newton_solve(0.7, P_CLASSICAL, options=OPTS8)
 
 
 def test_newton_warns_near_degenerate_tension():
