@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .physics import (NondimParams, SigmaLaw, asymptotic_wgn, check_sigma,
-                      degeneracy_k0, degeneracy_margin, nu_sigma_rescaled)
+from .physics import (NAMED_KINDS, NondimParams, SigmaLaw, asymptotic_wgn,
+                      check_sigma, degeneracy_k0, degeneracy_margin,
+                      nu_sigma_rescaled)
 from .shape import build_grid
 from .solver import (ContinuationError, SolutionState, SolverError,
                      SolverOptions, continuation, newton_solve)
@@ -120,9 +121,12 @@ def _parse_grid(spec: str) -> list[float]:
     return sorted((float(p) for p in pts), reverse=True)
 
 
+def _sigma_payload(args) -> dict:
+    return {"kind": args.sigma_kind, "c": args.sigma_c, "p": args.sigma_p}
+
+
 def _params_payload(args, eps: float) -> dict:
-    return {"rho": args.rho,
-            "sigma": {"kind": args.sigma_kind, "c": args.sigma_c, "p": args.sigma_p},
+    return {"rho": args.rho, "sigma": _sigma_payload(args),
             "modes": args.modes, "grid": args.grid, "tol": args.tol, "eps": eps}
 
 
@@ -286,9 +290,9 @@ def cmd_check_sigma(args, params: NondimParams) -> int:
         report = check_sigma(params.sigma_law, params.rho)
     except ValueError as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc))
-    sigma = {"kind": args.sigma_kind, "c": args.sigma_c, "p": args.sigma_p}
     _write_json(_out_dir(args) / "report.json",
-                {"rho": params.rho, "sigma": sigma, **asdict(report)})
+                {"rho": params.rho, "sigma": _sigma_payload(args),
+                 **asdict(report)})
     print("admissible" if report.admissible else "inadmissible")
     return EXIT_OK
 
@@ -330,8 +334,7 @@ def _omega_grid(spec: str) -> tuple[float, float, int]:
 
 
 def _params(args) -> NondimParams:
-    law = (SigmaLaw() if args.sigma_kind == "none" else
-           SigmaLaw(kind=args.sigma_kind, c=args.sigma_c, p=args.sigma_p))
+    law = SigmaLaw(kind=args.sigma_kind, c=args.sigma_c, p=args.sigma_p)
     return NondimParams(rho=args.rho, sigma_law=law, omega=law.omega)
 
 
@@ -350,9 +353,7 @@ def _add_command(sub, name: str, summary: str, fn, *inputs):
                    help="density ratio parameter (>= 0)")
     p.add_argument("--out", default=".", help="output directory")
     if _params in inputs:
-        p.add_argument("--sigma-kind", default="none",
-                       choices=["none", "c_over_eps", "c_log_over_eps",
-                                "c_power"])
+        p.add_argument("--sigma-kind", default="none", choices=NAMED_KINDS)
         p.add_argument("--sigma-c", type=_finite, default=0.0,
                        help="tension coefficient c")
         p.add_argument("--sigma-p", type=_finite, default=None,

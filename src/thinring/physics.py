@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "NAMED_KINDS",
     "SigmaLaw",
     "PhysicalSetup",
     "NondimParams",
@@ -45,7 +46,11 @@ __all__ = [
     "check_sigma",
 ]
 
-_KINDS = ("none", "c_over_eps", "c_log_over_eps", "c_power", "custom")
+# named kinds: sigma = c log(1/eps)^k / eps^p, kind -> (p, k); None takes p
+# from the law
+_CLOSED_FORM = {"none": (0.0, 0), "c_over_eps": (1.0, 0),
+                "c_log_over_eps": (1.0, 1), "c_power": (None, 0)}
+NAMED_KINDS = tuple(_CLOSED_FORM)
 _EPS0 = 0.05      # top of check_sigma's geometric eps grid
 
 
@@ -53,10 +58,13 @@ _EPS0 = 0.05      # top of check_sigma's geometric eps grid
 class SigmaLaw:
     """Surface-tension coefficient as a function of eps.
 
-    Kinds: ``none`` (sigma = 0), ``c_over_eps`` (c/eps, omega = 1/c),
-    ``c_log_over_eps`` (c log(1/eps)/eps, omega = 0), ``c_power``
-    (c/eps^p with p in (1,2), omega = 0), and ``custom`` (black-box
-    callable; omega estimated numerically by check_sigma).
+    The named kinds are one closed form, sigma = c log(1/eps)^k / eps^p:
+    ``none`` (sigma = 0, takes no c), ``c_over_eps`` (p = 1, k = 0,
+    omega = 1/c), ``c_log_over_eps`` (p = 1, k = 1, omega = 0) and
+    ``c_power`` (p in (1, 2) from the law, k = 0, omega = 0), each with
+    c >= 0 finite.  ``custom`` wraps a black-box callable fn (no c, no p);
+    its values must be >= 0 and its omega is the numerical estimate of
+    lim 1/(eps sigma).  Only c_power takes p and only custom takes fn.
     """
 
     kind: str = "none"
@@ -65,60 +73,64 @@ class SigmaLaw:
     fn: Callable[[float], float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in NAMED_KINDS and self.kind != "custom":
             raise ValueError(f"unknown sigma kind {self.kind!r}")
-        if (self.kind != "none" and self.kind != "custom"
-                and not 0.0 <= self.c < math.inf):
+        if self.kind in ("none", "custom"):
+            if self.c != 0.0:
+                raise ValueError(f"{self.kind} law takes no coefficient c")
+        elif not 0.0 <= self.c < math.inf:
             raise ValueError("sigma coefficient must be nonnegative and finite")
         if self.kind == "c_power":
             if self.p is None or not 1.0 < self.p < 2.0:
                 raise ValueError("c_power law requires exponent p in (1, 2)")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom law requires a callable")
+        elif self.p is not None:
+            raise ValueError(f"{self.kind} law takes no exponent p")
+        if (self.fn is None) == (self.kind == "custom"):
+            raise ValueError("custom law requires a callable" if self.fn is None
+                             else f"{self.kind} law takes no callable fn")
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "none" or (self.kind != "custom" and self.c == 0.0)
+        return self.kind != "custom" and self.c == 0.0
+
+    def _p_k(self) -> tuple[float, int]:
+        p, k = _CLOSED_FORM[self.kind]
+        return (self.p if p is None else p), k
 
     def __call__(self, eps: float) -> float:
-        if not eps > 0.0:
-            raise ValueError(f"sigma law evaluated at eps = {eps}, need eps > 0")
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "c_over_eps":
-            return self.c / eps
-        if self.kind == "c_log_over_eps":
-            return self.c * math.log(1.0 / eps) / eps
-        if self.kind == "c_power":
-            return self.c / eps**self.p
-        return float(self.fn(eps))
+        if not 0.0 < eps < math.inf:
+            raise ValueError(
+                f"sigma law evaluated at eps = {eps}, need 0 < eps < inf")
+        if self.kind == "custom":
+            sigma = float(self.fn(eps))
+            if not sigma >= 0.0:
+                raise ValueError(
+                    f"invalid law: sigma = {sigma} is negative or NaN "
+                    f"at eps = {eps}")
+            return sigma
+        p, k = self._p_k()
+        return self.c * math.log(1.0 / eps) ** k / eps**p
 
     def eps_sigma(self, eps: float) -> float:
         return eps * self(eps)
 
     @property
-    def omega(self) -> float | None:
-        """Analytic lim 1/(eps sigma), inf for the zero law, None if unknown."""
-        if self.is_zero:
+    def omega(self) -> float:
+        """lim 1/(eps sigma): inf for a zero law, estimated for custom."""
+        if self.kind == "custom":
+            return _estimate_omega(self)[0]
+        if self.c == 0.0:
             return math.inf
-        if self.kind == "c_over_eps":
-            return 1.0 / self.c
-        if self.kind in ("c_log_over_eps", "c_power"):
-            return 0.0
-        return None
+        return 1.0 / self.c if self._p_k() == (1.0, 0) else 0.0
 
     def d_sigma(self, eps: float) -> float:
         """d sigma / d eps, analytic for the named kinds, central FD otherwise."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "c_over_eps":
-            return -self.c / eps**2
-        if self.kind == "c_log_over_eps":
-            return -self.c * (math.log(1.0 / eps) + 1.0) / eps**2
-        if self.kind == "c_power":
-            return -self.p * self.c / eps ** (self.p + 1.0)
-        h = 1e-6 * eps
-        return (self(eps + h) - self(eps - h)) / (2.0 * h)
+        if self.kind == "custom":
+            h = 1e-6 * eps
+            return (self(eps + h) - self(eps - h)) / (2.0 * h)
+        # k is 0 or 1, so d/deps log(1/eps)^k = -k / eps
+        p, k = self._p_k()
+        return -(p * self(eps) + k * self.c / eps**p) / eps
 
     def scaled(self, factor: float) -> SigmaLaw:
         """The law multiplied by a positive constant (same kind)."""
@@ -305,9 +317,8 @@ def kelvin_hicks(setup: PhysicalSetup) -> float:
     w = setup.b_bar / (4.0 * math.pi * setup.R) \
         * (math.log(8.0 * setup.R / setup.eps_bar) - 0.5 + core)
     sig = setup.sigma_bar_law(setup.eps)
-    if sig:
-        w += math.pi * setup.eps_bar * sig / (setup.R * setup.b_bar * setup.rho_out)
-    return w
+    return w + math.pi * setup.eps_bar * sig / (setup.R * setup.b_bar
+                                                 * setup.rho_out)
 
 
 def degeneracy_k0(rho: float) -> float:
@@ -385,10 +396,10 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
     Checks lim 1/(eps sigma) in [0, inf) off the excluded set
     (8 rho + 1/(2 pi^2))^{-1} N_{>=3}, eps^2 sigma -> 0, and
     eps |sigma'| <~ sigma, each on a geometric grid below eps = 0.05.
-    Laws with a declared omega use it; black-box laws get an Aitken
-    estimate.
-    Raises ValueError unless 0 <= rho < inf, or if sigma is negative
-    anywhere on the grid.
+    Named kinds use their analytic omega; custom laws get the Neville
+    estimate, with its uncertainty.
+    Raises ValueError unless 0 <= rho < inf, or if the law is negative or
+    NaN anywhere on the grid.
     """
     _check_rho(rho)
     msgs: list[str] = []
@@ -402,15 +413,12 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
             messages=("zero law: classical case, no admissibility constraints",))
 
     sig = np.array([sigma_law(e) for e in grid])
-    if np.any(sig < 0.0):
-        raise ValueError("invalid law: sigma negative on the sample grid")
-
-    if sigma_law.omega is not None:
-        omega, unc, source = sigma_law.omega, 0.0, "analytic"
-    else:
+    if sigma_law.kind == "custom":
         omega, unc = _estimate_omega(sigma_law)
         source = "estimated"
         msgs.append(f"omega estimated numerically, uncertainty {unc:.2e}")
+    else:
+        omega, unc, source = sigma_law.omega, 0.0, "analytic"
     if not math.isfinite(omega) or omega < 0.0:
         msgs.append("1/(eps sigma) has no finite nonnegative limit")
         return SigmaReport(

@@ -93,7 +93,6 @@ class BoundaryGrid:
     kappa: np.ndarray      # in-plane curvature of the cross-section
     h: np.ndarray          # kappa + eps (n.e1)/(1 + eps chi_1)
     eps: float
-    shape: FourierShape
 
     @property
     def n(self) -> int:
@@ -134,7 +133,7 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
     h = kappa + eps * (r * ca + dth * sa) / (m * (1.0 + eps * r * ca))
     return BoundaryGrid(alpha=alpha, theta=th, dtheta=dth, ddtheta=ddth, m=m,
                         chi=chi, normal=normal, kappa=kappa, h=h,
-                        eps=float(eps), shape=shape)
+                        eps=float(eps))
 
 
 def _samples(coeffs: np.ndarray, n: int) -> np.ndarray:

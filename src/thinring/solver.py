@@ -14,9 +14,9 @@ w because the shape Jacobian degenerates there.  nu enters only as an
 additive constant, so it moves r_0 alone: it is not a Newton unknown but
 the closed form (1 + eps sigma) r_0 of the residual evaluated at nu = 0.
 
-For sigma > 0 the residual is rescaled by 1/(1 + eps sigma(eps)): the root
-set is unchanged and the Jacobian diagonal stays O(1) uniformly in the
-large-tension regime eps sigma >> 1.
+The residual is rescaled by 1/(1 + eps sigma(eps)), exactly 1 at sigma = 0:
+the root set is unchanged and the Jacobian diagonal stays O(1) uniformly in
+the large-tension regime eps sigma >> 1.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 
 from .inner import solve_inner
 from .outer import solve_outer
-from .physics import (NondimParams, asymptotic_wgn, check_sigma,
-                      degeneracy_margin, s_from_w)
+from .physics import NondimParams, asymptotic_wgn, degeneracy_margin, s_from_w
 from .shape import (FourierShape, GeometryError, ProjectionError, area,
                     build_grid, cosine_coeffs, moment_x1, project_constraints,
                     sobolev_norm)
@@ -52,6 +51,9 @@ _WINDOW_ELL = 0.75
 # Newton iteration cap and forward-difference Jacobian step
 _MAX_ITER = 25
 _FD_STEP = 1e-7
+
+# degeneracy margin below which a solve carries a warning
+_DEGEN_MARGIN = 0.05
 
 
 class SolverError(RuntimeError):
@@ -110,10 +112,10 @@ class ResidualVector:
     """Cosine projections of the jump residual and what a solution reports.
 
     r[l] is the mode-l projection.  Newton pairs r_1..r_M with its unknowns
-    (w, a_2..a_M); r_0 evaluated at nu = 0, times 1 + eps sigma for
-    sigma > 0, is the nu that zeroes r_0.  gamma, the boundary samples mu
-    and lam, and the constrained shape they were formed on are carried
-    into the converged state.
+    (w, a_2..a_M); r_0 evaluated at nu = 0, times 1 + eps sigma, is the nu
+    that zeroes r_0.  gamma, the boundary samples mu and lam, and the
+    constrained shape they were formed on are carried into the converged
+    state.
     """
 
     r: np.ndarray
@@ -128,11 +130,12 @@ class SolutionState:
     """Converged steady section with its scalar data and diagnostics.
 
     nu is the mode-0 projection of the jump residual at nu = 0, times
-    1 + eps sigma for sigma > 0.  diagnostics keys: residual_norm
-    (max |r_1..r_M|), iterations, jacobian_cond (of the M x M Newton
-    Jacobian in (w, a_2..a_M), to 3 significant digits), margin,
-    worst_mode, theta_sup, theta_h5, window_theta (||theta||_{H^5}/eps^0.75),
-    window_speed (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
+    1 + eps sigma.  diagnostics keys: residual_norm (max |r_1..r_M|),
+    iterations, jacobian_cond (of the last M x M Newton Jacobian in
+    (w, a_2..a_M) that was factored, to 3 significant digits; nan when no
+    Newton step was taken), margin, worst_mode, theta_sup, theta_h5,
+    window_theta (||theta||_{H^5}/eps^0.75), window_speed
+    (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
     moment_residual, warnings (tuple of strings).
     """
 
@@ -153,10 +156,6 @@ def _inner_lam(shape: FourierShape, eps: float,
                        n_alpha=options.inner_nalpha).lam_on(options.n_grid)
 
 
-def _tension_scale(eps: float, sig: float) -> float:
-    return 1.0 + eps * sig if sig > 0.0 else 1.0
-
-
 def residual(shape: FourierShape, eps: float, w: float, nu: float,
              params: NondimParams, options: SolverOptions = SolverOptions()
              ) -> ResidualVector:
@@ -166,8 +165,8 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     anything is evaluated, and the returned shape is that constrained one;
     no constraint defects are returned (they are at the projection
     tolerance by construction).  The inner solve is skipped when rho = 0 (lambda
-    enters multiplied by rho); for sigma > 0 the pointwise residual is
-    scaled by 1/(1 + eps sigma), which shifts r_0 under nu -> nu + c by
+    enters multiplied by rho); the pointwise residual is scaled by
+    1/(1 + eps sigma), which shifts r_0 under nu -> nu + c by
     -c/(1 + eps sigma) and leaves higher modes untouched.
     """
     shape = project_constraints(shape)
@@ -179,7 +178,7 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     out = solve_outer(grid, w)
     sig = params.sigma_law(eps)
     point = ((params.rho * lam**2 - out.mu**2 + eps * sig * grid.h - nu)
-             / _tension_scale(eps, sig))
+             / (1.0 + eps * sig))
     if not np.all(np.isfinite(point)):
         raise SolverError("non-finite jump residual (inner/outer breakdown)")
     r = cosine_coeffs(point, options.modes)
@@ -204,12 +203,8 @@ def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
 
 
 def _resolve_omega(params: NondimParams) -> float:
-    if params.omega is not None:
-        return params.omega
-    ana = params.sigma_law.omega
-    if ana is not None:
-        return ana
-    return check_sigma(params.sigma_law, params.rho).omega
+    return (params.omega if params.omega is not None
+            else params.sigma_law.omega)
 
 
 def newton_solve(eps: float, params: NondimParams,
@@ -231,14 +226,14 @@ def newton_solve(eps: float, params: NondimParams,
 
     Raises SolverError on non-convergence or stagnation.  A degeneracy
     warning is attached when the mode margin at (rho, omega) is below
-    0.05 or the Jacobian condition number exceeds 1e12.
+    0.05 (_DEGEN_MARGIN) or the Jacobian condition number exceeds 1e12.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     omega = _resolve_omega(params)
     margin, worst = degeneracy_margin(params.rho, omega)
     degen_note = (f" (degeneracy margin {margin:.3e} at mode {worst})"
-                  if margin < 0.05 else "")
+                  if margin < _DEGEN_MARGIN else "")
 
     x = np.zeros(options.modes)
     x[0] = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
@@ -286,12 +281,10 @@ def newton_solve(eps: float, params: NondimParams,
         stalled = (float(np.max(np.abs(dx)))
                    <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
 
-    if jac is None:
-        jac = jacobian_fd(fun, x, rv.r[1:])
-    cond = float(f"{np.linalg.cond(jac):.3g}")
+    cond = math.nan if jac is None else float(f"{np.linalg.cond(jac):.3g}")
 
     warnings_list: list[str] = []
-    if margin < 0.05:
+    if margin < _DEGEN_MARGIN:
         warnings_list.append(
             f"degeneracy margin {margin:.3e} at mode {worst}: linearized "
             "jump condition nearly non-invertible")
@@ -300,7 +293,7 @@ def newton_solve(eps: float, params: NondimParams,
 
     shape = rv.shape
     w = float(x[0])
-    nu = _tension_scale(eps, params.sigma_law(eps)) * float(rv.r[0])
+    nu = (1.0 + params.sigma_law.eps_sigma(eps)) * float(rv.r[0])
     lam = rv.lam
     if params.rho == 0.0:
         # reported even when it does not enter the residual; a failure here

@@ -108,6 +108,10 @@ def test_solve_invalid_eps_is_numerical_error(tmp_path, capsys):
     ["margin-scan", "--grid", "256"],
     ["check-sigma", "--rho", "-1"],                   # negative rho
     ["margin-scan", "--rho", "-1"],
+    ["solve", "--eps", "0.02", "--sigma-kind", "none",  # tension inputs
+     "--sigma-c", "1"],                               # the kind does not read
+    ["check-sigma", "--sigma-kind", "c_over_eps", "--sigma-c", "1",
+     "--sigma-p", "1.5"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
     assert run(argv) == 64

@@ -34,10 +34,17 @@ def water_air_setup(**overrides):
 def test_sigma_law_shapes():
     assert SigmaLaw()(0.01) == 0.0
     assert SigmaLaw(kind="c_over_eps", c=4.0)(0.01) == 400.0
+    for eps in (0.04, 0.013, 0.002):
+        assert SigmaLaw(kind="c_over_eps", c=4.0)(eps) == 4.0 / eps
     law = SigmaLaw(kind="c_log_over_eps", c=2.0)
     assert abs(law(0.01) - 200.0 * math.log(100.0)) < 1e-12
+    # the closed form keeps each named kind's own floating-point operations
+    for eps in (0.04, 0.013, 0.002):
+        assert law(eps) == 2.0 * math.log(1.0 / eps) / eps
     law = SigmaLaw(kind="c_power", c=3.0, p=1.5)
     assert abs(law(0.04) - 3.0 / 0.04**1.5) < 1e-12
+    for eps in (0.04, 0.013, 0.002):
+        assert law(eps) == 3.0 / eps**1.5
     law = SigmaLaw(kind="custom", fn=lambda e: 7.0)
     assert law(0.02) == 7.0
 
@@ -57,6 +64,21 @@ def test_sigma_law_validation():
         SigmaLaw(kind="c_over_eps", c=1.0)(0.0)
     with pytest.raises(ValueError, match="eps"):
         SigmaLaw(kind="c_over_eps", c=1.0)(math.nan)
+    # an input the kind does not read is refused, not ignored
+    with pytest.raises(ValueError, match="no coefficient"):
+        SigmaLaw(kind="none", c=1.0)
+    with pytest.raises(ValueError, match="no coefficient"):
+        SigmaLaw(kind="custom", c=1.0, fn=lambda e: 1.0 / e)
+    with pytest.raises(ValueError, match="no exponent"):
+        SigmaLaw(kind="c_over_eps", c=1.0, p=1.5)
+    with pytest.raises(ValueError, match="no callable"):
+        SigmaLaw(kind="c_log_over_eps", c=1.0, fn=lambda e: 1.0 / e)
+    for kind in ("c_over_eps", "c_log_over_eps"):
+        with pytest.raises(ValueError, match="eps"):
+            SigmaLaw(kind=kind, c=1.0)(math.inf)
+    for value in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="negative or NaN at eps = 0.02"):
+            SigmaLaw(kind="custom", fn=lambda e: value)(0.02)
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SigmaLaw(kind="c_over_eps", c=c)
@@ -75,7 +97,7 @@ def test_sigma_law_omega_and_zero_flag():
     assert SigmaLaw(kind="c_over_eps", c=4.0).omega == 0.25
     assert SigmaLaw(kind="c_log_over_eps", c=1.0).omega == 0.0
     assert SigmaLaw(kind="c_power", c=1.0, p=1.5).omega == 0.0
-    assert SigmaLaw(kind="custom", fn=lambda e: 1.0 / e).omega is None
+    assert abs(SigmaLaw(kind="custom", fn=lambda e: 1.0 / e).omega - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("law", [

@@ -188,6 +188,20 @@ def test_warm_start_ignores_initial_nu(solved_classical):
     assert np.max(np.abs(again.shape.coeffs - st.shape.coeffs)) < 1e-14
 
 
+def test_converged_warm_start_evaluates_one_residual(solved_classical,
+                                                     monkeypatch):
+    # no Newton step, so no Jacobian is built and none has a condition
+    calls = []
+    real = residual
+    monkeypatch.setattr("thinring.solver.residual",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    again = newton_solve(0.02, P_CLASSICAL, options=OPTS8,
+                         init=solved_classical)
+    assert again.diagnostics["iterations"] == 0
+    assert len(calls) == 1
+    assert math.isnan(again.diagnostics["jacobian_cond"])
+
+
 def test_newton_converges_on_the_last_allowed_step(monkeypatch):
     # the cold classical solve at eps = 0.02 takes exactly 2 steps
     monkeypatch.setattr("thinring.solver._MAX_ITER", 2)
@@ -254,6 +268,13 @@ def test_newton_rejects_nonpositive_eps():
             newton_solve(eps, P_CLASSICAL, options=OPTS8)
     with pytest.raises(ValueError, match="positive and finite"):
         newton_solve(math.inf, P_CLASSICAL, options=OPTS8)
+
+
+def test_newton_rejects_negative_custom_tension():
+    params = NondimParams(rho=0.0, omega=math.inf, sigma_law=SigmaLaw(
+        kind="custom", fn=lambda e: -1.0))
+    with pytest.raises(ValueError, match="negative or NaN at eps = 0.02"):
+        newton_solve(0.02, params, options=OPTS8)
 
 
 def test_newton_reports_too_fat_section_as_solver_error():
