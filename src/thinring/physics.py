@@ -63,8 +63,10 @@ class SigmaLaw:
     omega = 1/c), ``c_log_over_eps`` (p = 1, k = 1, omega = 0) and
     ``c_power`` (p in (1, 2) from the law, k = 0, omega = 0), each with
     c >= 0 finite.  ``custom`` wraps a black-box callable fn (no c, no p);
-    its values must be >= 0 and its omega is the numerical estimate of
-    lim 1/(eps sigma).  Only c_power takes p and only custom takes fn.
+    its omega is the numerical estimate of lim 1/(eps sigma).  Only c_power
+    takes p and only custom takes fn.  A value of any kind must be >= 0:
+    a negative or NaN sigma raises ValueError, as c_log_over_eps does past
+    eps = 1, where log(1/eps) < 0.
     """
 
     kind: str = "none"
@@ -103,13 +105,14 @@ class SigmaLaw:
                 f"sigma law evaluated at eps = {eps}, need 0 < eps < inf")
         if self.kind == "custom":
             sigma = float(self.fn(eps))
-            if not sigma >= 0.0:
-                raise ValueError(
-                    f"invalid law: sigma = {sigma} is negative or NaN "
-                    f"at eps = {eps}")
-            return sigma
-        p, k = self._p_k()
-        return self.c * math.log(1.0 / eps) ** k / eps**p
+        else:
+            p, k = self._p_k()
+            sigma = self.c * math.log(1.0 / eps) ** k / eps**p
+        if not sigma >= 0.0:
+            raise ValueError(
+                f"invalid law: sigma = {sigma} is negative or NaN "
+                f"at eps = {eps}")
+        return sigma
 
     def eps_sigma(self, eps: float) -> float:
         return eps * self(eps)
@@ -134,7 +137,7 @@ class SigmaLaw:
 
     def scaled(self, factor: float) -> SigmaLaw:
         """The law multiplied by a positive constant (same kind)."""
-        if factor < 0.0:
+        if not factor >= 0.0:
             raise ValueError("scale factor must be nonnegative")
         if self.kind == "custom":
             f = self.fn

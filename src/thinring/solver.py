@@ -17,6 +17,13 @@ the closed form (1 + eps sigma) r_0 of the residual evaluated at nu = 0.
 The residual is rescaled by 1/(1 + eps sigma(eps)), exactly 1 at sigma = 0:
 the root set is unchanged and the Jacobian diagonal stays O(1) uniformly in
 the large-tension regime eps sigma >> 1.
+
+The iteration is quasi-Newton.  Near a ring the linearized operator is
+invertible and moves smoothly with eps, so one Jacobian, kept current by
+good-Broyden rank-one updates, serves a whole continuation sweep: it is
+built by forward differences only on a cold start or after a step that
+fails to shrink max |r| below 0.7 of its previous value, and each
+converged state carries it to the next.
 """
 
 from __future__ import annotations
@@ -51,6 +58,12 @@ _WINDOW_ELL = 0.75
 # Newton iteration cap and forward-difference Jacobian step
 _MAX_ITER = 25
 _FD_STEP = 1e-7
+
+# a step that leaves max |r| above this factor times its previous value
+# (and above tol) rebuilds the Jacobian by forward differences; 0.5 rebuilt
+# twice in some 8-state tension sweeps where 0.7 to 1.0 rebuilt once, and
+# below 1 a useless carried matrix is caught after one step
+_CONTRACTION = 0.7
 
 # degeneracy margin below which a solve carries a warning
 _DEGEN_MARGIN = 0.05
@@ -130,10 +143,13 @@ class SolutionState:
     """Converged steady section with its scalar data and diagnostics.
 
     nu is the mode-0 projection of the jump residual at nu = 0, times
-    1 + eps sigma.  diagnostics keys: residual_norm (max |r_1..r_M|),
-    iterations, jacobian_cond (of the last M x M Newton Jacobian in
-    (w, a_2..a_M) that was factored, to 3 significant digits; nan when no
-    Newton step was taken), margin, worst_mode, theta_sup, theta_h5,
+    1 + eps sigma.  jacobian is the last M x M Newton matrix in
+    (w, a_2..a_M), forward-difference or Broyden-updated, that a warm
+    start from this state reuses (None when none was built); it is not
+    reported.  diagnostics keys: residual_norm (max |r_1..r_M|),
+    iterations, jacobian_cond (of the last Newton matrix that was
+    factored, to 3 significant digits; nan when no Newton step was
+    taken), margin, worst_mode, theta_sup, theta_h5,
     window_theta (||theta||_{H^5}/eps^0.75), window_speed
     (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
     moment_residual, warnings (tuple of strings).
@@ -148,6 +164,7 @@ class SolutionState:
     lam: np.ndarray
     eps: float
     diagnostics: dict
+    jacobian: np.ndarray | None = None
 
 
 def _inner_lam(shape: FourierShape, eps: float,
@@ -212,17 +229,23 @@ def newton_solve(eps: float, params: NondimParams,
                  options: SolverOptions = SolverOptions()) -> SolutionState:
     """Solve the steady jump condition at fixed eps.
 
-    Unknowns (w, a_2..a_M) against residual modes r_1..r_M; M x M
-    Jacobian by forward differences each step; convergence when max
-    |r_1..r_M| drops below options.tol.  nu is then (1 + eps sigma) r_0 at
+    Unknowns (w, a_2..a_M) against residual modes r_1..r_M.  The M x M
+    matrix is init.jacobian when it has that size, else a forward-difference
+    Jacobian; it is rebuilt by forward differences whenever a step leaves
+    max |r_1..r_M| above options.tol and above _CONTRACTION times its
+    previous value, and otherwise gets a good-Broyden update from each
+    step.  Convergence needs max |r_1..r_M| <= options.tol and, once a step
+    was taken, a last step with max |dx| <= options.tol (1 + max |x|):
+    d r_1 / d w is only about -0.003 to -0.025, so a residual just under
+    tol alone can leave w far off.  nu is then (1 + eps sigma) r_0 at
     nu = 0, which zeroes r_0.  Without an initializer the zero shape and the
     leading-order w are used; they are inside the Newton basin throughout
-    the thin regime eps <= 0.05.  A warm start reads init.w, init.shape
-    and init.eps, not init.nu: w starts at init.w shifted by the change of
-    its asymptotic value from init.eps to eps, and the shape's modes
-    2..M carry over (truncated or zero-padded).  At init.eps == eps the
-    shift is zero, but w is formed as (init.w + W) - W, so it equals
-    init.w only up to roundoff.
+    the thin regime eps <= 0.05.  A warm start reads init.w, init.shape,
+    init.jacobian and init.eps, not init.nu: w starts at init.w shifted by
+    the change of its asymptotic value from init.eps to eps, and the
+    shape's modes 2..M carry over (truncated or zero-padded).  At
+    init.eps == eps the shift is zero, but w is formed as (init.w + W) - W,
+    so it equals init.w only up to roundoff.
 
     Raises SolverError on non-convergence or stagnation.  A degeneracy
     warning is attached when the mode margin at (rho, omega) is below
@@ -255,12 +278,18 @@ def newton_solve(eps: float, params: NondimParams,
     def fun(xv: np.ndarray) -> np.ndarray:
         return evaluate(xv).r[1:]
 
-    jac = None
+    jac = None if init is None else init.jacobian
+    if jac is not None and jac.shape != (options.modes, options.modes):
+        jac = None
+    dx = None
     stalled = False
     for iterations in range(_MAX_ITER + 1):
         rv = evaluate(x)
-        rnorm = float(np.max(np.abs(rv.r[1:])))
-        if rnorm <= options.tol:
+        f = rv.r[1:]
+        rnorm = float(np.max(np.abs(f)))
+        if rnorm <= options.tol and (
+                dx is None or float(np.max(np.abs(dx)))
+                <= options.tol * (1.0 + float(np.max(np.abs(x))))):
             break
         if stalled:
             raise SolverError(
@@ -269,19 +298,29 @@ def newton_solve(eps: float, params: NondimParams,
             raise SolverError(
                 f"no convergence in {_MAX_ITER} iterations "
                 f"(residual {rnorm:.3e})" + degen_note, rnorm)
-        jac = jacobian_fd(fun, x, rv.r[1:])
+        rebuild = jac is None or (
+            dx is not None and rnorm > max(options.tol,
+                                           _CONTRACTION * rnorm_old))
+        if rebuild:
+            jac = jacobian_fd(fun, x, f)
+        elif dx is not None:
+            # good Broyden: the secant condition jac dx = f - f_old
+            jac = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
         try:
-            dx = np.linalg.solve(jac, -rv.r[1:])
+            dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Newton Jacobian" + degen_note,
                               rnorm) from exc
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite Newton step" + degen_note, rnorm)
         x = x + dx
-        stalled = (float(np.max(np.abs(dx)))
-                   <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
+        f_old, rnorm_old = f, rnorm
+        # a tiny step from a reused matrix fails to contract and rebuilds;
+        # only one from a fresh Jacobian is stagnation
+        stalled = rebuild and (float(np.max(np.abs(dx)))
+                               <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
 
-    cond = math.nan if jac is None else float(f"{np.linalg.cond(jac):.3g}")
+    cond = math.nan if dx is None else float(f"{np.linalg.cond(jac):.3g}")
 
     warnings_list: list[str] = []
     if margin < _DEGEN_MARGIN:
@@ -319,7 +358,7 @@ def newton_solve(eps: float, params: NondimParams,
     }
     return SolutionState(shape=shape, w=w, gamma=rv.gamma, nu=nu,
                          s=s_from_w(eps, w), mu=rv.mu, lam=lam, eps=eps,
-                         diagnostics=diagnostics)
+                         diagnostics=diagnostics, jacobian=jac)
 
 
 def continuation(eps_grid, params: NondimParams,
@@ -328,7 +367,7 @@ def continuation(eps_grid, params: NondimParams,
 
     Each solve is newton_solve with init set to the previous state, which
     shifts w by the change of its asymptotic value and carries the shape
-    over.  The first failure aborts; the exception carries the states
+    and the Newton matrix over.  The first failure aborts; the exception carries the states
     already solved.
     """
     eps_grid = [float(e) for e in eps_grid]

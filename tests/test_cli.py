@@ -83,6 +83,16 @@ def test_solve_invalid_eps_is_numerical_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == 1
 
 
+def test_solve_names_negative_tension(tmp_path, capsys):
+    # c log(1/eps) / eps is negative past eps = 1
+    code = run(["solve", "--eps", "2", "--sigma-kind", "c_log_over_eps",
+                "--sigma-c", "1", "--out", str(tmp_path)] + FAST)
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == 1
+    assert "sigma = -0.34" in err["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],                                        # missing --eps
     ["solve", "--eps", "0.02", "--grid", "abc"],      # bad int

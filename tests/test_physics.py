@@ -79,6 +79,9 @@ def test_sigma_law_validation():
     for value in (-1.0, math.nan):
         with pytest.raises(ValueError, match="negative or NaN at eps = 0.02"):
             SigmaLaw(kind="custom", fn=lambda e: value)(0.02)
+    # log(1/eps) < 0 past eps = 1: the named closed form is checked too
+    with pytest.raises(ValueError, match="negative or NaN at eps = 2.0"):
+        SigmaLaw(kind="c_log_over_eps", c=1.0)(2.0)
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SigmaLaw(kind="c_over_eps", c=c)
@@ -117,8 +120,10 @@ def test_sigma_law_scaling():
     assert law.scaled(0.5)(0.01) == 0.5 * law(0.01)
     custom = SigmaLaw(kind="custom", fn=lambda e: 3.0 / e)
     assert custom.scaled(2.0)(0.01) == 600.0
-    with pytest.raises(ValueError):
-        law.scaled(-1.0)
+    for factor in (-1.0, math.nan):
+        for base in (law, custom, SigmaLaw()):
+            with pytest.raises(ValueError, match="scale factor"):
+                base.scaled(factor)
 
 
 # ----------------------------------------------------------- parameter maps
