@@ -1,9 +1,10 @@
-"""Core potential problem: collocation solve and boundary traces."""
+"""Core potential problem: preconditioned GMRES solve and boundary traces."""
 
 import numpy as np
 import pytest
 
 from oracles import core_solve_dense, dtn_disk
+from thinring import inner
 from thinring.inner import particular_solution, solve_inner
 from thinring.shape import FourierShape, GeometryError
 
@@ -11,8 +12,17 @@ ZERO = FourierShape(np.zeros(3))
 
 
 def test_base_lambda_is_minus_two():
+    # the mode-block preconditioner is the exact operator here
     sol = solve_inner(ZERO, 0.0)
     assert np.max(np.abs(sol.lam + 2.0)) < 1e-10
+    assert sol.diagnostics["gmres_iterations"] == 1
+
+
+def test_gmres_miss_raises_geometry_error(monkeypatch):
+    monkeypatch.setattr(inner, "_GMRES_MAX_ITER", 2)
+    shape = FourierShape(np.array([0.0, 0.0, 0.03, -0.01, 0.004]))
+    with pytest.raises(GeometryError, match="relative residual .* after 2"):
+        solve_inner(shape, 0.04)
 
 
 def test_flux_identity_on_circle():
@@ -69,14 +79,23 @@ def test_rejects_unusable_grid(n_r, n_alpha, field):
         solve_inner(ZERO, 0.0, n_r=n_r, n_alpha=n_alpha)
 
 
-@pytest.mark.parametrize("n_r, n_alpha", [(16, 32), (8, 64), (2, 4)])
-@pytest.mark.parametrize("coeffs", [
-    np.zeros(3), np.array([0.0, 0.0, 0.03, -0.01, 0.004]),
-    np.r_[0.0, 0.0, 0.01 / np.arange(2, 33) ** 2]],
-    ids=["zero", "wavy", "decaying"])
-@pytest.mark.parametrize("eps", [0.0, 0.04, 0.2])
+_SHAPES = {"zero": np.zeros(3),
+           "wavy": np.array([0.0, 0.0, 0.03, -0.01, 0.004]),
+           "decaying": np.r_[0.0, 0.0, 0.01 / np.arange(2, 33) ** 2]}
+# the largest deformations tried: 23 to 43 GMRES iterations at 16 x 32
+_HARD = [("a2", np.array([0.0, 0.0, 0.3]), 0.3),
+         ("a8", np.r_[np.zeros(8), 0.08], 0.05),
+         ("twenty", np.r_[0.0, 0.0, 0.02, np.full(20, 0.002)], 0.4)]
+
+
+@pytest.mark.parametrize("n_r, n_alpha, coeffs, eps", [
+    pytest.param(n_r, n_alpha, coeffs, eps, id=f"{eps}-{name}-{n_r}-{n_alpha}")
+    for eps in (0.0, 0.04, 0.2) for name, coeffs in _SHAPES.items()
+    for n_r, n_alpha in ((16, 32), (8, 64), (2, 4))] + [
+    pytest.param(16, 32, coeffs, eps, id=f"{eps}-{name}-16-32")
+    for name, coeffs, eps in _HARD])
 def test_folded_core_solve_matches_dense(n_r, n_alpha, coeffs, eps):
-    # the even-half-grid operator apply against the unfolded kron assembly
+    # the preconditioned GMRES solve against the unfolded kron assembly
     shape = FourierShape(coeffs)
     lam = solve_inner(shape, eps, n_r=n_r, n_alpha=n_alpha).lam
     lam_dense = core_solve_dense(shape, eps, n_r, n_alpha)[1]

@@ -9,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import core_solve_dense
+from thinring.inner import solve_inner
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
 from thinring.shape import FourierShape, area, moment_x1
 from thinring.solver import (ContinuationError, SolverError, SolverOptions,
@@ -264,6 +266,22 @@ def test_core_solve_is_grid_converged_at_positive_rho():
         assert abs(getattr(coarse, name) - getattr(fine, name)) < 1e-9, name
 
 
+@pytest.mark.parametrize("eps", [0.04, 0.005])
+def test_core_solve_on_converged_states(eps):
+    st = newton_solve(eps, P_CORE)
+    sol = solve_inner(st.shape, eps)
+    assert sol.diagnostics["gmres_iterations"] <= 12
+    lam_dense = core_solve_dense(st.shape, eps, 16, 32)[1]
+    assert np.max(np.abs(sol.lam - lam_dense)) < 1e-11
+
+
+def test_newton_converges_at_tight_tol_with_core():
+    # a core solve at roundoff lets Newton reach 1e-12; the dense
+    # collocation solve left the residual at 1e-12 to 3e-12 for 25 steps
+    st = newton_solve(0.04, P_CORE, options=SolverOptions(tol=1e-12))
+    assert st.diagnostics["residual_norm"] <= 1e-12
+
+
 def test_newton_rejects_nonpositive_eps():
     for eps in (-0.01, float("nan")):
         with pytest.raises(ValueError):
@@ -386,6 +404,7 @@ def test_swept_tension_states_match_cold_solves():
 _FAULT_PROBE = """
 import resource
 import numpy as np
+from thinring.inner import solve_inner
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn
 from thinring.shape import FourierShape
 from thinring.solver import SolverOptions, residual
