@@ -19,11 +19,18 @@ the root set is unchanged and the Jacobian diagonal stays O(1) uniformly in
 the large-tension regime eps sigma >> 1.
 
 The iteration is quasi-Newton.  Near a ring the linearized operator is
-invertible and moves smoothly with eps, so one Jacobian, kept current by
-good-Broyden rank-one updates, serves a whole continuation sweep: it is
-built by forward differences only on a cold start or after a step that
-fails to shrink max |r| below 0.7 of its previous value, and each
-converged state carries it to the next.
+invertible and moves smoothly with eps, so one matrix, kept current by
+good-Broyden rank-one updates, serves a whole continuation sweep.  A cold
+start takes the paper's linearized symbol: in (w, a_2..a_M) the shape
+columns are diagonal, (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma)
+with k0 = degeneracy_k0(rho), and only the w column is formed by forward
+differences, at the cost of one residual.  Near degeneracy (margin below
+0.05) a symbol entry is close to 0, so the start is the full
+forward-difference Jacobian instead.  The full Jacobian is also rebuilt
+after a step that fails to shrink max |r| below 0.7 of the larger of its
+last two values (of its last value on the first step): the first Broyden
+update after a symbol start may overshoot for one step.  Each converged
+state carries its matrix to the next.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ import numpy as np
 
 from .inner import solve_inner
 from .outer import solve_outer
-from .physics import NondimParams, asymptotic_wgn, degeneracy_margin, s_from_w
+from .physics import (NondimParams, asymptotic_wgn, degeneracy_k0,
+                      degeneracy_margin, s_from_w)
 from .shape import (FourierShape, GeometryError, ProjectionError, area,
                     build_grid, cosine_coeffs, moment_x1, project_constraints,
                     sobolev_norm)
@@ -59,13 +67,14 @@ _WINDOW_ELL = 0.75
 _MAX_ITER = 25
 _FD_STEP = 1e-7
 
-# a step that leaves max |r| above this factor times its previous value
-# (and above tol) rebuilds the Jacobian by forward differences; 0.5 rebuilt
-# twice in some 8-state tension sweeps where 0.7 to 1.0 rebuilt once, and
-# below 1 a useless carried matrix is caught after one step
+# a step that leaves max |r| above this factor times the larger of its last
+# two values (and above tol) rebuilds the Jacobian by forward differences;
+# 0.5 rebuilt twice in some 8-state tension sweeps where 0.7 to 1.0 rebuilt
+# once, and below 1 a useless carried matrix is caught after one step
 _CONTRACTION = 0.7
 
-# degeneracy margin below which a solve carries a warning
+# degeneracy margin below which a solve carries a warning and a cold start
+# builds the full forward-difference Jacobian instead of the symbol
 _DEGEN_MARGIN = 0.05
 
 
@@ -144,12 +153,14 @@ class SolutionState:
 
     nu is the mode-0 projection of the jump residual at nu = 0, times
     1 + eps sigma.  jacobian is the last M x M Newton matrix in
-    (w, a_2..a_M), forward-difference or Broyden-updated, that a warm
-    start from this state reuses (None when none was built); it is not
-    reported.  diagnostics keys: residual_norm (max |r_1..r_M|),
-    iterations, jacobian_cond (of the last Newton matrix that was
-    factored, to 3 significant digits; nan when no Newton step was
-    taken), margin, worst_mode, theta_sup, theta_h5,
+    (w, a_2..a_M), started from the symbol or by forward differences and
+    Broyden-updated, that a warm start from this state reuses (None when
+    none was built); it is not reported.  diagnostics keys: residual_norm
+    (max |r_1..r_M|), iterations, fd_columns (the residuals spent on
+    forward differences: 1 for a symbol start, M for each full Jacobian,
+    0 for a carried matrix that keeps contracting), jacobian_cond (of the
+    last Newton matrix that was factored, to 3 significant digits; nan
+    when no Newton step was taken), margin, worst_mode, theta_sup, theta_h5,
     window_theta (||theta||_{H^5}/eps^0.75), window_speed
     (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
     moment_residual, warnings (tuple of strings).
@@ -219,6 +230,22 @@ def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _symbol_start(fun, x: np.ndarray, f: np.ndarray, eps: float,
+                  params: NondimParams) -> np.ndarray:
+    """Cold-start matrix: the linearized symbol, with the w column by FD.
+
+    Diagonal entries (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma),
+    l = 1..M; column 0 (w, which the symbol lacks) is one forward
+    difference of fun at (x, f).
+    """
+    l = np.arange(1.0, x.size + 1.0)
+    es = params.sigma_law.eps_sigma(eps)
+    jac = np.diag((es * (l**2 - 1.0) - degeneracy_k0(params.rho) * (l - 1.0))
+                  / (1.0 + es))
+    jac[:, :1] = jacobian_fd(lambda v: fun(np.r_[v, x[1:]]), x[:1], f)
+    return jac
+
+
 def _resolve_omega(params: NondimParams) -> float:
     return (params.omega if params.omega is not None
             else params.sigma_law.omega)
@@ -230,12 +257,15 @@ def newton_solve(eps: float, params: NondimParams,
     """Solve the steady jump condition at fixed eps.
 
     Unknowns (w, a_2..a_M) against residual modes r_1..r_M.  The M x M
-    matrix is init.jacobian when it has that size, else a forward-difference
-    Jacobian; it is rebuilt by forward differences whenever a step leaves
-    max |r_1..r_M| above options.tol and above _CONTRACTION times its
-    previous value, and otherwise gets a good-Broyden update from each
-    step.  Convergence needs max |r_1..r_M| <= options.tol and, once a step
-    was taken, a last step with max |dx| <= options.tol (1 + max |x|):
+    matrix is init.jacobian when it has that size, else the linearized
+    symbol with a forward-difference w column (_symbol_start), or the full
+    forward-difference Jacobian when the degeneracy margin is below
+    _DEGEN_MARGIN.  It is rebuilt by forward differences whenever a step
+    leaves max |r_1..r_M| above options.tol and above _CONTRACTION times
+    the larger of its last two values (its last value after the first
+    step), and otherwise gets a good-Broyden update from each step.
+    Convergence needs max |r_1..r_M| <= options.tol and, once a step was
+    taken, a last step with max |dx| <= options.tol (1 + max |x|):
     d r_1 / d w is only about -0.003 to -0.025, so a residual just under
     tol alone can leave w far off.  nu is then (1 + eps sigma) r_0 at
     nu = 0, which zeroes r_0.  Without an initializer the zero shape and the
@@ -275,7 +305,11 @@ def newton_solve(eps: float, params: NondimParams,
                 f"iterate left the admissible shape region: {exc}{degen_note}"
             ) from exc
 
+    fd_columns = 0
+
     def fun(xv: np.ndarray) -> np.ndarray:
+        nonlocal fd_columns
+        fd_columns += 1
         return evaluate(xv).r[1:]
 
     jac = None if init is None else init.jacobian
@@ -283,6 +317,7 @@ def newton_solve(eps: float, params: NondimParams,
         jac = None
     dx = None
     stalled = False
+    norms: list[float] = []       # max |r| before each step
     for iterations in range(_MAX_ITER + 1):
         rv = evaluate(x)
         f = rv.r[1:]
@@ -298,11 +333,13 @@ def newton_solve(eps: float, params: NondimParams,
             raise SolverError(
                 f"no convergence in {_MAX_ITER} iterations "
                 f"(residual {rnorm:.3e})" + degen_note, rnorm)
-        rebuild = jac is None or (
+        rebuild = ((jac is None and margin < _DEGEN_MARGIN) or (
             dx is not None and rnorm > max(options.tol,
-                                           _CONTRACTION * rnorm_old))
+                                           _CONTRACTION * max(norms[-2:]))))
         if rebuild:
             jac = jacobian_fd(fun, x, f)
+        elif jac is None:
+            jac = _symbol_start(fun, x, f, eps, params)
         elif dx is not None:
             # good Broyden: the secant condition jac dx = f - f_old
             jac = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
@@ -314,9 +351,10 @@ def newton_solve(eps: float, params: NondimParams,
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite Newton step" + degen_note, rnorm)
         x = x + dx
-        f_old, rnorm_old = f, rnorm
-        # a tiny step from a reused matrix fails to contract and rebuilds;
-        # only one from a fresh Jacobian is stagnation
+        f_old = f
+        norms.append(rnorm)
+        # a tiny step from a symbol or reused matrix fails to contract and
+        # rebuilds; only one from a fresh Jacobian is stagnation
         stalled = rebuild and (float(np.max(np.abs(dx)))
                                <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
 
@@ -345,6 +383,7 @@ def newton_solve(eps: float, params: NondimParams,
     diagnostics = {
         "residual_norm": rnorm,
         "iterations": iterations,
+        "fd_columns": fd_columns,
         "jacobian_cond": cond,
         "margin": margin,
         "worst_mode": worst,

@@ -31,6 +31,7 @@ def test_solve_writes_solution_and_boundary(tmp_path, capsys):
     assert doc["nu_normalizations"]["standard"] == doc["nu"]
     assert doc["diagnostics"]["margin"] == "inf"
     assert doc["diagnostics"]["warnings"] == []
+    assert doc["diagnostics"]["fd_columns"] == 1    # the symbol start
     lines = (tmp_path / "boundary.csv").read_text().splitlines()
     assert lines[0] == "alpha,theta,mu,lambda,h"
     assert len(lines) == 129

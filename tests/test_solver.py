@@ -205,9 +205,9 @@ def test_converged_warm_start_evaluates_one_residual(solved_classical,
 
 
 def test_newton_converges_on_the_last_allowed_step(monkeypatch):
-    # the cold classical solve at eps = 0.02 takes exactly 4 steps: one
-    # forward-difference Jacobian, three Broyden updates, and the last step
-    # is needed for the step test although the residual is already below tol
+    # the cold classical solve at eps = 0.02 takes exactly 4 steps: the
+    # symbol start, three Broyden updates, and the last step is needed for
+    # the step test although the residual is already below tol
     monkeypatch.setattr("thinring.solver._MAX_ITER", 4)
     st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
     assert st.diagnostics["iterations"] == 4
@@ -303,17 +303,22 @@ def test_newton_reports_too_fat_section_as_solver_error():
         newton_solve(0.7, P_CLASSICAL, options=OPTS8)
 
 
-def test_newton_warns_near_degenerate_tension():
-    # K = omega / (2 pi^2) just off the integer 3: narrow margin, still solves
+def test_newton_warns_near_degenerate_tension(monkeypatch):
+    # K = omega / (2 pi^2) just off the integer 3: narrow margin, still solves;
+    # a symbol entry near 0 would step out of the shape region, so every
+    # matrix is a full forward-difference Jacobian
     k0 = 1.0 / (2.0 * np.pi**2)
     omega = 3.06 / k0
     params = NondimParams(rho=0.0, omega=omega,
                           sigma_law=SigmaLaw(kind="c_over_eps", c=1.0 / omega))
+    calls = count_fd_jacobians(monkeypatch)
     st = newton_solve(0.02, params, options=OPTS8)
     assert st.diagnostics["residual_norm"] <= OPTS8.tol
     assert abs(st.diagnostics["margin"] - 0.03) < 1e-12
     assert st.diagnostics["worst_mode"] == 2
     assert any("degeneracy margin" in w for w in st.diagnostics["warnings"])
+    assert calls and set(calls) == {8}
+    assert st.diagnostics["fd_columns"] == sum(calls)
 
 
 # -------------------------------------------------------------- continuation
@@ -352,18 +357,21 @@ def test_continuation_failure_carries_partial_results():
 
 
 def count_fd_jacobians(monkeypatch):
+    # the column count of each forward-difference Jacobian
     calls = []
     monkeypatch.setattr("thinring.solver.jacobian_fd",
-                        lambda *a: calls.append(1) or jacobian_fd(*a))
+                        lambda *a: calls.append(a[1].size) or jacobian_fd(*a))
     return calls
 
 
 def test_continuation_builds_one_fd_jacobian(monkeypatch):
-    # the first state's forward-difference Jacobian, Broyden-updated, serves
-    # the whole sweep
+    # the first state's symbol start, whose w column is the only forward
+    # difference, Broyden-updated, serves the whole sweep
     calls = count_fd_jacobians(monkeypatch)
     states = continuation([0.04, 0.03, 0.02, 0.015], P_TENSION, OPTS8)
-    assert len(calls) == 1
+    assert calls == [1]
+    assert states[0].diagnostics["fd_columns"] == 1
+    assert all(st.diagnostics["fd_columns"] == 0 for st in states[1:])
     assert all(st.diagnostics["residual_norm"] <= OPTS8.tol for st in states)
     assert all(st.jacobian.shape == (8, 8) for st in states)
 
@@ -377,7 +385,8 @@ def test_wrong_carried_jacobian_falls_back_to_fd(monkeypatch, scale):
     calls = count_fd_jacobians(monkeypatch)
     bad = newton_solve(0.02, P_CLASSICAL, options=OPTS8,
                        init=replace(prev, jacobian=scale * np.eye(8)))
-    assert len(calls) == 1
+    assert calls == [8]
+    assert bad.diagnostics["fd_columns"] == 8
     assert bad.diagnostics["residual_norm"] <= OPTS8.tol
     assert abs(bad.w - good.w) < 1e-10
 
@@ -387,8 +396,31 @@ def test_carried_jacobian_of_another_size_is_ignored(monkeypatch):
     calls = count_fd_jacobians(monkeypatch)
     opts6 = SolverOptions(n_grid=128, modes=6)
     st = newton_solve(0.02, P_CLASSICAL, init=prev, options=opts6)
-    assert len(calls) == 1
+    assert calls == [1]
     assert st.jacobian.shape == (6, 6)
+
+
+def test_cold_core_solve_starts_from_symbol():
+    # the first Broyden step after the symbol start overshoots (max |r|
+    # 1.8e-3, 3.5e-5, 1.4e-4, 2.3e-8); a contraction test against the last
+    # value alone rebuilds the full Jacobian there
+    st = newton_solve(0.04, P_CORE)
+    assert st.diagnostics["fd_columns"] == 1
+    assert st.diagnostics["iterations"] <= 11
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.005])
+@pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION, P_CORE],
+                         ids=["classical", "tension", "core"])
+def test_symbol_start_matches_fd_start(monkeypatch, params, eps):
+    symbol = newton_solve(eps, params)
+    monkeypatch.setattr("thinring.solver._symbol_start",
+                        lambda fun, x, f, *_: jacobian_fd(fun, x, f))
+    fd = newton_solve(eps, params)
+    assert symbol.diagnostics["fd_columns"] == 1
+    assert fd.diagnostics["fd_columns"] >= SolverOptions().modes
+    for name in ("w", "gamma", "nu"):
+        assert abs(getattr(symbol, name) - getattr(fd, name)) < 1e-9, name
 
 
 def test_swept_tension_states_match_cold_solves():
