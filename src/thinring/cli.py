@@ -113,12 +113,11 @@ def _parse_grid(spec: str) -> list[float]:
     a, b, n = _split_grid(spec)
     if a <= 0.0 or b <= 0.0 or n < 1:
         raise argparse.ArgumentTypeError("grid endpoints must be positive, n >= 1")
-    if a == b and n > 1:
-        raise argparse.ArgumentTypeError("grid endpoints must differ when n > 1")
-    if n == 1:
-        return [a]
-    pts = np.geomspace(a, b, n)
-    return sorted((float(p) for p in pts), reverse=True)
+    pts = sorted((float(p) for p in np.geomspace(a, b, n)), reverse=True)
+    if any(p <= q for p, q in zip(pts, pts[1:])):
+        raise argparse.ArgumentTypeError(
+            f"the {n} grid points must be distinct; endpoints too close")
+    return pts
 
 
 def _sigma_payload(args) -> dict:

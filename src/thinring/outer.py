@@ -38,7 +38,6 @@ the solve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,7 +54,6 @@ __all__ = [
     "OuterSolution",
     "solve_capacity",
     "solve_outer",
-    "eval_streamfunction",
 ]
 
 
@@ -221,29 +219,3 @@ def solve_outer(grid: BoundaryGrid, w: float) -> OuterSolution:
     rhs = 0.5 * w * (1.0 + grid.eps * grid.chi[:, 0]) ** 2
     mu, gamma = _bordered_solve(grid, assemble_full(grid), rhs)
     return OuterSolution(mu=mu, gamma=gamma)
-
-
-def eval_streamfunction(grid: BoundaryGrid, mu: np.ndarray,
-                        points: np.ndarray) -> np.ndarray:
-    """Single-layer stream function at off-boundary points, plain trapezoid.
-
-    The quadrature is spectrally accurate away from the layer but loses all
-    accuracy within a few grid spacings of it; a warning is emitted when
-    any requested point sits closer than five spacings.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts[:, None, :] - grid.chi[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", d, d)
-    min_dist = np.sqrt(np.min(dist_sq))
-    spacing = 2.0 * np.pi * np.max(grid.m) / grid.n
-    if min_dist < 5.0 * spacing:
-        warnings.warn(
-            f"evaluation point within {min_dist:.3g} of the layer; trapezoid "
-            "accuracy degrades inside ~5 grid spacings", stacklevel=2)
-    radial_pt = 1.0 + grid.eps * pts[:, 0]
-    radial_src = 1.0 + grid.eps * grid.chi[:, 0]
-    s2 = np.sqrt(np.outer(radial_pt, radial_src))
-    s = grid.eps**2 * dist_sq / s2**2
-    vals = s2 / (2.0 * np.pi) * f_elliptic(s)
-    out = vals @ (grid.m * mu) * grid.weight
-    return out if np.asarray(points).ndim > 1 else float(out[0])

@@ -1,14 +1,12 @@
-"""Parameter maps, surface-tension laws, asymptotics, and degeneracy margins.
+"""Solve parameters, surface-tension laws, asymptotics, and degeneracy margins.
 
 The solver works in blown-up variables: a section of unit area scale,
 density ratio parameter rho, surface-tension coefficient sigma(eps), ring
 speed W, flux constant gamma, and Bernoulli constant nu.  This module owns
-the translation between those and dimensional quantities (ring radius R,
-core radius eps_bar, circulation b_bar, potential vorticity xi_bar, mass
-densities rho_in/rho_out, dimensional tension sigma_bar), the leading-order
-asymptotic values of (W, gamma, nu), the affine speed coordinate S and its
-map to W, the thin-ring speed law with its core constant, and the
-mode-wise invertibility margin of the linearized jump condition.
+the dimensionless solve parameters, the leading-order asymptotic values of
+(W, gamma, nu) (the generalized Kelvin-Hicks speed law), the affine speed
+coordinate S of W, and the mode-wise invertibility margin of the
+linearized jump condition.
 
 Surface-tension laws are admissible when omega = lim 1/(eps sigma(eps))
 exists in [0, inf) outside the excluded set (8 rho + 1/(2 pi^2))^{-1} N_{>=3},
@@ -28,19 +26,11 @@ import numpy as np
 __all__ = [
     "NAMED_KINDS",
     "SigmaLaw",
-    "PhysicalSetup",
     "NondimParams",
-    "DimensionalState",
     "SigmaReport",
-    "nondimensionalize",
-    "redimensionalize",
-    "dimensionless_state",
     "asymptotic_wgn",
     "nu_sigma_rescaled",
-    "s_asymptotic",
-    "w_from_s",
     "s_from_w",
-    "kelvin_hicks",
     "degeneracy_k0",
     "degeneracy_margin",
     "check_sigma",
@@ -135,53 +125,6 @@ class SigmaLaw:
         p, k = self._p_k()
         return -(p * self(eps) + k * self.c / eps**p) / eps
 
-    def scaled(self, factor: float) -> SigmaLaw:
-        """The law multiplied by a positive constant (same kind)."""
-        if not factor >= 0.0:
-            raise ValueError("scale factor must be nonnegative")
-        if self.kind == "custom":
-            f = self.fn
-            return SigmaLaw(kind="custom", fn=lambda e: factor * f(e))
-        return SigmaLaw(kind=self.kind, c=factor * self.c, p=self.p)
-
-
-@dataclass(frozen=True)
-class PhysicalSetup:
-    """Dimensional description of a two-phase vortex ring.
-
-    rho_in/rho_out are the core and ambient mass densities, R the ring
-    radius, eps_bar the core radius, b_bar the circulation, xi_bar the
-    potential-vorticity amplitude of the core, sigma_bar_law the
-    dimensional surface tension as a function of eps = eps_bar/R.
-    """
-
-    rho_in: float
-    rho_out: float
-    R: float
-    eps_bar: float
-    b_bar: float
-    xi_bar: float
-    sigma_bar_law: SigmaLaw = SigmaLaw()
-
-    def __post_init__(self):
-        for name in ("rho_in", "rho_out", "R", "eps_bar", "b_bar", "xi_bar"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.rho_in < 0.0 or self.rho_out <= 0.0:
-            raise ValueError("densities require rho_in >= 0, rho_out > 0")
-        if self.rho_out < self.rho_in:
-            raise ValueError("heavy-core configurations (rho_in > rho_out) not supported")
-        if self.R <= 0.0 or self.eps_bar <= 0.0:
-            raise ValueError("R and eps_bar must be positive")
-        if self.eps_bar >= self.R:
-            raise ValueError("thin-ring regime requires eps_bar < R")
-        if self.b_bar == 0.0:
-            raise ValueError("degenerate circulation: b_bar = 0")
-
-    @property
-    def eps(self) -> float:
-        return self.eps_bar / self.R
-
 
 def _check_rho(rho: float) -> None:
     if not 0.0 <= rho < math.inf:
@@ -205,49 +148,6 @@ class NondimParams:
         _check_rho(self.rho)
         if self.omega is not None and not self.omega >= 0.0:
             raise ValueError(f"omega must be None or in [0, inf], got {self.omega}")
-
-
-@dataclass(frozen=True)
-class DimensionalState:
-    w_bar: float
-    gamma_bar: float
-    nu_bar: float
-
-
-def nondimensionalize(setup: PhysicalSetup) -> NondimParams:
-    """Dimensionless (rho, sigma law) from a physical setup."""
-    a = math.pi * setup.R**2 * setup.eps_bar**2 * setup.xi_bar
-    b = setup.R * setup.b_bar
-    rho = (a / b) ** 2 * (setup.rho_in / setup.rho_out) / (4.0 * math.pi) ** 2
-    sigma_law = setup.sigma_bar_law.scaled(2.0 * setup.R**3 / (setup.rho_out * b**2))
-    return NondimParams(rho=rho, sigma_law=sigma_law, omega=sigma_law.omega)
-
-
-def redimensionalize(state, setup: PhysicalSetup) -> DimensionalState:
-    """Dimensional (W, gamma, nu) from a solved dimensionless state.
-
-    ``state`` needs attributes w, gamma, nu, eps.  With b = R b_bar the maps
-    are w_bar = (b/R^2) w, gamma_bar = b gamma,
-    nu_bar = rho_out b^2 nu / eps^2.
-    """
-    b = setup.R * setup.b_bar
-    rsq = setup.R**2
-    return DimensionalState(
-        w_bar=b / rsq * state.w,
-        gamma_bar=b * state.gamma,
-        nu_bar=setup.rho_out * b**2 * state.nu / state.eps**2,
-    )
-
-
-def dimensionless_state(setup: PhysicalSetup, dim: DimensionalState,
-                        eps: float) -> tuple[float, float, float]:
-    """Inverse of redimensionalize: (w, gamma, nu) from dimensional values."""
-    b = setup.R * setup.b_bar
-    return (
-        setup.R**2 / b * dim.w_bar,
-        dim.gamma_bar / b,
-        eps**2 * dim.nu_bar / (setup.rho_out * b**2),
-    )
 
 
 def _w_classical(eps: float) -> float:
@@ -288,40 +188,9 @@ def nu_sigma_rescaled(eps: float, rho: float, sigma_law: SigmaLaw) -> float:
     return (4.0 * rho - 1.0 / (4.0 * math.pi**2)) / es + 1.0
 
 
-def s_asymptotic(eps: float, rho: float, sigma_law: SigmaLaw) -> float:
-    """Leading-order affine speed coordinate: S -> 2 rho pi + eps sigma pi."""
-    return 2.0 * rho * math.pi + sigma_law.eps_sigma(eps) * math.pi
-
-
-def w_from_s(eps: float, s: float) -> float:
-    """Ring speed from the affine speed coordinate S."""
-    return _w_classical(eps) + 0.5 * s
-
-
 def s_from_w(eps: float, w: float) -> float:
-    """Affine speed coordinate S from the ring speed (exact inverse of w_from_s)."""
+    """Affine speed coordinate S = 2 (W - (log(8/eps) - 1/2)/(4 pi))."""
     return 2.0 * (w - _w_classical(eps))
-
-
-def kelvin_hicks(setup: PhysicalSetup) -> float:
-    """Thin-ring translation speed, dimensional.
-
-    w_bar = (b_bar / 4 pi R)(log(8R/eps_bar) - 1/2
-            + (1/4)(a_bar/b_bar)^2 (rho_in/rho_out))
-            + (pi / (R b_bar rho_out)) eps_bar sigma_bar(eps)
-
-    with a_bar = pi R eps_bar^2 xi_bar.  The classical core constants are
-    recovered at sigma_bar = 0: a_bar = b_bar with rho_in = rho_out gives
-    c = 1/4 (uniformly rotating one-fluid core), rho_in = 0 gives c = 1/2
-    (hollow core).
-    """
-    a_bar = math.pi * setup.R * setup.eps_bar**2 * setup.xi_bar
-    core = 0.25 * (a_bar / setup.b_bar) ** 2 * setup.rho_in / setup.rho_out
-    w = setup.b_bar / (4.0 * math.pi * setup.R) \
-        * (math.log(8.0 * setup.R / setup.eps_bar) - 0.5 + core)
-    sig = setup.sigma_bar_law(setup.eps)
-    return w + math.pi * setup.eps_bar * sig / (setup.R * setup.b_bar
-                                                 * setup.rho_out)
 
 
 def degeneracy_k0(rho: float) -> float:
@@ -345,7 +214,7 @@ def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
     """
     _check_rho(rho)
     if omega is None:
-        raise ValueError("omega unknown; run check_sigma first")
+        raise ValueError("omega unknown; SigmaLaw.omega gives it")
     if math.isinf(omega):
         return math.inf, 2
     if not omega >= 0.0:

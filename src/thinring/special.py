@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "elliptic_ke",
     "f_elliptic",
     "f_split",
 ]
@@ -84,26 +83,6 @@ def _agm_ke(k2, kp2):
         csum = csum + pow2 * c * c
     bigk = np.pi / (2.0 * a)
     return bigk, bigk * (1.0 - csum)
-
-
-def elliptic_ke(k: float) -> tuple[float, float]:
-    """Complete elliptic integrals (K(k), E(k)) by the arithmetic-geometric mean.
-
-    Parameters
-    ----------
-    k : float
-        Modulus, 0 <= k < 1.
-
-    Returns
-    -------
-    (K, E) : tuple of float
-        First and second complete elliptic integrals, relative error
-        at the 1e-14 level away from the logarithmic blow-up of K.
-    """
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    bigk, bige = _agm_ke(k * k, (1.0 - k) * (1.0 + k))
-    return float(bigk), float(bige)
 
 
 def f_elliptic(s):

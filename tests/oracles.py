@@ -12,18 +12,28 @@ products and solved by LU rather than applied as a function inside
 preconditioned GMRES; ``dtn_disk`` is the
 Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
 ``resample_dense`` is trigonometric interpolation summed on dense cosine and
-sine tables rather than by a zero-padded inverse FFT.
+sine tables rather than by a zero-padded inverse FFT; ``elliptic_ke`` gives
+the complete elliptic integrals at one modulus from the library's AGM.
+
+The dimensional layer, ``PhysicalSetup`` with ``nondimensionalize``,
+``redimensionalize`` and the dimensional speed law ``kelvin_hicks``, is the
+independent check of ``thinring.physics.asymptotic_wgn``: the same
+Kelvin-Hicks law written in R, eps_bar, b_bar, xi_bar and the two densities.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from thinring.inner import _cheb, _fourier_diff, particular_solution
 from thinring.outer import _half_tables, _nystrom
+from thinring.physics import NondimParams, SigmaLaw
 from thinring.shape import BoundaryGrid, FourierShape, GeometryError
-from thinring.special import SPLIT_S_MAX, f_elliptic, f_split
+from thinring.special import SPLIT_S_MAX, _agm_ke, f_elliptic, f_split
 
 
 def _direct_integrand(t: float, s: float) -> float:
@@ -240,3 +250,74 @@ def resample_dense(values: np.ndarray, n_target: int) -> np.ndarray:
     l = np.arange(a.size)
     arg = np.multiply.outer(alpha, l)
     return np.cos(arg) @ a + np.sin(arg) @ b
+
+
+def elliptic_ke(k: float) -> tuple[float, float]:
+    """Complete elliptic integrals (K(k), E(k)) for a modulus 0 <= k < 1."""
+    if not 0.0 <= k < 1.0:
+        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
+    bigk, bige = _agm_ke(k * k, (1.0 - k) * (1.0 + k))
+    return float(bigk), float(bige)
+
+
+@dataclass(frozen=True)
+class PhysicalSetup:
+    """Dimensional vortex ring: core and ambient densities rho_in/rho_out,
+    ring radius R, core radius eps_bar, circulation b_bar, potential-vorticity
+    amplitude xi_bar, and the dimensional tension law of eps = eps_bar/R."""
+
+    rho_in: float
+    rho_out: float
+    R: float
+    eps_bar: float
+    b_bar: float
+    xi_bar: float
+    sigma_bar_law: SigmaLaw = SigmaLaw()
+
+    @property
+    def eps(self) -> float:
+        return self.eps_bar / self.R
+
+
+@dataclass(frozen=True)
+class DimensionalState:
+    w_bar: float
+    gamma_bar: float
+    nu_bar: float
+
+
+def nondimensionalize(setup: PhysicalSetup) -> NondimParams:
+    """rho = (a/b)^2 (rho_in/rho_out)/(4 pi)^2 with a = pi R^2 eps_bar^2 xi_bar,
+    b = R b_bar, and the named tension law scaled by 2 R^3/(rho_out b^2)."""
+    a = math.pi * setup.R**2 * setup.eps_bar**2 * setup.xi_bar
+    b = setup.R * setup.b_bar
+    rho = (a / b) ** 2 * (setup.rho_in / setup.rho_out) / (4.0 * math.pi) ** 2
+    bar = setup.sigma_bar_law
+    law = SigmaLaw(kind=bar.kind, p=bar.p,
+                   c=2.0 * setup.R**3 / (setup.rho_out * b**2) * bar.c)
+    return NondimParams(rho=rho, sigma_law=law, omega=law.omega)
+
+
+def redimensionalize(state, setup: PhysicalSetup) -> DimensionalState:
+    """w_bar = (b/R^2) w, gamma_bar = b gamma, nu_bar = rho_out b^2 nu / eps^2
+    with b = R b_bar; ``state`` needs attributes w, gamma, nu, eps."""
+    b = setup.R * setup.b_bar
+    return DimensionalState(w_bar=b / setup.R**2 * state.w,
+                            gamma_bar=b * state.gamma,
+                            nu_bar=setup.rho_out * b**2 * state.nu / state.eps**2)
+
+
+def kelvin_hicks(setup: PhysicalSetup) -> float:
+    """Dimensional thin-ring speed with a_bar = pi R eps_bar^2 xi_bar:
+
+    w_bar = (b_bar / 4 pi R)(log(8R/eps_bar) - 1/2
+            + (1/4)(a_bar/b_bar)^2 (rho_in/rho_out))
+            + (pi / (R b_bar rho_out)) eps_bar sigma_bar(eps)
+    """
+    a_bar = math.pi * setup.R * setup.eps_bar**2 * setup.xi_bar
+    core = 0.25 * (a_bar / setup.b_bar) ** 2 * setup.rho_in / setup.rho_out
+    w = setup.b_bar / (4.0 * math.pi * setup.R) \
+        * (math.log(8.0 * setup.R / setup.eps_bar) - 0.5 + core)
+    sig = setup.sigma_bar_law(setup.eps)
+    return w + math.pi * setup.eps_bar * sig / (setup.R * setup.b_bar
+                                                 * setup.rho_out)

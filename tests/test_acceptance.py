@@ -16,7 +16,7 @@ from thinring.inner import solve_inner
 from thinring.outer import assemble_full, assemble_limit, kress_log_weights, \
     solve_capacity
 from thinring.physics import (NondimParams, SigmaLaw, asymptotic_wgn,
-                              degeneracy_margin, s_asymptotic)
+                              degeneracy_margin, s_from_w)
 from thinring.shape import FourierShape, build_grid
 from thinring.solver import SolverOptions, continuation, newton_solve, residual
 from thinring.special import f_elliptic, f_split
@@ -218,7 +218,8 @@ def test_criterion_08_speed_coordinate_limit(sweeps):
     states, _ = sweeps
     for name, params in SWEEP_SETS.items():
         defect = np.array([
-            abs(st.s - s_asymptotic(st.eps, params.rho, params.sigma_law))
+            abs(st.s - s_from_w(st.eps, asymptotic_wgn(
+                st.eps, params.rho, params.sigma_law)[0]))
             for st in states[name]])
         assert np.all(np.diff(defect) < 0.0), f"{name}: S defect {defect}"
         assert defect[-1] < 0.05, f"{name}: S defect {defect[-1]:.3g}"

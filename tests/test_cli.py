@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, exit codes, reproducibility."""
 
+import importlib
 import json
 import math
 import os
@@ -113,6 +114,7 @@ def test_solve_names_negative_tension(tmp_path, capsys):
      "--sigma-c", "nan"],                             # non-finite tension
     ["sweep", "--eps-grid", "nan:0.01:3"],            # non-finite grid end
     ["sweep", "--eps-grid", "0.02:0.02:3"],           # equal ends, n > 1
+    ["sweep", "--eps-grid", "0.04:0.04000000000000001:3"],  # near-equal ends
     ["check-sigma", "--modes", "8"],                  # flags the command
     ["check-sigma", "--force"],                       # does not read
     ["margin-scan", "--sigma-kind", "c_over_eps", "--sigma-c", "1"],
@@ -228,3 +230,11 @@ def test_library_imports_without_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["physics", "outer", "special", "shape",
+                                    "inner", "solver"])
+def test_every_export_resolves(module):
+    # a name moved or deleted must leave __all__ with it
+    mod = importlib.import_module(f"thinring.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

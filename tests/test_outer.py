@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import assemble_cartesian, bordered_solve_dense, kernel_direct
-from thinring.outer import (assemble_full, assemble_limit, eval_streamfunction,
-                            kress_log_weights, solve_capacity, solve_outer)
-from thinring.physics import s_from_w, w_from_s
+from thinring.outer import (assemble_full, assemble_limit, kress_log_weights,
+                            solve_capacity, solve_outer)
 from thinring.shape import FourierShape, build_grid
 from thinring.special import f_split
 
@@ -313,45 +312,10 @@ def test_flux_constant_leading_order():
     defect = []
     for eps in (0.04, 0.02, 0.01):
         g = circle_grid(eps, 256)
-        w = w_from_s(eps, 0.0)
+        w = (np.log(8.0 / eps) - 0.5) / (4.0 * np.pi)     # S = 0
         sol = solve_outer(g, w)
         lead = (LOG8 + np.log(1.0 / eps) - 2.0) / (2.0 * np.pi)
         defect.append(abs(sol.gamma + 0.5 * w - lead))
     assert defect[0] > defect[1] > defect[2]
     assert defect[2] < 1e-3
     assert defect[0] / defect[2] > 6.0
-
-
-def test_speed_coordinate_round_trip():
-    for eps in (0.04, 0.005):
-        for s in (-0.3, 0.0, 1.7):
-            assert abs(s_from_w(eps, w_from_s(eps, s)) - s) < 1e-14
-        for w in (0.2, 0.9):
-            assert abs(w_from_s(eps, s_from_w(eps, w)) - w) < 1e-14
-
-
-# -------------------------------------------------------------- field values
-
-def test_streamfunction_grid_convergence_away_from_layer():
-    pts = np.array([[3.0, 0.0], [0.0, -2.5], [1.8, 1.1]])
-    vals = {}
-    for n in (64, 128):
-        g = circle_grid(0.1, n)
-        mu = (1.0 + 0.3 * np.cos(g.alpha)) / (2.0 * np.pi)
-        vals[n] = eval_streamfunction(g, mu, pts)
-    assert np.max(np.abs(vals[64] - vals[128])) < 1e-9
-
-
-def test_streamfunction_warns_near_layer():
-    g = circle_grid(0.1, 64)
-    mu = np.full(g.n, 1.0 / (2.0 * np.pi))
-    with pytest.warns(UserWarning, match="grid spacings"):
-        out = eval_streamfunction(g, mu, np.array([[1.15, 0.0]]))
-    assert np.all(np.isfinite(out))
-
-
-def test_streamfunction_scalar_point_returns_float():
-    g = circle_grid(0.1, 64)
-    mu = np.full(g.n, 1.0 / (2.0 * np.pi))
-    out = eval_streamfunction(g, mu, np.array([3.0, 0.0]))
-    assert isinstance(out, float)

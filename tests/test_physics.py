@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinring.physics import (DimensionalState, NondimParams, PhysicalSetup,
-                              SigmaLaw, asymptotic_wgn, check_sigma,
-                              degeneracy_margin, dimensionless_state,
-                              kelvin_hicks, nondimensionalize,
-                              nu_sigma_rescaled, redimensionalize,
-                              s_asymptotic)
+from oracles import (PhysicalSetup, kelvin_hicks, nondimensionalize,
+                     redimensionalize)
+from thinring.physics import (NondimParams, SigmaLaw, asymptotic_wgn,
+                              check_sigma, degeneracy_margin,
+                              nu_sigma_rescaled, s_from_w)
 
 K0_RHO0 = 1.0 / (2.0 * math.pi**2)
 
@@ -115,17 +114,6 @@ def test_sigma_derivative_matches_finite_difference(law):
     assert abs(law.d_sigma(eps) - fd) < 1e-4 * abs(fd)
 
 
-def test_sigma_law_scaling():
-    law = SigmaLaw(kind="c_over_eps", c=4.0)
-    assert law.scaled(0.5)(0.01) == 0.5 * law(0.01)
-    custom = SigmaLaw(kind="custom", fn=lambda e: 3.0 / e)
-    assert custom.scaled(2.0)(0.01) == 600.0
-    for factor in (-1.0, math.nan):
-        for base in (law, custom, SigmaLaw()):
-            with pytest.raises(ValueError, match="scale factor"):
-                base.scaled(factor)
-
-
 # ----------------------------------------------------------- parameter maps
 
 def test_nondimensionalization_formulas():
@@ -145,32 +133,6 @@ def test_tension_rescaling_in_nondimensionalization():
     factor = 2.0 * setup.R**3 / (setup.rho_out * (setup.R * setup.b_bar) ** 2)
     assert abs(params.sigma_law(0.01) - factor * bar_law(0.01)) < 1e-15
     assert abs(params.omega - 1.0 / (factor * 0.07)) < 1e-12
-
-
-def test_dimensional_round_trip():
-    setup = water_air_setup()
-    state = SimpleNamespace(w=0.83, gamma=0.41, nu=-0.025, eps=setup.eps)
-    dim = redimensionalize(state, setup)
-    w, gamma, nu = dimensionless_state(setup, dim, setup.eps)
-    assert abs(w - state.w) < 1e-14 * abs(state.w)
-    assert abs(gamma - state.gamma) < 1e-14 * abs(state.gamma)
-    assert abs(nu - state.nu) < 1e-14 * abs(state.nu)
-
-
-def test_physical_setup_validation():
-    with pytest.raises(ValueError, match="heavy-core"):
-        water_air_setup(rho_in=2000.0)
-    with pytest.raises(ValueError, match="eps_bar < R"):
-        water_air_setup(eps_bar=2.5)
-    with pytest.raises(ValueError, match="b_bar"):
-        water_air_setup(b_bar=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        water_air_setup(R=-1.0)
-    for field in ("rho_in", "rho_out", "R", "eps_bar", "b_bar", "xi_bar"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                water_air_setup(**{field: bad})
-    assert water_air_setup().eps == 0.02
 
 
 # ---------------------------------------------------------------- asymptotics
@@ -205,10 +167,11 @@ def test_rescaled_bernoulli_constant():
 
 
 def test_speed_coordinate_asymptote():
+    # S of the asymptotic W is 2 rho pi + eps sigma pi
     law = SigmaLaw(kind="c_over_eps", c=4.0)
-    assert abs(s_asymptotic(0.01, 0.25, law)
-               - (0.5 * math.pi + 4.0 * math.pi)) < 1e-14
-    assert abs(s_asymptotic(0.01, 0.0, SigmaLaw())) == 0.0
+    s = s_from_w(0.01, asymptotic_wgn(0.01, 0.25, law)[0])
+    assert abs(s - (0.5 * math.pi + 4.0 * math.pi)) < 1e-14
+    assert s_from_w(0.01, asymptotic_wgn(0.01, 0.0, SigmaLaw())[0]) == 0.0
 
 
 # ------------------------------------------------------------------ speed law

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f_direct
-from thinring.special import SPLIT_S_MAX, elliptic_ke, f_elliptic, f_split
+from oracles import elliptic_ke, f_direct
+from thinring.special import SPLIT_S_MAX, f_elliptic, f_split
 
 # F(s) to 21 digits, computed from the defining integral
 # int_0^pi cos t / sqrt(4 sin^2(t/2) + s) dt with 40-digit quadrature
