@@ -359,9 +359,10 @@ def _add_command(sub, name: str, summary: str, fn, *inputs):
                        help="exponent for c_power, in (1, 2)")
     if _options in inputs:
         p.add_argument("--modes", type=int, default=SolverOptions.modes,
-                       help="cosine truncation M")
+                       help="cap on the cosine truncation M (the M used "
+                       "is diagnostics.modes)")
         p.add_argument("--grid", type=int, default=SolverOptions.n_grid,
-                       help="boundary nodes N")
+                       help="boundary nodes N at the cap")
         p.add_argument("--tol", type=_finite, default=SolverOptions.tol,
                        help="Newton tolerance")
         p.add_argument("--force", action="store_true",

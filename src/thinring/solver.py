@@ -31,12 +31,21 @@ after a step that fails to shrink max |r| below 0.7 of the larger of its
 last two values (of its last value on the first step): the first Broyden
 update after a symbol start may overshoot for one step.  Each converged
 state carries its matrix to the next.
+
+The truncation M is chosen per solve by a two-grid check, truncation by
+coefficient decay (Boyd 2001, Chebyshev and Fourier Spectral Methods,
+ch. 2; Aurentz and Trefethen 2017, ACM TOMS 43).  Newton converges at
+M = 8 on grids scaled to M; the zero-padded state then gets one residual
+at 2M on grids twice as fine, and is accepted when that residual is below
+the tolerance.  Otherwise M doubles, up to the cap SolverOptions.modes,
+and the Newton matrix climbs with it, padded by the symbol diagonal.  Thin
+sections are accepted at M = 8.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +86,9 @@ _CONTRACTION = 0.7
 # builds the full forward-difference Jacobian instead of the symbol
 _DEGEN_MARGIN = 0.05
 
+# the first level of newton_solve's truncation ladder
+_BASE_MODES = 8
+
 
 class SolverError(RuntimeError):
     """Newton failure; carries the last residual norm when available."""
@@ -98,11 +110,14 @@ class ContinuationError(RuntimeError):
 class SolverOptions:
     """Discretization and iteration controls.
 
-    n_grid is the boundary quadrature size, modes the cosine truncation M,
-    inner_nr/inner_nalpha the core collocation resolution.  The Newton
-    tolerance applies to the infinity norm of the projected residual; the
-    attainable floor is set by grid resolution, about 1e-12 at the
-    defaults for thin sections.
+    modes is the cap on the cosine truncation M that newton_solve climbs
+    to, n_grid the boundary quadrature size and inner_nr/inner_nalpha the
+    core collocation resolution at that cap; a level below the cap scales
+    n_grid by M / modes and takes 4 (M + 1) core angles (see _level).
+    residual evaluates at exactly these grids.  The Newton tolerance
+    applies to the infinity norm of the projected residual; the attainable
+    floor is set by grid resolution, about 1e-12 at the defaults for thin
+    sections.  Integer fields reject bool.
     """
 
     n_grid: int = 256
@@ -113,7 +128,9 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("n_grid", "modes", "inner_nr", "inner_nalpha"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"{name} must be an integer")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
@@ -151,17 +168,26 @@ class ResidualVector:
 class SolutionState:
     """Converged steady section with its scalar data and diagnostics.
 
-    nu is the mode-0 projection of the jump residual at nu = 0, times
-    1 + eps sigma.  jacobian is the last M x M Newton matrix in
-    (w, a_2..a_M), started from the symbol or by forward differences and
-    Broyden-updated, that a warm start from this state reuses (None when
-    none was built); it is not reported.  diagnostics keys: residual_norm
-    (max |r_1..r_M|), iterations, fd_columns (the residuals spent on
-    forward differences: 1 for a symbol start, M for each full Jacobian,
-    0 for a carried matrix that keeps contracting), jacobian_cond (of the
-    last Newton matrix that was factored, to 3 significant digits; nan
-    when no Newton step was taken), margin, worst_mode, theta_sup, theta_h5,
-    window_theta (||theta||_{H^5}/eps^0.75), window_speed
+    A state solved at M below the cap is reported from its check
+    evaluation at min(2M, cap): shape is the constrained shape zero-padded
+    to that size, and gamma, mu and lam are that evaluation's, on its grid
+    (at rho = 0, where lam does not enter the residual, it is one core
+    solve on the core grid of the options, resampled onto that grid).  nu
+    is its mode-0 projection at nu = 0, times 1 + eps sigma.  A state
+    solved at the cap is reported from its last residual.  jacobian is the
+    M x M Newton matrix in (w, a_2..a_M) at the solved M, started from the
+    symbol or by forward differences and Broyden-updated, that a warm start
+    from this state reuses (None when none was built); it is not reported.
+    diagnostics keys: residual_norm (max |r_1..r_2M| of the check, or
+    max |r_1..r_M| at the cap), modes (the M it was solved at),
+    check_residual (the check's max |r_1..r_2M|; nan when solved at the
+    cap, which has no check), iterations (Newton steps over all levels),
+    fd_columns (the residuals spent on forward differences: 1 for a symbol
+    start, M for each full Jacobian, 0 for a carried matrix that keeps
+    contracting), jacobian_cond (of the last Newton matrix that was
+    factored, to 3 significant digits; nan when no Newton step was taken),
+    margin, worst_mode, theta_sup, theta_h5, window_theta
+    (||theta||_{H^5}/eps^0.75), window_speed
     (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
     moment_residual, warnings (tuple of strings).
     """
@@ -178,10 +204,11 @@ class SolutionState:
     jacobian: np.ndarray | None = None
 
 
-def _inner_lam(shape: FourierShape, eps: float,
-               options: SolverOptions) -> np.ndarray:
+def _inner_lam(shape: FourierShape, eps: float, options: SolverOptions,
+               n: int) -> np.ndarray:
+    # lambda on the core grid of options, resampled onto n boundary angles
     return solve_inner(shape, eps, n_r=options.inner_nr,
-                       n_alpha=options.inner_nalpha).lam_on(options.n_grid)
+                       n_alpha=options.inner_nalpha).lam_on(n)
 
 
 def residual(shape: FourierShape, eps: float, w: float, nu: float,
@@ -200,7 +227,7 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     shape = project_constraints(shape)
     grid = build_grid(shape, eps, options.n_grid)
     if params.rho > 0.0:
-        lam = _inner_lam(shape, eps, options)
+        lam = _inner_lam(shape, eps, options, options.n_grid)
     else:
         lam = np.zeros(options.n_grid)
     out = solve_outer(grid, w)
@@ -230,20 +257,43 @@ def jacobian_fd(fun, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _symbol(modes: int, eps: float, params: NondimParams) -> np.ndarray:
+    """Diagonal of the linearized symbol in the rows r_1..r_M, M = modes.
+
+    (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma), l = 1..M; it is 0
+    at l = 1, where the w column stands in for the shape mode.
+    """
+    l = np.arange(1.0, modes + 1.0)
+    es = params.sigma_law.eps_sigma(eps)
+    return ((es * (l**2 - 1.0) - degeneracy_k0(params.rho) * (l - 1.0))
+            / (1.0 + es))
+
+
 def _symbol_start(fun, x: np.ndarray, f: np.ndarray, eps: float,
                   params: NondimParams) -> np.ndarray:
     """Cold-start matrix: the linearized symbol, with the w column by FD.
 
-    Diagonal entries (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma),
-    l = 1..M; column 0 (w, which the symbol lacks) is one forward
-    difference of fun at (x, f).
+    Column 0 (w, which the symbol lacks) is one forward difference of fun
+    at (x, f).
     """
-    l = np.arange(1.0, x.size + 1.0)
-    es = params.sigma_law.eps_sigma(eps)
-    jac = np.diag((es * (l**2 - 1.0) - degeneracy_k0(params.rho) * (l - 1.0))
-                  / (1.0 + es))
+    jac = np.diag(_symbol(x.size, eps, params))
     jac[:, :1] = jacobian_fd(lambda v: fun(np.r_[v, x[1:]]), x[:1], f)
     return jac
+
+
+def _level(options: SolverOptions, modes: int) -> SolverOptions:
+    """Grids of the ladder level that solves at M = modes.
+
+    The cap level, modes == options.modes, is options itself.  A lower
+    level scales n_grid by M / options.modes, rounded up to even and at
+    least 4 (M + 1), and gives the core 4 (M + 1) angles, which resolve its
+    M modes without aliasing.
+    """
+    if modes == options.modes:
+        return options
+    n_grid = 2 * -(-options.n_grid * modes // (2 * options.modes))
+    return replace(options, n_grid=max(n_grid, 4 * (modes + 1)), modes=modes,
+                   inner_nalpha=4 * (modes + 1))
 
 
 def _resolve_omega(params: NondimParams) -> float:
@@ -256,19 +306,34 @@ def newton_solve(eps: float, params: NondimParams,
                  options: SolverOptions = SolverOptions()) -> SolutionState:
     """Solve the steady jump condition at fixed eps.
 
-    Unknowns (w, a_2..a_M) against residual modes r_1..r_M.  The M x M
-    matrix is init.jacobian when it has that size, else the linearized
-    symbol with a forward-difference w column (_symbol_start), or the full
-    forward-difference Jacobian when the degeneracy margin is below
-    _DEGEN_MARGIN.  It is rebuilt by forward differences whenever a step
-    leaves max |r_1..r_M| above options.tol and above _CONTRACTION times
-    the larger of its last two values (its last value after the first
-    step), and otherwise gets a good-Broyden update from each step.
-    Convergence needs max |r_1..r_M| <= options.tol and, once a step was
-    taken, a last step with max |dx| <= options.tol (1 + max |x|):
+    The truncation M climbs a ladder of levels within the call.  Newton
+    converges at M = min(8, options.modes) on the grids of _level; the
+    converged state, zero-padded, then gets one residual at the next level,
+    min(2M, options.modes), on that level's grids.  When its
+    max |r_1..r_2M| is at most options.tol the state is accepted and
+    reported from that check evaluation (gamma, nu, mu, lam and the padded
+    shape, all on the finer grid).  Otherwise Newton carries on at the
+    finer level from the padded state, with the check as its first
+    residual.  The cap level, options.modes on options' own grids, takes no
+    check and is reported from its last residual.
+
+    At each level the unknowns are (w, a_2..a_M) against residual modes
+    r_1..r_M.  The M x M matrix is init.jacobian, or the matrix of the
+    level below, carried to M: its leading block when M is smaller, padded
+    with the symbol diagonal for the added modes when M is larger (near
+    degeneracy, margin below _DEGEN_MARGIN, a padded matrix is dropped).
+    Without a matrix the start is the linearized symbol with a
+    forward-difference w column (_symbol_start), or the full
+    forward-difference Jacobian when the margin is below _DEGEN_MARGIN.
+    It is rebuilt by forward differences whenever a step leaves
+    max |r_1..r_M| above options.tol and above _CONTRACTION times the
+    larger of its last two values at this level (its last value after the
+    level's first step), and otherwise gets a good-Broyden update from each
+    step.  A level converges when max |r_1..r_M| <= options.tol and, once
+    it took a step, its last step has max |dx| <= options.tol (1 + max |x|):
     d r_1 / d w is only about -0.003 to -0.025, so a residual just under
-    tol alone can leave w far off.  nu is then (1 + eps sigma) r_0 at
-    nu = 0, which zeroes r_0.  Without an initializer the zero shape and the
+    tol alone can leave w far off.  nu is (1 + eps sigma) r_0 at nu = 0,
+    which zeroes r_0.  Without an initializer the zero shape and the
     leading-order w are used; they are inside the Newton basin throughout
     the thin regime eps <= 0.05.  A warm start reads init.w, init.shape,
     init.jacobian and init.eps, not init.nu: w starts at init.w shifted by
@@ -277,9 +342,10 @@ def newton_solve(eps: float, params: NondimParams,
     init.eps == eps the shift is zero, but w is formed as (init.w + W) - W,
     so it equals init.w only up to roundoff.
 
-    Raises SolverError on non-convergence or stagnation.  A degeneracy
-    warning is attached when the mode margin at (rho, omega) is below
-    0.05 (_DEGEN_MARGIN) or the Jacobian condition number exceeds 1e12.
+    Raises SolverError on non-convergence (after _MAX_ITER steps at one
+    level) or stagnation.  A degeneracy warning is attached when the mode
+    margin at (rho, omega) is below 0.05 (_DEGEN_MARGIN) or the Jacobian
+    condition number exceeds 1e12.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -288,18 +354,30 @@ def newton_solve(eps: float, params: NondimParams,
     degen_note = (f" (degeneracy margin {margin:.3e} at mode {worst})"
                   if margin < _DEGEN_MARGIN else "")
 
-    x = np.zeros(options.modes)
+    def carry(jac: np.ndarray | None, modes: int) -> np.ndarray | None:
+        # near degeneracy a padded symbol entry may be close to 0
+        if jac is None or (jac.shape[0] < modes and margin < _DEGEN_MARGIN):
+            return None
+        out = np.diag(_symbol(modes, eps, params))
+        k = min(modes, jac.shape[0])
+        out[:k, :k] = jac[:k, :k]
+        return out
+
+    level = _level(options, min(_BASE_MODES, options.modes))
+    x = np.zeros(level.modes)
     x[0] = asymptotic_wgn(eps, params.rho, params.sigma_law)[0]
+    jac = None
     if init is not None:
         w_old = asymptotic_wgn(init.eps, params.rho, params.sigma_law)[0]
-        high = init.shape.coeffs[2:options.modes + 1]
+        high = init.shape.coeffs[2:level.modes + 1]
         x[0] = init.w + x[0] - w_old
         x[1:1 + high.size] = high
+        jac = carry(init.jacobian, level.modes)
 
-    def evaluate(xv: np.ndarray) -> ResidualVector:
+    def evaluate(xv: np.ndarray, grids: SolverOptions) -> ResidualVector:
         try:
             return residual(FourierShape(np.r_[0.0, 0.0, xv[1:]]), eps, xv[0],
-                            0.0, params, options)
+                            0.0, params, grids)
         except (GeometryError, ProjectionError) as exc:
             raise SolverError(
                 f"iterate left the admissible shape region: {exc}{degen_note}"
@@ -310,29 +388,43 @@ def newton_solve(eps: float, params: NondimParams,
     def fun(xv: np.ndarray) -> np.ndarray:
         nonlocal fd_columns
         fd_columns += 1
-        return evaluate(xv).r[1:]
+        return evaluate(xv, level).r[1:]
 
-    jac = None if init is None else init.jacobian
-    if jac is not None and jac.shape != (options.modes, options.modes):
-        jac = None
+    iterations = 0
     dx = None
     stalled = False
-    norms: list[float] = []       # max |r| before each step
-    for iterations in range(_MAX_ITER + 1):
-        rv = evaluate(x)
+    norms: list[float] = []       # max |r| before each step at this level
+    rv = evaluate(x, level)
+    while True:
         f = rv.r[1:]
         rnorm = float(np.max(np.abs(f)))
+        bound = options.tol * (1.0 + float(np.max(np.abs(x))))
         if rnorm <= options.tol and (
-                dx is None or float(np.max(np.abs(dx)))
-                <= options.tol * (1.0 + float(np.max(np.abs(x))))):
-            break
+                dx is None or float(np.max(np.abs(dx))) <= bound):
+            # converged at this level: check it on the next level's grids
+            modes, check = level.modes, math.nan
+            if modes == options.modes:
+                break
+            level = _level(options, min(2 * modes, options.modes))
+            x = np.r_[x, np.zeros(level.modes - modes)]
+            rv = evaluate(x, level)
+            check = float(np.max(np.abs(rv.r[1:])))
+            if check <= options.tol:
+                break
+            jac = carry(jac, level.modes)
+            dx, stalled, norms = None, False, []
+            continue
         if stalled:
             raise SolverError(
                 f"Newton stagnated at residual {rnorm:.3e}" + degen_note, rnorm)
-        if iterations == _MAX_ITER:
+        if len(norms) == _MAX_ITER:
+            detail = f"residual {rnorm:.3e}"
+            if rnorm <= options.tol:
+                detail += (f", last step {float(np.max(np.abs(dx))):.3e} "
+                           f"above its bound {bound:.3e}")
             raise SolverError(
-                f"no convergence in {_MAX_ITER} iterations "
-                f"(residual {rnorm:.3e})" + degen_note, rnorm)
+                f"no convergence in {_MAX_ITER} iterations at M = "
+                f"{level.modes} ({detail})" + degen_note, rnorm)
         rebuild = ((jac is None and margin < _DEGEN_MARGIN) or (
             dx is not None and rnorm > max(options.tol,
                                            _CONTRACTION * max(norms[-2:]))))
@@ -351,14 +443,19 @@ def newton_solve(eps: float, params: NondimParams,
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite Newton step" + degen_note, rnorm)
         x = x + dx
+        iterations += 1
         f_old = f
         norms.append(rnorm)
         # a tiny step from a symbol or reused matrix fails to contract and
         # rebuilds; only one from a fresh Jacobian is stagnation
         stalled = rebuild and (float(np.max(np.abs(dx)))
                                <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
+        rv = evaluate(x, level)
 
-    cond = math.nan if dx is None else float(f"{np.linalg.cond(jac):.3g}")
+    # a level above the first always steps, so the last matrix was factored
+    # once any level stepped
+    cond = (math.nan if iterations == 0
+            else float(f"{np.linalg.cond(jac):.3g}"))
 
     warnings_list: list[str] = []
     if margin < _DEGEN_MARGIN:
@@ -373,15 +470,17 @@ def newton_solve(eps: float, params: NondimParams,
     nu = (1.0 + params.sigma_law.eps_sigma(eps)) * float(rv.r[0])
     lam = rv.lam
     if params.rho == 0.0:
-        # reported even when it does not enter the residual; a failure here
-        # must not void the converged state
+        # reported even when it does not enter the residual, on the core
+        # grid of options; a failure here must not void the converged state
         try:
-            lam = _inner_lam(shape, eps, options)
+            lam = _inner_lam(shape, eps, options, level.n_grid)
         except GeometryError as exc:
             warnings_list.append(f"inner velocity report unavailable: {exc}")
     th5 = sobolev_norm(shape, 5)
     diagnostics = {
-        "residual_norm": rnorm,
+        "residual_norm": float(np.max(np.abs(rv.r[1:]))),
+        "modes": modes,
+        "check_residual": check,
         "iterations": iterations,
         "fd_columns": fd_columns,
         "jacobian_cond": cond,

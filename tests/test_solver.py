@@ -82,14 +82,17 @@ def test_options_require_resolved_modes():
     (1, 32, "inner_nr"), (0, 32, "inner_nr"), (16, 31, "inner_nalpha"),
     (16, 0, "inner_nalpha"), (16, 1, "inner_nalpha"), (16, -2, "inner_nalpha"),
     (16.0, 32, "inner_nr"), (16, 32.0, "inner_nalpha"),
+    (True, 32, "inner_nr"), (16, True, "inner_nalpha"),
 ])
 def test_options_reject_unusable_core_grid(inner_nr, inner_nalpha, field):
     with pytest.raises(ValueError, match=field):
         SolverOptions(inner_nr=inner_nr, inner_nalpha=inner_nalpha)
 
 
-@pytest.mark.parametrize("field, value", [("n_grid", 128.0), ("modes", 8.0)])
+@pytest.mark.parametrize("field, value", [("n_grid", 128.0), ("modes", 8.0),
+                                          ("modes", True)])
 def test_options_require_integer_sizes(field, value):
+    # bool is an int subclass; modes=True must not make a one-mode option set
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{"n_grid": 128, "modes": 8, field: value})
     opts = SolverOptions(n_grid=np.int64(128), modes=np.int32(8),
@@ -212,9 +215,13 @@ def test_newton_converges_on_the_last_allowed_step(monkeypatch):
     st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
     assert st.diagnostics["iterations"] == 4
     assert st.diagnostics["residual_norm"] <= OPTS8.tol
+    # with the residual below tol, the message names the step that is not
     monkeypatch.setattr("thinring.solver._MAX_ITER", 3)
-    with pytest.raises(SolverError, match="no convergence in 3 iterations"):
+    with pytest.raises(SolverError, match=r"no convergence in 3 iterations "
+                       r"at M = 8 \(residual .*, last step .* above its "
+                       r"bound .*\)") as exc_info:
         newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+    assert exc_info.value.residual_norm <= OPTS8.tol
 
 
 @pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION],
@@ -391,13 +398,20 @@ def test_wrong_carried_jacobian_falls_back_to_fd(monkeypatch, scale):
     assert abs(bad.w - good.w) < 1e-10
 
 
-def test_carried_jacobian_of_another_size_is_ignored(monkeypatch):
-    prev = newton_solve(0.04, P_CLASSICAL, options=OPTS8)
-    calls = count_fd_jacobians(monkeypatch)
+def test_carried_jacobian_of_another_size_is_resized(monkeypatch):
+    # the leading block when M shrinks, the symbol diagonal padding the
+    # added modes when it grows; neither needs a forward difference
     opts6 = SolverOptions(n_grid=128, modes=6)
-    st = newton_solve(0.02, P_CLASSICAL, init=prev, options=opts6)
-    assert calls == [1]
-    assert st.jacobian.shape == (6, 6)
+    prev8 = newton_solve(0.04, P_CLASSICAL, options=OPTS8)
+    prev6 = newton_solve(0.04, P_CLASSICAL, options=opts6)
+    calls = count_fd_jacobians(monkeypatch)
+    shrunk = newton_solve(0.02, P_CLASSICAL, init=prev8, options=opts6)
+    grown = newton_solve(0.02, P_CLASSICAL, init=prev6, options=OPTS8)
+    assert calls == []
+    assert shrunk.jacobian.shape == (6, 6) and grown.jacobian.shape == (8, 8)
+    for st, opts in ((shrunk, opts6), (grown, OPTS8)):
+        assert st.diagnostics["fd_columns"] == 0
+        assert st.diagnostics["residual_norm"] <= opts.tol
 
 
 def test_cold_core_solve_starts_from_symbol():
@@ -418,7 +432,10 @@ def test_symbol_start_matches_fd_start(monkeypatch, params, eps):
                         lambda fun, x, f, *_: jacobian_fd(fun, x, f))
     fd = newton_solve(eps, params)
     assert symbol.diagnostics["fd_columns"] == 1
-    assert fd.diagnostics["fd_columns"] >= SolverOptions().modes
+    # the full start is built at the ladder's first level, M = 8; a climb
+    # pads it with the symbol diagonal
+    assert fd.diagnostics["fd_columns"] >= 8
+    assert fd.diagnostics["modes"] == symbol.diagnostics["modes"]
     for name in ("w", "gamma", "nu"):
         assert abs(getattr(symbol, name) - getattr(fd, name)) < 1e-9, name
 
@@ -429,6 +446,86 @@ def test_swept_tension_states_match_cold_solves():
     swept = continuation([0.03482, 0.02639, 0.02297], P_TENSION)
     for st in swept[1:]:
         assert abs(st.w - newton_solve(st.eps, P_TENSION).w) < 1e-9, st.eps
+
+
+# ---------------------------------------------------------- resolution ladder
+
+def record_levels(monkeypatch):
+    # (M, N, core angles) of every residual newton_solve evaluates
+    seen = []
+    real = residual
+
+    def recording(*args):
+        opts = args[-1]
+        seen.append((opts.modes, opts.n_grid, opts.inner_nalpha))
+        return real(*args)
+
+    monkeypatch.setattr("thinring.solver.residual", recording)
+    return seen
+
+
+def test_accepted_state_is_reported_from_the_check(monkeypatch):
+    # solved at M = 8 on 64 points, checked and reported at M = 16 on 128
+    seen = record_levels(monkeypatch)
+    st = newton_solve(0.02, P_CLASSICAL)
+    d = st.diagnostics
+    assert set(seen) == {(8, 64, 36), (16, 128, 68)}
+    assert seen[-1] == (16, 128, 68) and seen.count(seen[-1]) == 1
+    assert d["modes"] == 8
+    assert d["residual_norm"] == d["check_residual"] <= SolverOptions().tol
+    assert st.shape.coeffs.size == 17 and not np.any(st.shape.coeffs[9:])
+    assert st.mu.size == st.lam.size == 128
+    assert st.jacobian.shape == (8, 8)
+    check = SolverOptions(n_grid=128, modes=16, inner_nalpha=68)
+    rv = residual(st.shape, st.eps, st.w, st.nu, P_CLASSICAL, check)
+    assert abs(rv.r[0]) < 1e-14
+    assert float(np.max(np.abs(rv.r[1:]))) == d["check_residual"]
+
+
+def test_classical_solve_climbs_to_the_cap(monkeypatch):
+    # far from the disk, M = 8 and M = 16 miss tol on their check grids;
+    # the Newton matrix climbs with the state, and each failed check is the
+    # next level's first residual
+    seen = record_levels(monkeypatch)
+    st = newton_solve(0.3, P_CLASSICAL)
+    d = st.diagnostics
+    assert d["modes"] == 32 and math.isnan(d["check_residual"])
+    assert d["residual_norm"] <= SolverOptions().tol
+    assert d["fd_columns"] == 1
+    assert sorted(set(seen)) == [(8, 64, 36), (16, 128, 68), (32, 256, 32)]
+    # the first residual, the w column, one per step and the two checks
+    assert len(seen) == 1 + d["fd_columns"] + d["iterations"] + 2
+    assert st.mu.size == 256 and st.shape.coeffs.size == 33
+    assert st.jacobian.shape == (32, 32)
+
+
+@pytest.mark.parametrize("modes, levels", [(8, {(8, 128)}),
+                                           (12, {(8, 86), (12, 128)})])
+def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
+    # a level below the cap scales n_grid by M / modes, rounded up to even
+    seen = record_levels(monkeypatch)
+    st = newton_solve(0.3, P_CLASSICAL,
+                      options=SolverOptions(n_grid=128, modes=modes))
+    assert {(m, n) for m, n, _ in seen} == levels
+    assert st.diagnostics["modes"] == modes
+    assert st.mu.size == 128
+
+
+def test_core_sweep_stays_coarse_and_builds_one_fd_column(monkeypatch):
+    # a 16 x 32 core at M = 32 aliases modes 16 and up, and Broyden stalls
+    # on those matrix entries into forward-difference rebuilds; the level
+    # grids resolve every mode of their M
+    states = continuation(np.linspace(0.04, 0.005, 8), P_CORE)
+    assert sum(st.diagnostics["fd_columns"] for st in states) == 1
+    # against solves pinned at M = 32 on a core grid that resolves it
+    monkeypatch.setattr("thinring.solver._BASE_MODES", 32)
+    pinned = SolverOptions(inner_nalpha=4 * 33)
+    for st in states:
+        ref = newton_solve(st.eps, P_CORE, options=pinned)
+        assert ref.diagnostics["modes"] == 32
+        for name in ("w", "gamma", "nu"):
+            assert abs(getattr(st, name) - getattr(ref, name)) < 1e-9, (
+                name, st.eps)
 
 
 # ------------------------------------------------------------- heap reuse
