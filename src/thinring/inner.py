@@ -28,24 +28,22 @@ coordinate singularity; fields at negative radius are identified with their
 antipodes, which keeps spectral accuracy across the center (Trefethen,
 Spectral Methods in MATLAB, ch. 11).
 
-The discrete operator is written once, as a function on fields (n_r,
-n_alpha): the radial derivative is a Chebyshev matrix product plus its
-antipodal partner, the angular derivative a Fourier matrix product.  No
-collocation matrix is formed.  The Dirichlet data are lifted onto the ring
-t = 1, and GMRES (Saad and Schultz 1986) solves for the interior rows with
-the operator applied as a function.  Its right preconditioner is the
-operator at theta = 0, eps = 0, s times the disk Laplacian, which is
-diagonal in the Fourier modes: one small radial block per mode, inverted
-once per grid and applied by one real FFT, one batched block product and
-one inverse FFT.  Since the reflection alpha -> -alpha commutes with the
-operator, u comes out even in alpha from the even data without a fold.  A
-solve that misses its tolerance raises GeometryError.
+The section is even in alpha, so u is too, and the operator is one function
+on fields over the half-grid alpha_0 .. alpha_{n_alpha/2}, with no
+collocation matrix: the radial derivative is a Chebyshev matrix product plus
+its antipodal partner (on an even field the column reversal), the angular
+one the Fourier matrix folded by alpha -> -alpha.  With the Dirichlet data
+lifted onto the ring t = 1, GMRES (Saad and Schultz 1986) solves for the
+interior rows, right preconditioned by the operator at theta = 0, eps = 0
+(s times the disk Laplacian): a real cosine transform, one radial block per
+Fourier mode and the inverse transform.  A miss raises GeometryError.
 
 At theta = 0, eps = 0 the solution is phi = 1 - |x|^2 and lambda = -2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,18 +66,9 @@ __all__ = [
 def particular_solution(points: np.ndarray, eps: float):
     """Exact particular solution of the core problem and its gradient.
 
-    Parameters
-    ----------
-    points : ndarray, shape (..., 2)
-        Evaluation points in the cross-section plane.
-    eps : float
-        Aspect ratio.
-
-    Returns
-    -------
-    (phi_p, grad) : ndarray shape (...,) and (..., 2)
-        phi_p = -(x1^2/2)(2 + eps x1)^2 satisfies
-        -div((1/(1+eps x1)) grad phi_p) = 4 (1 + eps x1) identically.
+    At points (..., 2) of the cross-section plane, returns phi_p of shape
+    (...,) and its gradient (..., 2): phi_p = -(x1^2/2)(2 + eps x1)^2
+    satisfies -div((1/(1+eps x1)) grad phi_p) = 4 (1 + eps x1) identically.
     """
     pts = np.asarray(points, dtype=float)
     x1 = pts[..., 0]
@@ -142,56 +131,78 @@ def _folded_cheb(n_r: int):
 
 
 @lru_cache(maxsize=8)
-def _mode_inverses(n_r: int, n_alpha: int) -> np.ndarray:
-    """Inverse radial blocks of the disk operator, one per Fourier mode.
+def _half_tables(n_r: int, n_alpha: int):
+    """Operators on fields (n_r, h + 1) over alpha_j = pi j / h, h = n_alpha/2.
 
-    At theta = 0, eps = 0 the pulled-back operator is d_s(s u_s) + u_aa / s.
-    On Fourier mode k the antipodal shift is (-1)^k and d_aa is -k^2 (0 at
-    the Nyquist mode, as _fourier_diff gives), which leaves
-    L_k = D_k diag(s) D_k - k^2 diag(1/s) with D_k = d_pp + (-1)^k d_fold.
-    Row and column 0 (the Dirichlet ring t = 1) are dropped; the result has
-    shape (n_alpha/2 + 1, n_r - 1, n_r - 1), complex to act on rfft modes.
+    Returns (d_eo, d_oe, cos_t, lift).  d_eo and d_oe are _fourier_diff
+    folded by the mirror j -> n_alpha - j, even to odd fields and back,
+    transposed to act from the right.  cos_t[j, k] = w_j cos(pi j k / h),
+    w_j = 1 at the ends of the half-grid and 2 inside, takes an even field
+    to its real Fourier modes and, over n_alpha, back.
+
+    The preconditioner d_s(s u_s) + u_aa / s is the operator at theta = 0,
+    eps = 0.  On mode k the antipodal shift is (-1)^k and d_aa is -k^2 (0 at
+    the Nyquist mode, as _fourier_diff gives): L_k = D_k diag(s) D_k -
+    k^2 diag(1/s), D_k = d_pp + (-1)^k d_fold, less row and column 0 (the
+    ring t = 1).  lift[k] stacks a zero row, L_k^{-1} and D_k L_k^{-1} over
+    n_alpha: the preconditioned field and its d_s from one product.
     """
+    h = n_alpha // 2
+    k, j = np.arange(h + 1), np.arange(n_alpha)
+    unfold = (np.minimum(j, n_alpha - j)[:, None] == k).astype(float)
+    # an odd field is 0 at j = 0 and h, and changes sign across them
+    odd = unfold * (np.where(j > h, -1.0, 1.0) * (j % h != 0))[:, None]
+    d = _fourier_diff(n_alpha)[:h + 1]
+    cos_t = unfold.sum(axis=0)[:, None] * np.cos(np.pi * np.outer(k, k) / h)
     t, d_pp, d_fold = _folded_cheb(n_r)
-    k = np.arange(n_alpha // 2 + 1)
     d_k = d_pp + ((-1.0) ** k)[:, None, None] * d_fold
-    k2 = np.where(k < n_alpha // 2, k * k, 0)
+    k2 = np.where(k < h, k * k, 0)
     l_k = d_k @ (t[:, None] * d_k) - k2[:, None, None] * np.diag(1.0 / t)
-    return np.linalg.inv(l_k[:, 1:, 1:]).astype(complex)
+    inv = np.linalg.inv(l_k[:, 1:, 1:]) / n_alpha
+    lift = np.concatenate([np.zeros((h + 1, 1, n_r - 1)), inv,
+                           d_k[:, :, 1:] @ inv], axis=1)
+    return (d @ unfold).T, (d @ odd).T, cos_t, lift
+
+
+@lru_cache(maxsize=8)
+def _extension_tables(n_r: int, n_alpha: int, n_l: int):
+    """t^l (l < n_l) on the radial nodes; cos, sin of l alpha and alpha."""
+    l = np.arange(n_l)
+    alpha = np.pi * np.arange(n_alpha // 2 + 1) / (n_alpha // 2)
+    angle = np.multiply.outer(l, alpha)
+    return (_folded_cheb(n_r)[0][:, None] ** l, np.cos(angle), np.sin(angle),
+            np.cos(alpha), np.sin(alpha))
 
 
 def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):
     """Unrestarted GMRES for apply(x) = rhs from x = 0 (Saad and Schultz 1986).
 
     The Arnoldi basis is orthogonalized by classical Gram-Schmidt, applied
-    twice; Givens rotations keep the least-squares residual |g_{j+1}| at
-    hand, and the loop stops once it is at most tol |rhs|.  Returns
-    (x, iterations, residual relative to |rhs|).
+    twice; Givens rotations on Python floats keep the least-squares residual
+    |g_{j+1}| at hand, and the loop stops once it is at most tol |rhs|.
+    Returns (x, iterations, residual relative to |rhs|).
     """
-    norm = float(np.linalg.norm(rhs))
-    basis = np.zeros((max_iter + 1, rhs.size))
-    hess = np.zeros((max_iter + 1, max_iter))
-    rot = np.zeros((max_iter, 2))
-    g = np.zeros(max_iter + 1)
+    norm = math.sqrt(rhs @ rhs)
+    basis, hess = np.zeros((max_iter + 1, rhs.size)), np.zeros((max_iter,) * 2)
     basis[0] = rhs / norm
-    g[0] = norm
+    rot, g = [], [norm]
     for j in range(max_iter):
-        w = apply(basis[j])
-        for _ in range(2):
-            proj = basis[:j + 1] @ w
-            w -= proj @ basis[:j + 1]
-            hess[:j + 1, j] += proj
-        hess[j + 1, j] = np.linalg.norm(w)
-        if hess[j + 1, j] > 0.0:
-            basis[j + 1] = w / hess[j + 1, j]
-        for i, (cs, sn) in enumerate(rot[:j]):
-            hess[i, j], hess[i + 1, j] = (cs * hess[i, j] + sn * hess[i + 1, j],
-                                          cs * hess[i + 1, j] - sn * hess[i, j])
-        rr = np.hypot(hess[j, j], hess[j + 1, j])
-        rot[j] = hess[j, j] / rr, hess[j + 1, j] / rr
-        hess[j, j] = rr
-        g[j + 1] = -rot[j, 1] * g[j]
-        g[j] *= rot[j, 0]
+        done, w = basis[:j + 1], apply(basis[j])
+        proj = done @ w
+        w -= proj @ done
+        again = done @ w
+        w -= again @ done
+        col = (proj + again).tolist() + [math.sqrt(w @ w)]
+        if col[j + 1] > 0.0:
+            basis[j + 1] = w / col[j + 1]
+        for i, (cs, sn) in enumerate(rot):
+            col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
+                                  cs * col[i + 1] - sn * col[i])
+        rr = math.hypot(col[j], col[j + 1]) or math.nan
+        rot.append((col[j] / rr, col[j + 1] / rr))
+        hess[:j + 1, j] = col[:j] + [rr]
+        g.append(-rot[j][1] * g[j])
+        g[j] *= rot[j][0]
         if abs(g[j + 1]) <= tol * norm:
             break
     y = np.linalg.solve(np.triu(hess[:j + 1, :j + 1]), g[:j + 1])
@@ -199,30 +210,27 @@ def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):
 
 
 def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
-    """One core solve; returns (alpha, lam, phi_grid, m, gmres_iterations).
+    """One core solve; returns (lam, phi, m, gmres_iterations), lam and m on
+    all n_alpha angles, phi on the half-grid.
 
     u = u_b + v, with u_b = -phi_p on the ring t = 1 and 0 inside; GMRES
     solves oper(v) = -oper(u_b) on the interior rows for v, right
-    preconditioned by the mode blocks of _mode_inverses.  A solve that
-    misses _GMRES_TOL within _GMRES_MAX_ITER iterations raises
-    GeometryError.
+    preconditioned through _half_tables' lift; a miss raises GeometryError.
     """
     t, d_pp, d_fold = _folded_cheb(n_r)    # row 0 (t = 1) is the boundary
-    alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
+    h = n_alpha // 2
 
     # harmonic extension r = s (1 + sum_l a_l s^l cos(l alpha)): one table of
     # a_l t^l against cos/sin(l alpha)
     l = np.arange(shape.coeffs.size)
-    cos_l = np.cos(np.multiply.outer(l, alpha))
-    sin_l = np.sin(np.multiply.outer(l, alpha))
-    pw = shape.coeffs * t[:, None] ** l
+    t_l, cos_l, sin_l, cos_a, sin_a = _extension_tables(n_r, n_alpha, l.size)
+    pw = shape.coeffs * t_l
     s = t[:, None]
     r = s * (1.0 + pw @ cos_l)
     r_s = 1.0 + (pw * (l + 1)) @ cos_l
     r_a = -s * ((pw * l) @ sin_l)
     if np.min(r_s) <= 0.0:
         raise GeometryError("harmonic extension not invertible: r_s <= 0")
-    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     one_plus = 1.0 + eps * r * cos_a[None, :]
     if np.min(one_plus) <= 0.0:
         raise GeometryError("eps too large: 1 + eps x1 <= 0 inside the section")
@@ -233,58 +241,53 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     b = -beta * r_a / r
     c = beta * r_s / r
 
-    # the radial derivative on fields (n_r, n_alpha) takes its reach into
-    # t < 0 from the antipodal angle; every field it is applied to (u, then
-    # a u_s + b u_a) is even across the center
-    d_ang_t = _fourier_diff(n_alpha).T
-    antipode = (np.arange(n_alpha) + n_alpha // 2) % n_alpha
+    # the radial derivative reaches into t < 0 at alpha + pi, on an even
+    # half-grid field the column reversal; the fields it is applied to (u,
+    # a u_s + b u_a) are even in alpha and across the center
+    d_eo, d_oe, cos_t, lift = _half_tables(n_r, n_alpha)
+    d_in, fold_in, b_in, c_in = d_pp[1:], d_fold[1:], b[1:], c[1:]
 
     def d_s(v):
-        return d_pp @ v + d_fold @ v[:, antipode]
+        return d_pp @ v + d_fold @ v[:, ::-1]
 
-    def oper(v):
-        u_s, u_a = d_s(v), v @ d_ang_t
-        return d_s(a * u_s + b * u_a) + (b * u_s + c * u_a) @ d_ang_t
+    def oper(u_s, u_a):     # interior rows
+        flux = a * u_s + b * u_a
+        return (d_in @ flux + fold_in @ flux[:, ::-1]
+                + (b_in * u_s[1:] + c_in * u_a[1:]) @ d_oe)
 
-    inv = _mode_inverses(n_r, n_alpha)
-
-    def precondition(y):
-        spec = np.fft.rfft(y.reshape(n_r - 1, n_alpha), axis=1)
-        spec = (inv @ spec.T[:, :, None])[:, :, 0].T
-        return np.fft.irfft(spec, n_alpha, axis=1)
-
-    v = np.zeros((n_r, n_alpha))
+    def precondition(y):    # rows: P y (its ring row 0 zero), then d_s(P y)
+        spec = y.reshape(n_r - 1, h + 1) @ cos_t
+        return (lift @ spec.T[:, :, None])[:, :, 0].T @ cos_t
 
     def apply(y):
-        v[1:] = precondition(y)
-        return oper(v)[1:].ravel()
+        v = precondition(y)
+        return oper(v[n_r:], v[:n_r] @ d_eo).ravel()
 
-    # the reflection j -> n - j commutes with oper (a, c even, b odd), so u
-    # comes out even in alpha from the even data
     phi_p, grad_p = particular_solution(
         np.stack([r * cos_a, r * sin_a], axis=2), eps)
-    u = np.zeros((n_r, n_alpha))
+    u = np.zeros((n_r, h + 1))
     u[0] = -phi_p[0]
-    y, iterations, res = _gmres(apply, -oper(u)[1:].ravel(), _GMRES_TOL,
-                                _GMRES_MAX_ITER)
+    ub_s, ub_a = d_s(u), u @ d_eo
+    y, iterations, res = _gmres(apply, -oper(ub_s, ub_a).ravel(),
+                                _GMRES_TOL, _GMRES_MAX_ITER)
     if not res <= _GMRES_TOL:
         raise GeometryError(
             f"core GMRES reached relative residual {res:.3e} after "
             f"{iterations} iterations (tolerance {_GMRES_TOL:g})")
-    u[1:] = precondition(y)
+    v = precondition(y)
+    u[1:] = v[1:n_r]
 
     # conormal trace at s = 1, where J^{-1} n = (m/(rb r_s), -theta'/(m rb));
     # phi_p has no x2-gradient
-    u_s_b = d_s(u)[0]
-    u_a_b = u[0] @ d_ang_t
+    u_s_b, u_a_b = ub_s[0] + v[n_r], ub_a[0]
     rb, dth = r[0], r_a[0]
     mb = np.hypot(dth, rb)
     nx = (rb * cos_a + dth * sin_a) / mb
     lam = beta[0] * (nx * grad_p[0, :, 0] + mb * u_s_b / (rb * r_s[0])
                      - dth * u_a_b / (mb * rb))
-
-    phi_grid = u + phi_p
-    return alpha, lam, phi_grid, mb, iterations
+    # unfold the even traces onto alpha_{h+1} .. alpha_{n_alpha-1}
+    return (np.concatenate([lam, lam[-2:0:-1]]), u + phi_p,
+            np.concatenate([mb, mb[-2:0:-1]]), iterations)
 
 
 def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
@@ -294,21 +297,18 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     Parameters
     ----------
     shape, eps : cross-section and aspect ratio.
-    n_r : positive radial collocation nodes (Chebyshev, no center node),
-        at least 2.
+    n_r : positive radial Chebyshev nodes (none at the center), at least 2.
     n_alpha : angular nodes, even and at least 2.
     check_resolution : re-solve on a refined grid and record the trace
         difference in ``diagnostics['refinement_diff']``.
 
     The harmonic extension must be invertible on the closed disk,
     1 + sum_l (l+1) a_l s^l cos(l alpha) > 0 on the collocation grid, and
-    1 + eps x1 must stay positive inside the section; otherwise, or when eps
-    is negative or NaN, GeometryError is raised.  An unusable grid raises
-    ValueError before any work.
-
-    GeometryError is also raised when GMRES does not reach a residual of
+    1 + eps x1 must stay positive inside the section; otherwise, when eps
+    is negative or NaN, or when GMRES does not reach a residual of
     _GMRES_TOL relative to the lifted data within _GMRES_MAX_ITER
-    iterations; the message names the residual reached.
+    iterations (the message names the residual reached), GeometryError is
+    raised.  An unusable grid raises ValueError before any work.
 
     Diagnostics always include the mean-flux defect
     ``int lambda m dalpha + 4 (area + eps moment)`` (zero in exact
@@ -323,17 +323,17 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
         raise ValueError(f"n_alpha must be even and >= 2, got {n_alpha}")
     if not eps >= 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
-    alpha, lam, phi_grid, m, iterations = _solve_core(shape, eps, n_r,
-                                                       n_alpha)
+    lam, phi, m, iterations = _solve_core(shape, eps, n_r, n_alpha)
     flux_defect = float(np.sum(lam * m) * 2.0 * np.pi / n_alpha
                         + 4.0 * (area(shape) + eps * moment_x1(shape)))
     diagnostics = {
         "flux_defect": flux_defect,
-        "min_phi": float(np.min(phi_grid[1:])),   # interior rows; phi = 0 + roundoff on the boundary ring
+        "min_phi": float(np.min(phi[1:])),   # interior rows; phi = 0 + roundoff on the boundary ring
         "gmres_iterations": iterations,
     }
     if check_resolution:
-        lam_f = _solve_core(shape, eps, n_r + 6, 2 * n_alpha)[1]
+        lam_f = _solve_core(shape, eps, n_r + 6, 2 * n_alpha)[0]
         diagnostics["refinement_diff"] = float(
             np.max(np.abs(resample_trig(lam, 2 * n_alpha) - lam_f)))
+    alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
     return InnerSolution(alpha=alpha, lam=lam, diagnostics=diagnostics)

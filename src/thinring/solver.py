@@ -112,9 +112,10 @@ class SolverOptions:
 
     modes is the cap on the cosine truncation M that newton_solve climbs
     to, n_grid the boundary quadrature size and inner_nr/inner_nalpha the
-    core collocation resolution at that cap; a level below the cap scales
+    core collocation resolution at that cap, where newton_solve raises the
+    core angles to at least 4 (modes + 1); a level below the cap scales
     n_grid by M / modes and takes 4 (M + 1) core angles (see _level).
-    residual evaluates at exactly these grids.  The Newton tolerance
+    residual evaluates at exactly the grids it is given.  The Newton tolerance
     applies to the infinity norm of the projected residual; the attainable
     floor is set by grid resolution, about 1e-12 at the defaults for thin
     sections.  Integer fields reject bool.
@@ -284,13 +285,15 @@ def _symbol_start(fun, x: np.ndarray, f: np.ndarray, eps: float,
 def _level(options: SolverOptions, modes: int) -> SolverOptions:
     """Grids of the ladder level that solves at M = modes.
 
-    The cap level, modes == options.modes, is options itself.  A lower
+    Every level gives the core 4 (M + 1) angles, which resolve its M modes
+    without aliasing; the cap level, modes == options.modes, keeps
+    options.inner_nalpha when that is more, and options' n_grid.  A lower
     level scales n_grid by M / options.modes, rounded up to even and at
-    least 4 (M + 1), and gives the core 4 (M + 1) angles, which resolve its
-    M modes without aliasing.
+    least 4 (M + 1).
     """
     if modes == options.modes:
-        return options
+        return replace(options, inner_nalpha=max(options.inner_nalpha,
+                                                 4 * (modes + 1)))
     n_grid = 2 * -(-options.n_grid * modes // (2 * options.modes))
     return replace(options, n_grid=max(n_grid, 4 * (modes + 1)), modes=modes,
                    inner_nalpha=4 * (modes + 1))
@@ -314,8 +317,9 @@ def newton_solve(eps: float, params: NondimParams,
     reported from that check evaluation (gamma, nu, mu, lam and the padded
     shape, all on the finer grid).  Otherwise Newton carries on at the
     finer level from the padded state, with the check as its first
-    residual.  The cap level, options.modes on options' own grids, takes no
-    check and is reported from its last residual.
+    residual.  The cap level, options.modes on options' own grids (with
+    at least 4 (M + 1) core angles), takes no check and is reported from
+    its last residual.
 
     At each level the unknowns are (w, a_2..a_M) against residual modes
     r_1..r_M.  The M x M matrix is init.jacobian, or the matrix of the

@@ -8,8 +8,8 @@ point differences rather than the polar form of ``Q``;
 ``bordered_solve_dense`` solves the outer bordered system on all n nodes,
 without the even-symmetry fold; ``core_solve_dense`` is the core
 collocation solve on all angles, its operator assembled as dense ``np.kron``
-products and solved by LU rather than applied as a function inside
-preconditioned GMRES; ``dtn_disk`` is the
+products and solved by LU rather than applied as a function on the even
+half-grid inside preconditioned GMRES; ``dtn_disk`` is the
 Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
 ``resample_dense`` is trigonometric interpolation summed on dense cosine and
 sine tables rather than by a zero-padded inverse FFT; ``elliptic_ke`` gives
@@ -141,8 +141,8 @@ def core_solve_dense(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     """Core collocation on all n_alpha angles, operator built by ``np.kron``.
 
     The dense assembly and direct solve: returns (alpha, lam, dnphi,
-    phi_grid, m), with lam and phi_grid as ``thinring.inner._solve_core``
-    gives them.
+    phi_grid, m), with lam as ``thinring.inner.solve_inner`` gives it and
+    phi_grid on all n_r x n_alpha nodes.
     """
     if n_alpha % 2:
         raise ValueError("n_alpha must be even")

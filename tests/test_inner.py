@@ -25,6 +25,22 @@ def test_gmres_miss_raises_geometry_error(monkeypatch):
         solve_inner(shape, 0.04)
 
 
+@pytest.mark.parametrize("max_iter", [4, 12])
+def test_gmres_reports_its_true_residual(max_iter):
+    # a small nonsymmetric system: cut short, and run to its dimension
+    rng = np.random.default_rng(7)
+    a = np.eye(12) + 0.3 * rng.standard_normal((12, 12)) / np.sqrt(12)
+    b = rng.standard_normal(12)
+    x, iterations, res = inner._gmres(lambda v: a @ v, b, 1e-14, max_iter)
+    assert iterations <= max_iter
+    assert abs(res - np.linalg.norm(b - a @ x) / np.linalg.norm(b)) < 1e-13
+    if max_iter == 12:
+        assert res <= 1e-14
+        assert np.max(np.abs(x - np.linalg.solve(a, b))) < 1e-12
+    else:
+        assert res > 1e-6 and iterations == 4
+
+
 def test_flux_identity_on_circle():
     # int lam m dalpha balances the vorticity integral 4 int (1 + eps x1)
     for eps in (0.0, 0.05):
@@ -91,11 +107,13 @@ _HARD = [("a2", np.array([0.0, 0.0, 0.3]), 0.3),
 @pytest.mark.parametrize("n_r, n_alpha, coeffs, eps", [
     pytest.param(n_r, n_alpha, coeffs, eps, id=f"{eps}-{name}-{n_r}-{n_alpha}")
     for eps in (0.0, 0.04, 0.2) for name, coeffs in _SHAPES.items()
-    for n_r, n_alpha in ((16, 32), (8, 64), (2, 4))] + [
+    for n_r, n_alpha in ((16, 32), (8, 64), (2, 4), (16, 34), (4, 6), (2, 2),
+                         (16, 36), (16, 68))] + [
     pytest.param(16, 32, coeffs, eps, id=f"{eps}-{name}-16-32")
     for name, coeffs, eps in _HARD])
 def test_folded_core_solve_matches_dense(n_r, n_alpha, coeffs, eps):
-    # the preconditioned GMRES solve against the unfolded kron assembly
+    # the half-grid GMRES solve against the full-circle kron assembly, on
+    # half-grids with even and odd n_alpha / 2 and the ladder's core grids
     shape = FourierShape(coeffs)
     lam = solve_inner(shape, eps, n_r=n_r, n_alpha=n_alpha).lam
     lam_dense = core_solve_dense(shape, eps, n_r, n_alpha)[1]

@@ -177,9 +177,11 @@ def test_newton_converges_under_large_tension(solved_tension):
 @pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION, P_CORE],
                          ids=["classical", "tension", "core"])
 def test_nu_zeroes_mode_zero(params):
-    # nu is the mode-0 projection in closed form, not a Newton iterate
+    # nu is the mode-0 projection in closed form, not a Newton iterate; the
+    # cap level M = 8 gives the core 4 (M + 1) angles
     st = newton_solve(0.02, params, options=OPTS8)
-    rv = residual(st.shape, 0.02, st.w, st.nu, params, OPTS8)
+    rv = residual(st.shape, 0.02, st.w, st.nu, params,
+                  replace(OPTS8, inner_nalpha=36))
     assert abs(rv.r[0]) < 1e-14
 
 
@@ -492,11 +494,21 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     assert d["modes"] == 32 and math.isnan(d["check_residual"])
     assert d["residual_norm"] <= SolverOptions().tol
     assert d["fd_columns"] == 1
-    assert sorted(set(seen)) == [(8, 64, 36), (16, 128, 68), (32, 256, 32)]
+    assert sorted(set(seen)) == [(8, 64, 36), (16, 128, 68), (32, 256, 132)]
     # the first residual, the w column, one per step and the two checks
     assert len(seen) == 1 + d["fd_columns"] + d["iterations"] + 2
     assert st.mu.size == 256 and st.shape.coeffs.size == 33
     assert st.jacobian.shape == (32, 32)
+
+
+def test_core_cap_level_resolves_its_modes():
+    # the cap level takes at least 4 (M + 1) core angles, as the levels
+    # below it do; on the 32 angles of the options alone it aliased modes
+    # 16 and up and left w 2e-7 off here
+    st = newton_solve(0.3, P_CORE)
+    fine = newton_solve(0.3, P_CORE, options=SolverOptions(inner_nalpha=264))
+    assert st.diagnostics["modes"] == 32
+    assert abs(st.w - fine.w) < 1e-10
 
 
 @pytest.mark.parametrize("modes, levels", [(8, {(8, 128)}),
@@ -517,11 +529,10 @@ def test_core_sweep_stays_coarse_and_builds_one_fd_column(monkeypatch):
     # grids resolve every mode of their M
     states = continuation(np.linspace(0.04, 0.005, 8), P_CORE)
     assert sum(st.diagnostics["fd_columns"] for st in states) == 1
-    # against solves pinned at M = 32 on a core grid that resolves it
+    # against solves pinned at M = 32, whose cap level resolves it
     monkeypatch.setattr("thinring.solver._BASE_MODES", 32)
-    pinned = SolverOptions(inner_nalpha=4 * 33)
     for st in states:
-        ref = newton_solve(st.eps, P_CORE, options=pinned)
+        ref = newton_solve(st.eps, P_CORE)
         assert ref.diagnostics["modes"] == 32
         for name in ("w", "gamma", "nu"):
             assert abs(getattr(st, name) - getattr(ref, name)) < 1e-9, (
