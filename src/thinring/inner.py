@@ -9,11 +9,12 @@ whose conormal trace feeds the pressure jump through
 
     lambda = (1/(1+eps x1)) d_n phi  composed with the boundary chart.
 
-``particular_solution`` provides the exact polynomial particular part
+The exact polynomial particular part
 
     phi_p = -(x1^2/2) (2 + eps x1)^2,
+    (1/(1+eps x1)) d_1 phi_p = -2 x1 (2 + eps x1),
 
-so only a homogeneous remainder u with Dirichlet data -phi_p remains.  That
+leaves only a homogeneous remainder u with Dirichlet data -phi_p.  That
 remainder is solved by collocation on the unit disk after pulling back along
 the harmonic extension map
 
@@ -34,9 +35,15 @@ collocation matrix: the radial derivative is a Chebyshev matrix product plus
 its antipodal partner (on an even field the column reversal), the angular
 one the Fourier matrix folded by alpha -> -alpha.  With the Dirichlet data
 lifted onto the ring t = 1, GMRES (Saad and Schultz 1986) solves for the
-interior rows, right preconditioned by the operator at theta = 0, eps = 0
-(s times the disk Laplacian): a real cosine transform, one radial block per
-Fourier mode and the inverse transform.  A miss raises GeometryError.
+interior rows in Liouville form (Courant and Hilbert 1953, vol. 1, ch. V):
+with u = sqrt(1 + eps x1) w and each interior equation multiplied by
+sqrt(1 + eps x1), the weight 1/(1 + eps x1) leaves the principal part, the
+first-order terms cancel and an O(eps^2) zero-order term remains.  The
+scaled system is right preconditioned by the operator at theta = 0,
+eps = 0 (s times the disk Laplacian): a real cosine transform, one radial
+block per Fourier mode and the inverse transform.  GMRES stops at a
+residual of _GMRES_TOL relative to the scaled right-hand side; a miss
+raises GeometryError.
 
 At theta = 0, eps = 0 the solution is phi = 1 - |x|^2 and lambda = -2.
 """
@@ -44,6 +51,7 @@ At theta = 0, eps = 0 the solution is phi = 1 - |x|^2 and lambda = -2.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,31 +59,17 @@ import numpy as np
 
 from .shape import FourierShape, GeometryError, area, moment_x1, resample_trig
 
-# a core solve whose GMRES residual, relative to the lifted right-hand side,
-# is not below _GMRES_TOL within _GMRES_MAX_ITER iterations raises
-_GMRES_TOL = 1e-14
+# a core solve whose GMRES residual, relative to the lifted right-hand side
+# of the Liouville-scaled system, is not below _GMRES_TOL within
+# _GMRES_MAX_ITER iterations raises; 3e-15 leaves lambda within about 1e-11
+# of the same solve iterated to its roundoff floor
+_GMRES_TOL = 3e-15
 _GMRES_MAX_ITER = 60
 
 __all__ = [
     "InnerSolution",
-    "particular_solution",
     "solve_inner",
 ]
-
-
-def particular_solution(points: np.ndarray, eps: float):
-    """Exact particular solution of the core problem and its gradient.
-
-    At points (..., 2) of the cross-section plane, returns phi_p of shape
-    (...,) and its gradient (..., 2): phi_p = -(x1^2/2)(2 + eps x1)^2
-    satisfies -div((1/(1+eps x1)) grad phi_p) = 4 (1 + eps x1) identically.
-    """
-    pts = np.asarray(points, dtype=float)
-    x1 = pts[..., 0]
-    phi = -0.5 * x1 * x1 * (2.0 + eps * x1) ** 2
-    g1 = -2.0 * x1 * (2.0 + eps * x1) * (1.0 + eps * x1)
-    grad = np.stack([g1, np.zeros_like(g1)], axis=-1)
-    return phi, grad
 
 
 @lru_cache(maxsize=8)
@@ -103,13 +97,35 @@ def _fourier_diff(n: int) -> np.ndarray:
     return col[idx]
 
 
+class _Diagnostics(Mapping):
+    """Read-only mapping whose callable values are computed on first read."""
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, key):
+        value = self._entries[key]
+        if callable(value):
+            value = self._entries[key] = value()
+        return value
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class InnerSolution:
     """Core potential trace data on a uniform boundary grid."""
 
     alpha: np.ndarray
     lam: np.ndarray        # (1/(1+eps x1)) d_n phi on the boundary
-    diagnostics: dict
+    diagnostics: Mapping
 
     def lam_on(self, n: int) -> np.ndarray:
         """Trigonometric resampling of lambda onto an n-point grid."""
@@ -144,8 +160,9 @@ def _half_tables(n_r: int, n_alpha: int):
     eps = 0.  On mode k the antipodal shift is (-1)^k and d_aa is -k^2 (0 at
     the Nyquist mode, as _fourier_diff gives): L_k = D_k diag(s) D_k -
     k^2 diag(1/s), D_k = d_pp + (-1)^k d_fold, less row and column 0 (the
-    ring t = 1).  lift[k] stacks a zero row, L_k^{-1} and D_k L_k^{-1} over
-    n_alpha: the preconditioned field and its d_s from one product.
+    ring t = 1).  lift[k] stacks a zero row over L_k^{-1} / n_alpha, so one
+    product gives the preconditioned field with its ring row 0; _solve_core
+    takes d_s of the Liouville-scaled field itself.
     """
     h = n_alpha // 2
     k, j = np.arange(h + 1), np.arange(n_alpha)
@@ -158,9 +175,8 @@ def _half_tables(n_r: int, n_alpha: int):
     d_k = d_pp + ((-1.0) ** k)[:, None, None] * d_fold
     k2 = np.where(k < h, k * k, 0)
     l_k = d_k @ (t[:, None] * d_k) - k2[:, None, None] * np.diag(1.0 / t)
-    inv = np.linalg.inv(l_k[:, 1:, 1:]) / n_alpha
-    lift = np.concatenate([np.zeros((h + 1, 1, n_r - 1)), inv,
-                           d_k[:, :, 1:] @ inv], axis=1)
+    lift = np.concatenate([np.zeros((h + 1, 1, n_r - 1)),
+                           np.linalg.inv(l_k[:, 1:, 1:]) / n_alpha], axis=1)
     return (d @ unfold).T, (d @ odd).T, cos_t, lift
 
 
@@ -180,7 +196,9 @@ def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):
     The Arnoldi basis is orthogonalized by classical Gram-Schmidt, applied
     twice; Givens rotations on Python floats keep the least-squares residual
     |g_{j+1}| at hand, and the loop stops once it is at most tol |rhs|.
-    Returns (x, iterations, residual relative to |rhs|).
+    Returns (x, iterations, residual relative to |rhs|).  The core solve
+    passes the Liouville-scaled system, whose rows carry the factor
+    sqrt(1 + eps x1), with tol = _GMRES_TOL.
     """
     norm = math.sqrt(rhs @ rhs)
     basis, hess = np.zeros((max_iter + 1, rhs.size)), np.zeros((max_iter,) * 2)
@@ -210,12 +228,14 @@ def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):
 
 
 def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
-    """One core solve; returns (lam, phi, m, gmres_iterations), lam and m on
-    all n_alpha angles, phi on the half-grid.
+    """One core solve; returns (lam, m, min_phi, gmres_iterations): lam on
+    all n_alpha angles, m on the half-grid, and min_phi a function that gives
+    the minimum of phi over the interior rows.
 
-    u = u_b + v, with u_b = -phi_p on the ring t = 1 and 0 inside; GMRES
-    solves oper(v) = -oper(u_b) on the interior rows for v, right
-    preconditioned through _half_tables' lift; a miss raises GeometryError.
+    u = u_b + q w, with u_b = -phi_p on the ring t = 1 and 0 inside and
+    q = sqrt(1 + eps x1); GMRES solves q oper(q w) = -q oper(u_b) on the
+    interior rows for w, right preconditioned through _half_tables' lift; a
+    miss raises GeometryError.
     """
     t, d_pp, d_fold = _folded_cheb(n_r)    # row 0 (t = 1) is the boundary
     h = n_alpha // 2
@@ -250,44 +270,53 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     def d_s(v):
         return d_pp @ v + d_fold @ v[:, ::-1]
 
-    def oper(u_s, u_a):     # interior rows
+    def oper(u):            # interior rows
+        u_s, u_a = d_s(u), u @ d_eo
         flux = a * u_s + b * u_a
         return (d_in @ flux + fold_in @ flux[:, ::-1]
                 + (b_in * u_s[1:] + c_in * u_a[1:]) @ d_oe)
 
-    def precondition(y):    # rows: P y (its ring row 0 zero), then d_s(P y)
+    def precondition(y):    # rows: P y, its ring row 0 zero
         spec = y.reshape(n_r - 1, h + 1) @ cos_t
         return (lift @ spec.T[:, :, None])[:, :, 0].T @ cos_t
 
-    def apply(y):
-        v = precondition(y)
-        return oper(v[n_r:], v[:n_r] @ d_eo).ravel()
+    # Liouville scaling: with u = q w and the rows times q, q^2 beta = 1
+    # takes beta out of the principal part, leaving the disk operator that
+    # precondition inverts plus geometry and an O(eps^2) zero-order term
+    q = np.sqrt(one_plus)
+    q_in = q[1:]
 
-    phi_p, grad_p = particular_solution(
-        np.stack([r * cos_a, r * sin_a], axis=2), eps)
+    def apply(y):
+        return (q_in * oper(q * precondition(y))).ravel()
+
+    x1 = r[0] * cos_a
     u = np.zeros((n_r, h + 1))
-    u[0] = -phi_p[0]
-    ub_s, ub_a = d_s(u), u @ d_eo
-    y, iterations, res = _gmres(apply, -oper(ub_s, ub_a).ravel(),
+    u[0] = 0.5 * x1 * x1 * (2.0 + eps * x1) ** 2       # -phi_p on the ring
+    y, iterations, res = _gmres(apply, (-q_in * oper(u)).ravel(),
                                 _GMRES_TOL, _GMRES_MAX_ITER)
     if not res <= _GMRES_TOL:
         raise GeometryError(
             f"core GMRES reached relative residual {res:.3e} after "
             f"{iterations} iterations (tolerance {_GMRES_TOL:g})")
-    v = precondition(y)
-    u[1:] = v[1:n_r]
+    u[1:] = q_in * precondition(y)[1:]
 
     # conormal trace at s = 1, where J^{-1} n = (m/(rb r_s), -theta'/(m rb));
-    # phi_p has no x2-gradient
-    u_s_b, u_a_b = ub_s[0] + v[n_r], ub_a[0]
+    # phi_p has no x2-gradient, and beta d_1 phi_p = -2 x1 (2 + eps x1)
+    u_s_b = d_pp[0] @ u + d_fold[0] @ u[:, ::-1]
+    u_a_b = u[0] @ d_eo
     rb, dth = r[0], r_a[0]
     mb = np.hypot(dth, rb)
     nx = (rb * cos_a + dth * sin_a) / mb
-    lam = beta[0] * (nx * grad_p[0, :, 0] + mb * u_s_b / (rb * r_s[0])
-                     - dth * u_a_b / (mb * rb))
-    # unfold the even traces onto alpha_{h+1} .. alpha_{n_alpha-1}
-    return (np.concatenate([lam, lam[-2:0:-1]]), u + phi_p,
-            np.concatenate([mb, mb[-2:0:-1]]), iterations)
+    lam = (beta[0] * (mb * u_s_b / (rb * r_s[0]) - dth * u_a_b / (mb * rb))
+           - 2.0 * nx * x1 * (2.0 + eps * x1))
+
+    def min_phi():          # interior rows; phi = 0 + roundoff on the ring
+        x1_in = r[1:] * cos_a
+        return float(np.min(u[1:] - 0.5 * x1_in * x1_in
+                            * (2.0 + eps * x1_in) ** 2))
+
+    # unfold the even trace onto alpha_{h+1} .. alpha_{n_alpha-1}
+    return np.concatenate([lam, lam[-2:0:-1]]), mb, min_phi, iterations
 
 
 def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
@@ -306,16 +335,19 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     1 + sum_l (l+1) a_l s^l cos(l alpha) > 0 on the collocation grid, and
     1 + eps x1 must stay positive inside the section; otherwise, when eps
     is negative or NaN, or when GMRES does not reach a residual of
-    _GMRES_TOL relative to the lifted data within _GMRES_MAX_ITER
-    iterations (the message names the residual reached), GeometryError is
-    raised.  An unusable grid raises ValueError before any work.
+    _GMRES_TOL (3e-15) relative to the lifted data, both in the
+    Liouville-scaled interior equations, within _GMRES_MAX_ITER iterations
+    (the message names the residual reached), GeometryError is raised.  An
+    unusable grid raises ValueError before any work.
 
     Diagnostics always include the mean-flux defect
     ``int lambda m dalpha + 4 (area + eps moment)`` (zero in exact
     arithmetic by the divergence theorem), the minimum of phi on the
-    collocation grid (positive for the physical core flow) and
+    interior collocation rows (positive for the physical core flow) and
     ``gmres_iterations``, the Krylov iterations of the solve (1 at the
-    disk with eps = 0, where the preconditioner is exact).
+    disk with eps = 0, where the preconditioner is exact).  The flux defect
+    and the minimum are computed when first read, so a solve whose
+    diagnostics are not read pays only for lambda.
     """
     if n_r < 2:
         raise ValueError(f"n_r must be >= 2, got {n_r}")
@@ -323,17 +355,19 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
         raise ValueError(f"n_alpha must be even and >= 2, got {n_alpha}")
     if not eps >= 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
-    lam, phi, m, iterations = _solve_core(shape, eps, n_r, n_alpha)
-    flux_defect = float(np.sum(lam * m) * 2.0 * np.pi / n_alpha
-                        + 4.0 * (area(shape) + eps * moment_x1(shape)))
-    diagnostics = {
-        "flux_defect": flux_defect,
-        "min_phi": float(np.min(phi[1:])),   # interior rows; phi = 0 + roundoff on the boundary ring
-        "gmres_iterations": iterations,
-    }
+    lam, m, min_phi, iterations = _solve_core(shape, eps, n_r, n_alpha)
+
+    def flux_defect():
+        m_all = np.concatenate([m, m[-2:0:-1]])
+        return float(np.sum(lam * m_all) * 2.0 * np.pi / n_alpha
+                     + 4.0 * (area(shape) + eps * moment_x1(shape)))
+
+    diagnostics = {"flux_defect": flux_defect, "min_phi": min_phi,
+                   "gmres_iterations": iterations}
     if check_resolution:
         lam_f = _solve_core(shape, eps, n_r + 6, 2 * n_alpha)[0]
         diagnostics["refinement_diff"] = float(
             np.max(np.abs(resample_trig(lam, 2 * n_alpha) - lam_f)))
     alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
-    return InnerSolution(alpha=alpha, lam=lam, diagnostics=diagnostics)
+    return InnerSolution(alpha=alpha, lam=lam,
+                         diagnostics=_Diagnostics(diagnostics))

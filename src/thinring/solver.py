@@ -173,11 +173,11 @@ class SolutionState:
     evaluation at min(2M, cap): shape is the constrained shape zero-padded
     to that size, and gamma, mu and lam are that evaluation's, on its grid
     (at rho = 0, where lam does not enter the residual, it is one core
-    solve on the core grid of the options, resampled onto that grid).  nu
-    is its mode-0 projection at nu = 0, times 1 + eps sigma.  A state
-    solved at the cap is reported from its last residual.  jacobian is the
-    M x M Newton matrix in (w, a_2..a_M) at the solved M, started from the
-    symbol or by forward differences and Broyden-updated, that a warm start
+    solve on the core grid of the level solved at, resampled onto that
+    grid).  nu is its mode-0 projection at nu = 0, times 1 + eps sigma.  A
+    state solved at the cap is reported from its last residual.  jacobian is
+    the M x M Newton matrix in (w, a_2..a_M) at the solved M, started from
+    the symbol or by forward differences and Broyden-updated, that a warm start
     from this state reuses (None when none was built); it is not reported.
     diagnostics keys: residual_norm (max |r_1..r_2M| of the check, or
     max |r_1..r_M| at the cap), modes (the M it was solved at),
@@ -475,9 +475,10 @@ def newton_solve(eps: float, params: NondimParams,
     lam = rv.lam
     if params.rho == 0.0:
         # reported even when it does not enter the residual, on the core
-        # grid of options; a failure here must not void the converged state
+        # grid of the level solved at, which resolves its modes; a failure
+        # here must not void the converged state
         try:
-            lam = _inner_lam(shape, eps, options, level.n_grid)
+            lam = _inner_lam(shape, eps, _level(options, modes), level.n_grid)
         except GeometryError as exc:
             warnings_list.append(f"inner velocity report unavailable: {exc}")
     th5 = sobolev_norm(shape, 5)

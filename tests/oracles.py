@@ -11,9 +11,12 @@ collocation solve on all angles, its operator assembled as dense ``np.kron``
 products and solved by LU rather than applied as a function on the even
 half-grid inside preconditioned GMRES; ``dtn_disk`` is the
 Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
-``resample_dense`` is trigonometric interpolation summed on dense cosine and
-sine tables rather than by a zero-padded inverse FFT; ``elliptic_ke`` gives
-the complete elliptic integrals at one modulus from the library's AGM.
+``particular_solution`` is the polynomial particular part of the core
+problem with its gradient at arbitrary points, which the library evaluates
+on the boundary ring only; ``resample_dense`` is trigonometric
+interpolation summed on dense cosine and sine tables rather than by a
+zero-padded inverse FFT; ``elliptic_ke`` gives the complete elliptic
+integrals at one modulus from the library's AGM.
 
 The dimensional layer, ``PhysicalSetup`` with ``nondimensionalize``,
 ``redimensionalize`` and the dimensional speed law ``kelvin_hicks``, is the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from thinring.inner import _cheb, _fourier_diff, particular_solution
+from thinring.inner import _cheb, _fourier_diff
 from thinring.outer import _half_tables, _nystrom
 from thinring.physics import NondimParams, SigmaLaw
 from thinring.shape import BoundaryGrid, FourierShape, GeometryError
@@ -135,6 +138,21 @@ def bordered_solve_dense(grid: BoundaryGrid, mat: np.ndarray,
     sys_mat[n, :n] = grid.m * grid.weight
     sol = np.linalg.solve(sys_mat, np.append(rhs, 1.0))
     return sol[:n], float(sol[n])
+
+
+def particular_solution(points: np.ndarray, eps: float):
+    """Exact particular solution of the core problem and its gradient.
+
+    At points (..., 2) of the cross-section plane, returns phi_p of shape
+    (...,) and its gradient (..., 2): phi_p = -(x1^2/2)(2 + eps x1)^2
+    satisfies -div((1/(1+eps x1)) grad phi_p) = 4 (1 + eps x1) identically.
+    """
+    pts = np.asarray(points, dtype=float)
+    x1 = pts[..., 0]
+    phi = -0.5 * x1 * x1 * (2.0 + eps * x1) ** 2
+    g1 = -2.0 * x1 * (2.0 + eps * x1) * (1.0 + eps * x1)
+    grad = np.stack([g1, np.zeros_like(g1)], axis=-1)
+    return phi, grad
 
 
 def core_solve_dense(shape: FourierShape, eps: float, n_r: int, n_alpha: int):

@@ -1,12 +1,16 @@
 """Core potential problem: preconditioned GMRES solve and boundary traces."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import core_solve_dense, dtn_disk
+from oracles import core_solve_dense, dtn_disk, particular_solution
 from thinring import inner
-from thinring.inner import particular_solution, solve_inner
+from thinring.inner import solve_inner
+from thinring.physics import NondimParams, SigmaLaw
 from thinring.shape import FourierShape, GeometryError
+from thinring.solver import newton_solve
 
 ZERO = FourierShape(np.zeros(3))
 
@@ -98,7 +102,7 @@ def test_rejects_unusable_grid(n_r, n_alpha, field):
 _SHAPES = {"zero": np.zeros(3),
            "wavy": np.array([0.0, 0.0, 0.03, -0.01, 0.004]),
            "decaying": np.r_[0.0, 0.0, 0.01 / np.arange(2, 33) ** 2]}
-# the largest deformations tried: 23 to 43 GMRES iterations at 16 x 32
+# the largest deformations tried: 19 to 37 GMRES iterations at 16 x 32
 _HARD = [("a2", np.array([0.0, 0.0, 0.3]), 0.3),
          ("a8", np.r_[np.zeros(8), 0.08], 0.05),
          ("twenty", np.r_[0.0, 0.0, 0.02, np.full(20, 0.002)], 0.4)]
@@ -118,6 +122,42 @@ def test_folded_core_solve_matches_dense(n_r, n_alpha, coeffs, eps):
     lam = solve_inner(shape, eps, n_r=n_r, n_alpha=n_alpha).lam
     lam_dense = core_solve_dense(shape, eps, n_r, n_alpha)[1]
     assert np.max(np.abs(lam - lam_dense)) < 1e-10
+
+
+# one eps from each of the four cold_core benchmark strata
+_POOL_EPS = (0.04, 0.02, 0.01, 0.005)
+
+
+@pytest.fixture(scope="module")
+def core_cases():
+    # (coefficients, eps) by case id: converged rho = 0.25 states and _HARD
+    params = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
+    cases = {f"pool-{eps}": (newton_solve(eps, params).shape.coeffs, eps)
+             for eps in _POOL_EPS}
+    cases.update((name, (coeffs, eps)) for name, coeffs, eps in _HARD)
+    return cases
+
+
+def _gmres_to_floor(apply, rhs, tol, max_iter, gmres=inner._gmres):
+    # every one of max_iter iterations, whatever the residual
+    x, iterations, _ = gmres(apply, rhs, 0.0, max_iter)
+    return x, iterations, 0.0
+
+
+@pytest.mark.parametrize("n_alpha", [32, 36, 68])
+@pytest.mark.parametrize("case", [f"pool-{eps}" for eps in _POOL_EPS]
+                         + [name for name, _, _ in _HARD])
+def test_core_stop_rule_reaches_the_roundoff_floor(monkeypatch, core_cases,
+                                                   case, n_alpha):
+    # _GMRES_TOL leaves lam within 2e-11 of the same solve run for all
+    # _GMRES_MAX_ITER iterations, on the benchmark's converged states and
+    # the hardest deformations tried
+    coeffs, eps = core_cases[case]
+    shape = FourierShape(coeffs)
+    lam = solve_inner(shape, eps, n_alpha=n_alpha).lam
+    monkeypatch.setattr(inner, "_gmres", _gmres_to_floor)
+    floor = solve_inner(shape, eps, n_alpha=n_alpha).lam
+    assert np.max(np.abs(lam - floor)) < 2e-11
 
 
 def test_interior_positivity():

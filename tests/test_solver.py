@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import core_solve_dense
+from thinring import inner
 from thinring.inner import solve_inner
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
 from thinring.shape import FourierShape, area, moment_x1
@@ -279,9 +280,33 @@ def test_core_solve_is_grid_converged_at_positive_rho():
 def test_core_solve_on_converged_states(eps):
     st = newton_solve(eps, P_CORE)
     sol = solve_inner(st.shape, eps)
-    assert sol.diagnostics["gmres_iterations"] <= 12
+    assert sol.diagnostics["gmres_iterations"] <= 6
     lam_dense = core_solve_dense(st.shape, eps, 16, 32)[1]
     assert np.max(np.abs(sol.lam - lam_dense)) < 1e-11
+
+
+def test_core_hot_path_computes_no_diagnostics(monkeypatch):
+    # residual reads only lam: the flux defect (area, moment_x1) and min_phi
+    # are computed when the diagnostics are read, with the same values
+    def refuse(shape):
+        raise AssertionError("moment_x1 called")
+
+    shape = FourierShape(np.array([0.0, 0.0, 0.01, -0.002]))
+    with monkeypatch.context() as patch:
+        patch.setattr(inner, "moment_x1", refuse)
+        residual(shape, 0.04, 0.0, 0.0, P_CORE)
+        st = newton_solve(0.04, P_CORE)
+        sol = solve_inner(st.shape, 0.04)
+        with pytest.raises(AssertionError, match="moment_x1"):
+            sol.diagnostics["flux_defect"]
+    d = sol.diagnostics
+    assert list(d) == ["flux_defect", "min_phi", "gmres_iterations"]
+    _, _, _, phi, m = core_solve_dense(st.shape, 0.04, 16, 32)
+    flux = (np.sum(sol.lam * m) * 2.0 * np.pi / 32
+            + 4.0 * (area(st.shape) + 0.04 * moment_x1(st.shape)))
+    assert abs(d["flux_defect"] - flux) < 1e-13
+    assert abs(d["min_phi"] - np.min(phi[1:])) < 1e-12
+    assert d == solve_inner(st.shape, 0.04).diagnostics
 
 
 def test_newton_converges_at_tight_tol_with_core():
@@ -499,6 +524,16 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     assert len(seen) == 1 + d["fd_columns"] + d["iterations"] + 2
     assert st.mu.size == 256 and st.shape.coeffs.size == 33
     assert st.jacobian.shape == (32, 32)
+
+
+def test_classical_report_resolves_its_modes():
+    # at rho = 0 lam is one report solve on the core grid of the level
+    # solved at, here the cap's 132 angles; the options' 32 angles aliased
+    # modes 16 and up and left lam 6e-6 off
+    st = newton_solve(0.3, P_CLASSICAL)
+    fine = solve_inner(st.shape, 0.3, n_alpha=264).lam_on(st.lam.size)
+    assert st.diagnostics["modes"] == 32
+    assert np.max(np.abs(st.lam - fine)) < 1e-10
 
 
 def test_core_cap_level_resolves_its_modes():
