@@ -29,11 +29,11 @@ circulation row sum m mu = 1.
 
 Every section is even (a cosine series) and the grid alpha_j = 2 pi j / n
 has even n, so the reflection alpha -> -alpha maps node j to node n - j and
-the matrices satisfy M[n-i, n-j] = M[i, j].  The kernel is therefore
-evaluated on rows 0..n/2 only and the other rows are filled by the
-reflection; the bordered systems, whose right sides are even, fold to
-n/2 + 2 unknowns (mu_0..mu_{n/2} and the constant) and are unfolded after
-the solve.
+the matrices satisfy M[n-i, n-j] = M[i, j].  The assemblies therefore
+return the (n/2 + 1, n) block of rows 0..n/2, which holds one
+representative of every pair of nodes; the bordered systems, whose right
+sides are even, fold to n/2 + 2 unknowns (mu_0..mu_{n/2} and the constant),
+read only that block, and are unfolded after the solve.
 """
 
 from __future__ import annotations
@@ -98,26 +98,12 @@ def _half_pairs(grid: BoundaryGrid) -> np.ndarray:
     return q
 
 
-def _nystrom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # log part A on the spectral log weights, smooth part B on the
-    # trapezoid, both given on rows 0..n/2; the other rows follow from
-    # M[n-i, n-j] = M[i, j], and rows 0 and n/2 are their own mirror images
-    n = a.shape[1]
-    h = n // 2
-    half = a * _half_tables(n)[1] + (2.0 * np.pi / n) * b
-    mat = np.empty((n, n))
-    mat[:h + 1] = half
-    mat[[0, h], h + 1:] = half[[0, h], h - 1:0:-1]
-    mat[h + 1:, 0] = half[h - 1:0:-1, 0]
-    mat[h + 1:, 1:] = half[h - 1:0:-1, :0:-1]
-    return mat
-
-
 def assemble_full(grid: BoundaryGrid) -> np.ndarray:
-    """Nystrom matrix of the eps > 0 stream-function operator.
+    """Nystrom rows 0..n/2 of the eps > 0 stream-function operator.
 
-    Entries combine the smooth part B on trapezoid weights with the log
-    part A on the spectral log weights:
+    Returns the (n/2 + 1, n) block; the other rows follow from
+    M[n-i, n-j] = M[i, j].  Entries combine the smooth part B on trapezoid
+    weights with the log part A on the spectral log weights:
 
         M[i, j] = A[i, j] R[i-j] + (2 pi / n) B[i, j],
         A = m sqrt(rho rho~) / (2 pi) q(s),   s = eps^2 Q chord / (rho rho~),
@@ -135,7 +121,7 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     if not grid.eps > 0.0:
         raise ValueError("assemble_full requires eps > 0; use assemble_limit")
     h = grid.n // 2
-    chord = _half_tables(grid.n)[0]
+    chord, weights = _half_tables(grid.n)
     rho = 1.0 + grid.eps * grid.chi[:, 0]
     ratio = grid.eps**2 * _half_pairs(grid) / np.outer(rho[:h + 1], rho)
     s = ratio * chord
@@ -153,18 +139,20 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
                 "eps too large for this section")
         a[far] = 0.0
         b[far] = pref[far] * f_elliptic(s[far])
-    return _nystrom(a, b)
+    return a * weights + (2.0 * np.pi / grid.n) * b
 
 
 def assemble_limit(grid: BoundaryGrid) -> np.ndarray:
-    """Nystrom matrix of the eps -> 0 limit operator -(m/2 pi) log |chi - chi~|.
+    """Nystrom rows 0..n/2 of the eps -> 0 limit operator.
 
-    The log-weight factor is A = -m(alpha~)/(4 pi) exactly; the smooth part
-    is -(m/4 pi) log Q with diagonal -(m/2 pi) log m.
+    The operator is -(m/2 pi) log |chi - chi~|; like ``assemble_full`` this
+    returns the (n/2 + 1, n) block, with M[n-i, n-j] = M[i, j].  The
+    log-weight factor is A = -m(alpha~)/(4 pi) exactly; the smooth part is
+    -(m/4 pi) log Q with diagonal -(m/2 pi) log m.
     """
     log_q = np.log(_half_pairs(grid))
     a = np.broadcast_to(-grid.m / (4.0 * np.pi), log_q.shape)
-    return _nystrom(a, a * log_q)
+    return a * _half_tables(grid.n)[1] + (2.0 * np.pi / grid.n) * (a * log_q)
 
 
 @dataclass(frozen=True)
@@ -179,15 +167,16 @@ class OuterSolution:
     gamma: float
 
 
-def _bordered_solve(grid: BoundaryGrid, mat: np.ndarray, rhs: np.ndarray):
-    # The (n+1) system [mat, -1; m w, 0] (mu, c) = (rhs, 1) folded by the
-    # reflection j -> n-j: with mat reflection-symmetric and rhs even, mu is
-    # even, so rows 0..n/2 with the columns j and n-j added and the
-    # circulation row on the weights 1, 2, ..., 2, 1 determine it.
+def _bordered_solve(grid: BoundaryGrid, rows: np.ndarray, rhs: np.ndarray):
+    # The (n+1) system [M, -1; m w, 0] (mu, c) = (rhs, 1) folded by the
+    # reflection j -> n-j: with M reflection-symmetric and rhs even, mu is
+    # even, so rows 0..n/2 (the block ``rows``) with the columns j and n-j
+    # added and the circulation row on the weights 1, 2, ..., 2, 1
+    # determine it.
     h = grid.n // 2
     sys_mat = np.empty((h + 2, h + 2))
-    sys_mat[:h + 1, :h + 1] = mat[:h + 1, :h + 1]
-    sys_mat[:h + 1, 1:h] += mat[:h + 1, :h:-1]
+    sys_mat[:h + 1, :h + 1] = rows[:, :h + 1]
+    sys_mat[:h + 1, 1:h] += rows[:, :h:-1]
     sys_mat[:h + 1, h + 1] = -1.0
     sys_mat[h + 1, :h + 1] = 2.0 * grid.weight * grid.m[:h + 1]
     sys_mat[h + 1, [0, h]] *= 0.5

@@ -3,10 +3,11 @@
 ``f_direct`` evaluates the ring kernel profile by adaptive quadrature and
 shares no code with ``thinring.special``; ``kernel_direct`` evaluates the
 outer kernel pointwise on the elliptic path, without the log split;
-``assemble_cartesian`` assembles the outer Nystrom matrix from Cartesian
-point differences rather than the polar form of ``Q``;
-``bordered_solve_dense`` solves the outer bordered system on all n nodes,
-without the even-symmetry fold; ``core_solve_dense`` is the core
+``assemble_cartesian`` assembles rows of the outer Nystrom matrix from
+Cartesian point differences rather than the polar form of ``Q``, any rows,
+not only the library's 0..n/2; ``unfold_rows`` fills the other rows of
+that block by the reflection j -> n - j; ``bordered_solve_dense`` solves
+the outer bordered system on all n nodes, without the even-symmetry fold; ``core_solve_dense`` is the core
 collocation solve on all angles, its operator assembled as dense ``np.kron``
 products and solved by LU rather than applied as a function on the even
 half-grid inside preconditioned GMRES; ``dtn_disk`` is the
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from thinring.inner import _cheb, _fourier_diff
-from thinring.outer import _half_tables, _nystrom
+from thinring.outer import kress_log_weights
 from thinring.physics import NondimParams, SigmaLaw
 from thinring.shape import BoundaryGrid, FourierShape, GeometryError
 from thinring.special import SPLIT_S_MAX, _agm_ke, f_elliptic, f_split
@@ -90,27 +91,34 @@ def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
     return out
 
 
-def assemble_cartesian(grid: BoundaryGrid) -> np.ndarray:
-    """Outer Nystrom matrix from Cartesian point differences; oracle path.
+def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
+    """Outer Nystrom rows from Cartesian point differences; oracle path.
 
-    ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0, with
-    s1 = |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i
-    rho_j), log Q = log(s1 / 4 sin^2) and the smooth log split as
-    2 log eps + log Q - 2 log s2.  Shares ``f_split``, ``f_elliptic``, the
-    log weights and the reflection fill with the library.
+    ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0 on the
+    given rows (default 0..n/2, the library's block), with s1 =
+    |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i rho_j),
+    log Q = log(s1 / 4 sin^2) and the smooth log split as 2 log eps +
+    log Q - 2 log s2.  The chord table and the log weights are formed here
+    for the given rows; shares ``f_split``, ``f_elliptic`` and
+    ``kress_log_weights`` with the library.
     """
-    h = grid.n // 2
+    n = grid.n
+    rows = np.arange(n // 2 + 1) if rows is None else np.asarray(rows)
+    diag = (np.arange(rows.size), rows)
     chi = grid.chi
-    d = chi[:h + 1, None, :] - chi[None, :, :]
+    d = chi[rows, None, :] - chi[None, :, :]
     s1 = np.einsum("ijk,ijk->ij", d, d)
     radial = 1.0 + grid.eps * chi[:, 0]
-    s2 = np.sqrt(np.outer(radial[:h + 1], radial))
-    q = s1 / _half_tables(grid.n)[0]
-    np.fill_diagonal(q, grid.m[:h + 1] ** 2)
+    s2 = np.sqrt(np.outer(radial[rows], radial))
+    chord = 4.0 * np.sin(0.5 * (grid.alpha[rows, None] - grid.alpha[None, :])) ** 2
+    chord[diag] = 1.0
+    weights = kress_log_weights(n)[(rows[:, None] - np.arange(n)[None, :]) % n]
+    q = s1 / chord
+    q[diag] = grid.m[rows] ** 2
     log_q = np.log(q)
     if grid.eps == 0.0:
         a = np.broadcast_to(-grid.m / (4.0 * np.pi), log_q.shape)
-        return _nystrom(a, a * log_q)
+        return a * weights + (2.0 * np.pi / n) * (a * log_q)
     s = grid.eps**2 * s1 / s2**2
     pref = grid.m[None, :] * s2 / (2.0 * np.pi)
     log_eps_term = 2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
@@ -119,21 +127,35 @@ def assemble_cartesian(grid: BoundaryGrid) -> np.ndarray:
     b = pref * (p + q * log_eps_term)
     far = s > SPLIT_S_MAX
     if np.any(far):
-        if np.any(far & (_half_tables(grid.n)[0] < 0.5)):
+        if np.any(far & (chord < 0.5)):
             raise ValueError(
                 "kernel argument left the log-split range near the diagonal; "
                 "eps too large for this section")
         a[far] = 0.0
         b[far] = pref[far] * f_elliptic(s[far])
-    return _nystrom(a, b)
+    return a * weights + (2.0 * np.pi / n) * b
 
 
-def bordered_solve_dense(grid: BoundaryGrid, mat: np.ndarray,
+def unfold_rows(block: np.ndarray) -> np.ndarray:
+    """Full n x n matrix from its rows 0..n/2 by M[n-i, n-j] = M[i, j].
+
+    Rows 0 and n/2 are their own mirror images and keep the values given.
+    """
+    h, n = block.shape[0] - 1, block.shape[1]
+    rev = (-np.arange(n)) % n
+    return np.concatenate([block, block[h - 1:0:-1][:, rev]])
+
+
+def bordered_solve_dense(grid: BoundaryGrid, block: np.ndarray,
                          rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unfolded (n+1) system [mat, -1; m w, 0] (mu, c) = (rhs, 1)."""
+    """Unfolded (n+1) system [M, -1; m w, 0] (mu, c) = (rhs, 1).
+
+    ``block`` holds rows 0..n/2 of M, as the assemblies return them; the
+    other rows are filled by ``unfold_rows``.
+    """
     n = grid.n
     sys_mat = np.zeros((n + 1, n + 1))
-    sys_mat[:n, :n] = mat
+    sys_mat[:n, :n] = unfold_rows(block)
     sys_mat[:n, n] = -1.0
     sys_mat[n, :n] = grid.m * grid.weight
     sol = np.linalg.solve(sys_mat, np.append(rhs, 1.0))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_cartesian, bordered_solve_dense, kernel_direct
+from oracles import (assemble_cartesian, bordered_solve_dense, kernel_direct,
+                     unfold_rows)
 from thinring.outer import (assemble_full, assemble_limit, kress_log_weights,
                             solve_capacity, solve_outer)
 from thinring.shape import FourierShape, build_grid
@@ -71,13 +72,15 @@ def test_kress_weights_exact_on_trig_polynomials(coeffs):
 # -------------------------------------------------------------- limit kernel
 
 def test_limit_operator_is_fourier_multiplier_on_circle():
-    # cos(l alpha) -> cos(l alpha) / (2 l), constants -> 0 at theta = 0
+    # cos(l alpha) -> cos(l alpha) / (2 l), constants -> 0 at theta = 0; on
+    # even vectors the row block gives rows 0..n/2 of the image
     g = circle_grid(0.0, 128)
     mat = assemble_limit(g)
+    rows = g.alpha[:g.n // 2 + 1]
     assert np.max(np.abs(mat @ np.ones(g.n))) < 1e-10
     for l in range(1, 17):
         img = mat @ np.cos(l * g.alpha)
-        assert np.max(np.abs(img - np.cos(l * g.alpha) / (2.0 * l))) < 1e-10
+        assert np.max(np.abs(img - np.cos(l * rows) / (2.0 * l))) < 1e-10
 
 
 def test_capacity_density_of_circle():
@@ -118,7 +121,7 @@ def test_limit_image_of_constant_shape_derivative():
         g = build_grid(wavy_shape((2, sign * t)), 0.0, n)
         img[sign] = assemble_limit(g) @ np.ones(n)
     fd = (img[1.0] - img[-1.0]) / (2.0 * t)
-    alpha = 2.0 * np.pi * np.arange(n) / n
+    alpha = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     assert np.max(np.abs(fd + np.cos(2.0 * alpha) / 4.0)) < 1e-8
 
 
@@ -134,22 +137,23 @@ def pair_data(g):
 
 def test_full_assembly_reconstructs_pointwise_kernel():
     # undo the quadrature split: A log(4 sin^2) + B must equal the direct
-    # elliptic evaluation off the diagonal
+    # elliptic evaluation off the diagonal, on rows 0..n/2, which hold one
+    # of every pair of nodes under the reflection j -> n - j
     g = build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.1, 128)
-    n = g.n
+    n, rows = g.n, slice(0, g.n // 2 + 1)
     mat = assemble_full(g)
-    s1, s2 = pair_data(g)
+    s1, s2 = (x[rows] for x in pair_data(g))
     s = g.eps**2 * s1 / s2**2
-    p, q = f_split(s.ravel())
-    a = (g.m[None, :] * s2 / (2.0 * np.pi)) * q.reshape(n, n)
+    p, q = f_split(s)
+    a = (g.m[None, :] * s2 / (2.0 * np.pi)) * q
     r = kress_log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    idx = (np.arange(n)[rows, None] - np.arange(n)[None, :]) % n
     b = (mat - a * r[idx]) * n / (2.0 * np.pi)
-    half = 0.5 * (g.alpha[:, None] - g.alpha[None, :])
+    half = 0.5 * (g.alpha[rows, None] - g.alpha[None, :])
     chord = 4.0 * np.sin(half) ** 2
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(n, dtype=bool)[rows]
     rec = a[off] * np.log(chord[off]) + b[off]
-    assert np.max(np.abs(rec - kernel_direct(g)[off])) < 1e-10
+    assert np.max(np.abs(rec - kernel_direct(g)[rows][off])) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3])
@@ -159,8 +163,16 @@ def test_weighted_kernel_symmetry(eps):
     off = ~np.eye(g.n, dtype=bool)
     k = kernel_direct(g) / g.m[None, :]
     assert np.max(np.abs((k - k.T)[off])) < 1e-10
-    m = assemble_full(g) / g.m[None, :]
+    m = unfold_rows(assemble_full(g)) / g.m[None, :]
     assert np.max(np.abs(m - m.T)) < 1e-10
+
+
+def test_assemblies_return_the_row_block():
+    # rows 0..n/2 against all n columns: no n x n matrix is assembled
+    for n in (64, 96):
+        grid = build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.02, n)
+        assert (assemble_full(grid).shape == assemble_limit(grid).shape
+                == (n // 2 + 1, n))
 
 
 def test_full_assembly_rejects_eps_zero():
@@ -183,7 +195,7 @@ def test_far_pair_fallback_keeps_assembly_usable():
     g = circle_grid(0.6, 96)
     mat = assemble_full(g)
     assert np.all(np.isfinite(mat))
-    m = mat / g.m[None, :]
+    m = unfold_rows(mat) / g.m[None, :]
     assert np.max(np.abs(m - m.T)) < 1e-10
 
 
@@ -236,13 +248,14 @@ def test_smooth_part_diagonal_matches_extrapolation():
     shape = wavy_shape((2, 0.1), (3, 0.05))
     eps, n = 0.2, 64
     g = build_grid(shape, eps, n)
-    mat = assemble_full(g)
+    mat = assemble_full(g)     # its diagonal is M[i, i] for i = 0..n/2
     r0 = kress_log_weights(n)[0]
-    s2_diag = 1.0 + eps * g.chi[:, 0]
-    a_diag = -g.m * s2_diag / (4.0 * np.pi)
+    m = g.m[:n // 2 + 1]
+    s2_diag = 1.0 + eps * g.chi[:n // 2 + 1, 0]
+    a_diag = -m * s2_diag / (4.0 * np.pi)
     b_from_matrix = (np.diag(mat) - a_diag * r0) * n / (2.0 * np.pi)
-    closed = (g.m * s2_diag / (2.0 * np.pi)
-              * (LOG8 - 2.0 + np.log(s2_diag / (eps * g.m))))
+    closed = (m * s2_diag / (2.0 * np.pi)
+              * (LOG8 - 2.0 + np.log(s2_diag / (eps * m))))
     assert np.max(np.abs(b_from_matrix - closed)) < 1e-12
     for i in (0, 13, 27):
         alpha = g.alpha[i]
@@ -300,11 +313,18 @@ def test_folded_capacity_solve_matches_dense():
     build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.02, 96),
     circle_grid(0.6, 96),
 ], ids=["limit", "wavy", "far_field"])
-def test_assembly_is_reflection_symmetric(grid):
-    # alpha -> -alpha maps node j to n - j; M[n-i, n-j] = M[i, j] exactly
-    mat = assemble_full(grid) if grid.eps > 0.0 else assemble_limit(grid)
-    rev = (-np.arange(grid.n)) % grid.n
-    assert np.array_equal(mat[rev][:, rev], mat)
+def test_block_mirror_matches_rows_evaluated_directly(grid):
+    # alpha -> -alpha maps node j to n - j, so M[n-i, n-j] = M[i, j]: the
+    # mirror of the block's rows 1..n/2-1 against rows n/2+1..n-1 assembled
+    # directly by the oracle, and rows 0 and n/2 against their own mirror
+    n, h = grid.n, grid.n // 2
+    block = assemble_full(grid) if grid.eps > 0.0 else assemble_limit(grid)
+    direct = assemble_cartesian(grid, np.arange(h + 1, n))
+    scale = np.max(np.abs(block))
+    assert np.max(np.abs(unfold_rows(block)[h + 1:] - direct)) < 1e-13 * scale
+    rev = (-np.arange(n)) % n
+    ends = block[[0, h]]
+    assert np.max(np.abs(ends[:, rev] - ends)) < 1e-13 * scale
 
 
 def test_flux_constant_leading_order():
