@@ -8,17 +8,17 @@ in the angle variables is
     s = eps^2 |chi(alpha) - chi(alpha~)|^2 / (rho rho~),
     rho = 1 + eps chi_1,
 
-with F the elliptic ring profile (see ``special``).  Write F = p + q log s
-and the chord in polar form,
+with F the elliptic ring profile (see ``special``).  Write F = p + q log w
+with w = s/(4+s), and the chord in polar form,
 
     |chi - chi~|^2 = 4 sin^2((alpha-alpha~)/2) Q,
     Q = (r - r~)^2 / (4 sin^2((alpha-alpha~)/2)) + r r~,   r = 1 + theta,
 
-so that log s = log(4 sin^2) + log(eps^2 Q / (rho rho~)).  This puts the
-kernel in the product-quadrature form A log(4 sin^2) + B with A, B smooth
-and periodic, so the trapezoid weights for B and the spectral log weights
-for A integrate trigonometric densities of degree < n/2 exactly.  On the
-diagonal Q -> m^2.
+so that log w = log(4 sin^2) + log(eps^2 Q / (rho rho~ (4+s))).  This
+puts the kernel in the product-quadrature form A log(4 sin^2) + B with A, B
+smooth and periodic, so the trapezoid weights for B and the spectral log
+weights for A integrate trigonometric densities of degree < n/2 exactly.
+On the diagonal Q -> m^2.
 
 The eps -> 0 limit kernel is -(m(alpha~)/2 pi) log |chi - chi~|, assembled
 by the same split with A = -m/(4 pi) exactly.
@@ -106,12 +106,12 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     weights with the log part A on the spectral log weights:
 
         M[i, j] = A[i, j] R[i-j] + (2 pi / n) B[i, j],
-        A = m sqrt(rho rho~) / (2 pi) q(s),   s = eps^2 Q chord / (rho rho~),
-        B = m sqrt(rho rho~) / (2 pi) (p(s) + q(s) log(eps^2 Q / (rho rho~))),
+        A = m sqrt(rho rho~) / (2 pi) q,   s = eps^2 Q chord / (rho rho~),
+        B = m sqrt(rho rho~) / (2 pi) (p + q log(eps^2 Q / (rho rho~ (4+s)))),
 
-    with chord = 4 sin^2((alpha_i - alpha_j)/2) and s = 0 on the diagonal,
-    which reproduces the kernel exactly since
-    A log(chord) + B = m sqrt(rho rho~)/(2 pi) (p + q log s).  Pairs pushed
+    with (p, q) = f_split(s), chord = 4 sin^2((alpha_i - alpha_j)/2) and
+    s = 0 on the diagonal, which reproduces the kernel exactly since
+    A log(chord) + B = m sqrt(rho rho~)/(2 pi) (p + q log w).  Pairs pushed
     beyond the series range of the split (possible only at eps of order
     one) are overwritten with plain trapezoid on the elliptic evaluation;
     if that happens inside the near-diagonal zone, where the log split is
@@ -130,7 +130,7 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     pref = np.outer(root[:h + 1], grid.m * root / (2.0 * np.pi))
     p, q = f_split(np.minimum(s, SPLIT_S_MAX))
     a = pref * q
-    b = pref * (p + q * np.log(ratio))
+    b = pref * (p + q * np.log(ratio / (4.0 + s)))
     far = s > SPLIT_S_MAX
     if np.any(far):
         if np.any(far & (chord < 0.5)):

@@ -6,12 +6,12 @@ to a one-variable profile
     F(s) = ((2+s)/sqrt(4+s)) K(k) - sqrt(4+s) E(k),   k^2 = 4/(4+s),
 
 where s is the squared chordal distance scaled by the geometric mean of the
-radial coordinates.  F has a log singularity at s = 0:
+radial coordinates.  F has a log singularity at s = 0; in w = s/(4+s) = k'^2
 
-    F(s) = p(s) + q(s) log s,    p(0) = log 8 - 2,  q(0) = -1/2,
+    F(s) = p(w) + q(w) log w,    p(0) = log 4 - 2,  q(0) = -1/2,
 
 with p, q analytic near 0.  ``f_split`` evaluates that decomposition, which is
-what the quadrature scheme needs, as two power series in w = s/(4+s) for
+what the quadrature scheme needs, as two power series in w for
 0 <= s <= SPLIT_S_MAX, summed by Horner's rule and truncated where the
 largest w of the call makes the next term negligible (a handful of terms
 in the thin regime); ``f_elliptic`` evaluates F itself for any s > 0
@@ -40,8 +40,7 @@ _N_TERMS = 44
 
 
 def _split_table(n: int) -> np.ndarray:
-    # columns [P | Q]: Q_m = c_m (2m + 1/2),
-    #                  P_m = c_m ((4m+1) d_m - 2) + Q_m log 4
+    # columns [P | Q]: Q_m = c_m (2m + 1/2),  P_m = c_m ((4m+1) d_m - 2)
     c = np.empty(n)
     d = np.empty(n)
     c[0] = 1.0
@@ -52,7 +51,7 @@ def _split_table(n: int) -> np.ndarray:
         d[m] = d[m - 1] + 1.0 / m - 2.0 / (2 * m - 1)
     m = np.arange(n)
     q = c * (2 * m + 0.5)
-    p = c * ((4 * m + 1) * d - 2.0) + q * np.log(4.0)
+    p = c * ((4 * m + 1) * d - 2.0)
     return np.column_stack([p, q])
 
 
@@ -105,17 +104,16 @@ def f_elliptic(s):
 
 
 def f_split(s):
-    """Log split of the ring kernel profile: F(s) = p(s) + q(s) log s.
+    """Log split of the ring kernel profile: F(s) = p + q log w, w = s/(4+s).
 
-    With w = s/(4+s) = k'^2 the split is two power series in w,
+    With w = k'^2 the split is two power series in w,
 
         q = -sqrt(1-w) sum_m Q_m w^m,
-        p =  sqrt(1-w) sum_m P_m w^m + log(1-w) q,
+        p =  sqrt(1-w) sum_m P_m w^m,
 
     obtained by inserting the log expansions of K and E about k' = 0
-    (DLMF 19.12; E = w K - 2 w (1-w) dK/dw) into F and moving the regular
-    part of log w = log s - log(4+s) into p.  The prefactors of F are
-    (2+s)/sqrt(4+s) = (1+w)/sqrt(1-w) and sqrt(4+s) = 2/sqrt(1-w).
+    (DLMF 19.12; E = w K - 2 w (1-w) dK/dw) into F.  The prefactors of F
+    are (2+s)/sqrt(4+s) = (1+w)/sqrt(1-w) and sqrt(4+s) = 2/sqrt(1-w).
 
     Both sums are evaluated by Horner's rule and truncated at the first
     order whose term, bounded at the largest w of the call, is below 1e-18,
@@ -126,7 +124,7 @@ def f_split(s):
     ----------
     s : float or ndarray
         Evaluation points, 0 <= s <= SPLIT_S_MAX.  s = 0 is allowed and
-        returns the analytic limits p(0) = log 8 - 2, q(0) = -1/2.
+        returns the analytic limits p(0) = log 4 - 2, q(0) = -1/2.
 
     Returns
     -------
@@ -161,7 +159,7 @@ def f_split(s):
         sum_q *= w
         sum_q += coeff_q
     q = -root * sum_q
-    p = root * sum_p + np.log1p(-w) * q
+    p = root * sum_p
     if scalar:
         return float(p[0]), float(q[0])
     return p, q

@@ -97,8 +97,8 @@ def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
     ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0 on the
     given rows (default 0..n/2, the library's block), with s1 =
     |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i rho_j),
-    log Q = log(s1 / 4 sin^2) and the smooth log split as 2 log eps +
-    log Q - 2 log s2.  The chord table and the log weights are formed here
+    log Q = log(s1 / 4 sin^2) and the smooth log of the split
+    F = p + q log w as 2 log eps + log Q - 2 log s2 - log(4 + s).  The chord table and the log weights are formed here
     for the given rows; shares ``f_split``, ``f_elliptic`` and
     ``kress_log_weights`` with the library.
     """
@@ -121,7 +121,8 @@ def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
         return a * weights + (2.0 * np.pi / n) * (a * log_q)
     s = grid.eps**2 * s1 / s2**2
     pref = grid.m[None, :] * s2 / (2.0 * np.pi)
-    log_eps_term = 2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
+    log_eps_term = (2.0 * np.log(grid.eps) + log_q - 2.0 * np.log(s2)
+                    - np.log(4.0 + s))
     p, q = f_split(np.minimum(s, SPLIT_S_MAX))
     a = pref * q
     b = pref * (p + q * log_eps_term)

@@ -236,10 +236,13 @@ def smooth_part(shape, eps, alpha, alpha_src):
     d = chi(alpha) - chi(alpha_src)
     s1 = float(d @ d)
     s2 = np.sqrt((1.0 + eps * chi(alpha)[0]) * (1.0 + eps * chi(alpha_src)[0]))
-    p, q = f_split(np.array([eps**2 * s1 / s2**2]))
+    s = eps**2 * s1 / s2**2
+    p, q = f_split(np.array([s]))
     log_q = np.log(s1 / (4.0 * np.sin(0.5 * (alpha - alpha_src)) ** 2))
+    # F = p + q log w with log w = log(4 sin^2) + log(eps^2 Q / (s2^2 (4 + s)))
     return (metric(alpha_src) * s2 / (2.0 * np.pi)
-            * (p[0] + q[0] * (2.0 * np.log(eps) + log_q - 2.0 * np.log(s2))))
+            * (p[0] + q[0] * (2.0 * np.log(eps) + log_q - 2.0 * np.log(s2)
+                              - np.log(4.0 + s))))
 
 
 def test_smooth_part_diagonal_matches_extrapolation():

@@ -26,6 +26,12 @@ F_REFERENCE = {
 }
 
 LOG8 = 3.0 * np.log(2.0)
+LOG4 = 2.0 * np.log(2.0)
+
+
+def log_w(s):
+    # the split's variable w = s/(4+s) = k'^2
+    return np.log(s / (4.0 + s))
 
 
 def test_f_elliptic_against_frozen_values():
@@ -50,20 +56,20 @@ def test_elliptic_vs_direct_on_wide_grid():
 def test_split_reconstructs_f():
     s = np.geomspace(1e-12, 1.0, 200)
     p, q = f_split(s)
-    assert np.max(np.abs(p + q * np.log(s) - f_elliptic(s))) < 1e-11
+    assert np.max(np.abs(p + q * log_w(s) - f_elliptic(s))) < 1e-11
 
 
 def test_split_against_frozen_values():
     s = np.array([v for v in sorted(F_REFERENCE) if v <= 1.0])
     ref = np.array([F_REFERENCE[v] for v in s])
     p, q = f_split(s)
-    assert np.max(np.abs(p + q * np.log(s) - ref)) < 1e-14
+    assert np.max(np.abs(p + q * log_w(s) - ref)) < 1e-14
 
 
 def test_split_endpoint_values():
-    # F = p + q log s with p(0) = log 8 - 2 and q(0) = -1/2
+    # F = p + q log w with p(0) = log 4 - 2 and q(0) = -1/2
     p, q = f_split(np.array([0.0]))
-    assert abs(p[0] - (LOG8 - 2.0)) < 1e-14
+    assert abs(p[0] - (LOG4 - 2.0)) < 1e-14
     assert abs(q[0] + 0.5) < 1e-14
 
 
@@ -82,11 +88,11 @@ def test_split_empty_and_zero_inputs():
     p, q = f_split(np.array([]))
     assert p.shape == (0,) and q.shape == (0,)
     # every zero takes the one-term sum: q is exactly -1/2 and p is the
-    # table's p(0) = log 8 - 2, which the double log(8) - 2 misses by 1.8e-16
+    # table's p(0) = log 4 - 2
     p, q = f_split(np.zeros(4))
     p0, q0 = f_split(0.0)
     assert np.all(p == p0) and np.all(q == q0) and q0 == -0.5
-    assert abs(p0 - (LOG8 - 2.0)) <= 2e-16
+    assert abs(p0 - (LOG4 - 2.0)) <= 2e-16
 
 
 def test_split_range_guard():
@@ -121,7 +127,7 @@ def test_elliptic_ke_degenerate_endpoint():
 def test_split_consistent_with_elliptic(log10_s):
     s = 10.0**log10_s
     p, q = f_split(np.array([s]))
-    assert abs(p[0] + q[0] * np.log(s) - f_elliptic(np.array([s]))[0]) < 1e-11
+    assert abs(p[0] + q[0] * log_w(s) - f_elliptic(np.array([s]))[0]) < 1e-11
 
 
 @settings(max_examples=40, deadline=None)
