@@ -6,7 +6,7 @@ in the angle variables is
 
     K(alpha, alpha~) = m(alpha~) (sqrt(rho rho~) / 2 pi) F(s),
     s = eps^2 |chi(alpha) - chi(alpha~)|^2 / (rho rho~),
-    rho = 1 + eps chi_1,
+    rho = 1 + eps x1,   x1 = (1 + theta) cos alpha,
 
 with F the elliptic ring profile (see ``special``).  Write F = p + q log w
 with w = s/(4+s), and the chord in polar form,
@@ -122,7 +122,7 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
         raise ValueError("assemble_full requires eps > 0; use assemble_limit")
     h = grid.n // 2
     chord, weights = _half_tables(grid.n)
-    rho = 1.0 + grid.eps * grid.chi[:, 0]
+    rho = 1.0 + grid.eps * grid.x1
     ratio = grid.eps**2 * _half_pairs(grid) / np.outer(rho[:h + 1], rho)
     s = ratio * chord
     np.fill_diagonal(s, 0.0)
@@ -200,11 +200,11 @@ def solve_capacity(grid: BoundaryGrid) -> CapacitySolution:
 def solve_outer(grid: BoundaryGrid, w: float) -> OuterSolution:
     """Outer layer density for ring speed w.
 
-    Boundary data (w/2)(1 + eps chi_1)^2 together with unit circulation
+    Boundary data (w/2)(1 + eps x1)^2 together with unit circulation
     int m mu dalpha = 1; the unknown flux constant gamma rides along in the
     bordered column.  (mu, gamma) is affine in w since only the right side
     depends on it.
     """
-    rhs = 0.5 * w * (1.0 + grid.eps * grid.chi[:, 0]) ** 2
+    rhs = 0.5 * w * (1.0 + grid.eps * grid.x1) ** 2
     mu, gamma = _bordered_solve(grid, assemble_full(grid), rhs)
     return OuterSolution(mu=mu, gamma=gamma)

@@ -6,15 +6,16 @@ series
 
     theta(alpha) = sum_{l=0}^{M} a_l cos(l alpha).
 
-``build_grid`` evaluates everything the integral operators need on a uniform
-angular grid: the boundary chart chi(alpha) = (1+theta) (cos alpha, sin
-alpha), the metric m = sqrt(theta'^2 + (1+theta)^2), the outward normal, the
-in-plane curvature and the full mean-curvature factor
+``build_grid`` samples what the solves read on a uniform angular grid:
+theta, the first coordinate x1 = (1+theta) cos alpha of the boundary chart
+chi(alpha) = (1+theta) (cos alpha, sin alpha), the metric
+m = |chi'| = sqrt(theta'^2 + (1+theta)^2) and the full mean-curvature factor
 
-    h = kappa + eps (n . e1) / (1 + eps chi_1),
+    h = kappa + eps (n . e1) / (1 + eps x1),
 
-which is what multiplies the surface tension in the pressure jump; theta,
-theta' and theta'' come from one inverse real FFT of the coefficients.  The
+with kappa the in-plane curvature and n the outward normal, which is what
+multiplies the surface tension in the pressure jump; theta, theta' and
+theta'' come from one inverse real FFT of the coefficients.  The
 admissible set is pinned by area pi and vanishing first moment, enforced on
 the (a_0, a_1) pair by ``project_constraints`` with an exact 2x2 Jacobian.
 """
@@ -70,10 +71,6 @@ class FourierShape:
         l = np.arange(self.coeffs.size)
         return np.cos(np.multiply.outer(np.asarray(alpha, float), l)) @ self.coeffs
 
-    def dtheta(self, alpha: np.ndarray) -> np.ndarray:
-        l = np.arange(self.coeffs.size)
-        return -np.sin(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * self.coeffs)
-
     def sup_norm(self) -> float:
         alpha = np.linspace(0.0, np.pi, 8 * self.coeffs.size + 16)
         return float(np.max(np.abs(self.theta(alpha))))
@@ -85,13 +82,9 @@ class BoundaryGrid:
 
     alpha: np.ndarray
     theta: np.ndarray
-    dtheta: np.ndarray
-    ddtheta: np.ndarray
     m: np.ndarray          # metric factor |chi'|
-    chi: np.ndarray        # boundary points, shape (n, 2)
-    normal: np.ndarray     # outward unit normal at chi, shape (n, 2)
-    kappa: np.ndarray      # in-plane curvature of the cross-section
-    h: np.ndarray          # kappa + eps (n.e1)/(1 + eps chi_1)
+    x1: np.ndarray         # first coordinate (1 + theta) cos alpha of chi
+    h: np.ndarray          # kappa + eps (n.e1)/(1 + eps x1)
     eps: float
 
     @property
@@ -126,13 +119,11 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
 
     m = np.hypot(dth, r)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    chi = np.stack([r * ca, r * sa], axis=1)
-    # outward normal of the polar graph: ((1+theta) X - theta' X_perp)/m
-    normal = np.stack([(r * ca + dth * sa) / m, (r * sa - dth * ca) / m], axis=1)
+    # in-plane curvature, and n . e1 = (r cos + theta' sin)/m from the
+    # outward normal ((1+theta) X - theta' X_perp)/m of the polar graph
     kappa = (r * r + 2.0 * dth * dth - r * ddth) / m**3
     h = kappa + eps * (r * ca + dth * sa) / (m * (1.0 + eps * r * ca))
-    return BoundaryGrid(alpha=alpha, theta=th, dtheta=dth, ddtheta=ddth, m=m,
-                        chi=chi, normal=normal, kappa=kappa, h=h,
+    return BoundaryGrid(alpha=alpha, theta=th, m=m, x1=r * ca, h=h,
                         eps=float(eps))
 
 

@@ -7,17 +7,21 @@ outer kernel pointwise on the elliptic path, without the log split;
 Cartesian point differences rather than the polar form of ``Q``, any rows,
 not only the library's 0..n/2; ``unfold_rows`` fills the other rows of
 that block by the reflection j -> n - j; ``bordered_solve_dense`` solves
-the outer bordered system on all n nodes, without the even-symmetry fold; ``core_solve_dense`` is the core
-collocation solve on all angles, its operator assembled as dense ``np.kron``
-products and solved by LU rather than applied as a function on the even
-half-grid inside preconditioned GMRES; ``dtn_disk`` is the
-Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
-``particular_solution`` is the polynomial particular part of the core
-problem with its gradient at arbitrary points, which the library evaluates
-on the boundary ring only; ``resample_dense`` is trigonometric
-interpolation summed on dense cosine and sine tables rather than by a
-zero-padded inverse FFT; ``elliptic_ke`` gives the complete elliptic
-integrals at one modulus from the library's AGM.
+the outer bordered system on all n nodes, without the even-symmetry fold;
+``boundary_points`` forms the chart chi from a grid's alpha and theta;
+``dtheta_direct``, ``ddtheta_direct`` and ``h_direct`` give theta',
+theta'' and the mean-curvature factor h from direct cosine sums rather than
+one inverse FFT; ``core_solve_dense`` is the core collocation solve on all
+angles, its operator assembled as dense ``np.kron`` products and solved by
+LU rather than applied as a function on the even half-grid inside
+preconditioned GMRES; ``dtn_disk`` is the Dirichlet-to-Neumann map of the
+unit disk as a Fourier multiplier; ``particular_solution`` is the
+polynomial particular part of the core problem with its gradient at
+arbitrary points, which the library evaluates on the boundary ring only;
+``resample_dense`` is trigonometric interpolation summed on dense cosine
+and sine tables rather than by a zero-padded inverse FFT; ``elliptic_ke``
+gives the complete elliptic integrals at one modulus from the library's
+AGM.
 
 The dimensional layer, ``PhysicalSetup`` with ``nondimensionalize``,
 ``redimensionalize`` and the dimensional speed law ``kelvin_hicks``, is the
@@ -72,6 +76,43 @@ def f_direct(s: float, rtol: float = 1e-12) -> float:
     return v1 + v2
 
 
+def boundary_points(grid: BoundaryGrid) -> np.ndarray:
+    """Boundary chart chi = (1 + theta) (cos alpha, sin alpha), shape (n, 2)."""
+    r = 1.0 + grid.theta
+    return np.stack([r * np.cos(grid.alpha), r * np.sin(grid.alpha)], axis=1)
+
+
+def dtheta_direct(shape: FourierShape, alpha: np.ndarray) -> np.ndarray:
+    """theta' = -sum l a_l sin(l alpha), summed directly."""
+    l = np.arange(shape.coeffs.size)
+    return -np.sin(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * shape.coeffs)
+
+
+def ddtheta_direct(shape: FourierShape, alpha: np.ndarray) -> np.ndarray:
+    """theta'' = -sum l^2 a_l cos(l alpha), summed directly."""
+    l = np.arange(shape.coeffs.size)
+    return -np.cos(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * l * shape.coeffs)
+
+
+def h_direct(shape: FourierShape, eps: float, alpha: np.ndarray) -> np.ndarray:
+    """Mean-curvature factor kappa + eps (n . e1) / (1 + eps x1), direct sums.
+
+    The chart (x, y) = (1 + theta) (cos alpha, sin alpha) is differentiated
+    in Cartesian form: kappa = (x' y'' - y' x'') / |chi'|^3 and the outward
+    normal of the counterclockwise curve is (y', -x') / |chi'|.
+    """
+    alpha = np.asarray(alpha, float)
+    r, dr, ddr = (shape.theta(alpha) + 1.0, dtheta_direct(shape, alpha),
+                  ddtheta_direct(shape, alpha))
+    c, s = np.cos(alpha), np.sin(alpha)
+    dx, dy = dr * c - r * s, dr * s + r * c
+    ddx = ddr * c - 2.0 * dr * s - r * c
+    ddy = ddr * s + 2.0 * dr * c - r * s
+    speed = np.hypot(dx, dy)
+    kappa = (dx * ddy - dy * ddx) / speed**3
+    return kappa + eps * (dy / speed) / (1.0 + eps * r * c)
+
+
 def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
     """Pointwise kernel values m s2/(2 pi) F(eps^2 s1/s2^2), elliptic path.
 
@@ -79,9 +120,10 @@ def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
     the independent check of the assembled A log(4 sin^2) + B split.
     """
     n = grid.n
-    d = grid.chi[:, None, :] - grid.chi[None, :, :]
+    chi = boundary_points(grid)
+    d = chi[:, None, :] - chi[None, :, :]
     s1 = np.sum(d * d, axis=2)
-    radial = 1.0 + grid.eps * grid.chi[:, 0]
+    radial = 1.0 + grid.eps * chi[:, 0]
     s2 = np.sqrt(np.outer(radial, radial))
     s = grid.eps**2 * s1 / s2**2
     out = np.empty((n, n))
@@ -95,8 +137,8 @@ def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
     """Outer Nystrom rows from Cartesian point differences; oracle path.
 
     ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0 on the
-    given rows (default 0..n/2, the library's block), with s1 =
-    |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i rho_j),
+    given rows (default 0..n/2, the library's block), with chi formed from
+    alpha and theta, s1 = |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i rho_j),
     log Q = log(s1 / 4 sin^2) and the smooth log of the split
     F = p + q log w as 2 log eps + log Q - 2 log s2 - log(4 + s).  The chord table and the log weights are formed here
     for the given rows; shares ``f_split``, ``f_elliptic`` and
@@ -105,7 +147,7 @@ def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
     n = grid.n
     rows = np.arange(n // 2 + 1) if rows is None else np.asarray(rows)
     diag = (np.arange(rows.size), rows)
-    chi = grid.chi
+    chi = boundary_points(grid)
     d = chi[rows, None, :] - chi[None, :, :]
     s1 = np.einsum("ijk,ijk->ij", d, d)
     radial = 1.0 + grid.eps * chi[:, 0]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import f_direct, kernel_direct
+from oracles import boundary_points, f_direct, kernel_direct
 from thinring.inner import solve_inner
 from thinring.outer import assemble_full, assemble_limit, kress_log_weights, \
     solve_capacity
@@ -135,9 +135,10 @@ def test_criterion_04_ring_kernel_consistency():
     g = build_grid(FourierShape(np.array([0.0, 0.0, 0.05, -0.02])), 0.1, 128)
     n, rows = g.n, slice(0, g.n // 2 + 1)
     mat = assemble_full(g)
-    d = g.chi[rows, None, :] - g.chi[None, :, :]
+    chi = boundary_points(g)
+    d = chi[rows, None, :] - chi[None, :, :]
     s1 = np.einsum("ijk,ijk->ij", d, d)
-    radial = 1.0 + g.eps * g.chi[:, 0]
+    radial = 1.0 + g.eps * chi[:, 0]
     s2 = np.sqrt(np.outer(radial[rows], radial))
     sq = g.eps**2 * s1 / s2**2
     _, q = f_split(sq)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (assemble_cartesian, bordered_solve_dense, kernel_direct,
-                     unfold_rows)
+from oracles import (assemble_cartesian, bordered_solve_dense, boundary_points,
+                     dtheta_direct, kernel_direct, unfold_rows)
 from thinring.outer import (assemble_full, assemble_limit, kress_log_weights,
                             solve_capacity, solve_outer)
 from thinring.shape import FourierShape, build_grid
@@ -128,9 +128,10 @@ def test_limit_image_of_constant_shape_derivative():
 # --------------------------------------------------------------- full kernel
 
 def pair_data(g):
-    d = g.chi[:, None, :] - g.chi[None, :, :]
+    chi = boundary_points(g)
+    d = chi[:, None, :] - chi[None, :, :]
     s1 = np.einsum("ijk,ijk->ij", d, d)
-    radial = 1.0 + g.eps * g.chi[:, 0]
+    radial = 1.0 + g.eps * chi[:, 0]
     s2 = np.sqrt(np.outer(radial, radial))
     return s1, s2
 
@@ -231,7 +232,7 @@ def smooth_part(shape, eps, alpha, alpha_src):
         return (1.0 + shape.theta(t)) * np.array([np.cos(t), np.sin(t)])
 
     def metric(t):
-        return np.hypot(shape.dtheta(t), 1.0 + shape.theta(t))
+        return np.hypot(dtheta_direct(shape, t), 1.0 + shape.theta(t))
 
     d = chi(alpha) - chi(alpha_src)
     s1 = float(d @ d)
@@ -254,7 +255,7 @@ def test_smooth_part_diagonal_matches_extrapolation():
     mat = assemble_full(g)     # its diagonal is M[i, i] for i = 0..n/2
     r0 = kress_log_weights(n)[0]
     m = g.m[:n // 2 + 1]
-    s2_diag = 1.0 + eps * g.chi[:n // 2 + 1, 0]
+    s2_diag = 1.0 + eps * g.x1[:n // 2 + 1]
     a_diag = -m * s2_diag / (4.0 * np.pi)
     b_from_matrix = (np.diag(mat) - a_diag * r0) * n / (2.0 * np.pi)
     closed = (m * s2_diag / (2.0 * np.pi)
@@ -297,7 +298,7 @@ def test_folded_outer_solve_matches_dense(grid):
     # the even-symmetry fold against the unfolded (n+1) bordered system;
     # eps = 0.6 also takes the far-pair fallback of the assembly
     sol = solve_outer(grid, 0.4)
-    rhs = 0.2 * (1.0 + grid.eps * grid.chi[:, 0]) ** 2
+    rhs = 0.2 * (1.0 + grid.eps * grid.x1) ** 2
     mu, gamma = bordered_solve_dense(grid, assemble_full(grid), rhs)
     assert np.max(np.abs(sol.mu - mu)) < 1e-12
     assert abs(sol.gamma - gamma) < 1e-12

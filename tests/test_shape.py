@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import resample_dense
+from oracles import dtheta_direct, h_direct, resample_dense
 from thinring.shape import (FourierShape, GeometryError, ProjectionError,
                             area, build_grid, cosine_coeffs, moment_x1,
                             project_constraints, resample_trig, sobolev_norm)
@@ -20,28 +20,24 @@ def small_shape(coeffs):
 def test_unit_circle_grid():
     g = build_grid(FourierShape(np.zeros(3)), 0.0, 64)
     assert np.allclose(g.m, 1.0, atol=1e-15)
-    assert np.allclose(g.kappa, 1.0, atol=1e-13)
-    assert np.allclose(g.h, 1.0, atol=1e-13)
-    assert np.allclose(np.linalg.norm(g.chi, axis=1), 1.0, atol=1e-15)
+    assert np.allclose(g.h, 1.0, atol=1e-13)     # h = kappa at eps = 0
+    assert np.allclose(g.x1, np.cos(g.alpha), atol=1e-15)
 
 
 def test_h_at_positive_eps_on_circle():
-    # h = kappa + eps (n . e1) / (1 + eps chi_1); on the circle n = chi
+    # h = kappa + eps (n . e1) / (1 + eps x1); on the circle n = chi
     eps = 0.1
     g = build_grid(FourierShape(np.zeros(3)), eps, 64)
     expect = 1.0 + eps * np.cos(g.alpha) / (1.0 + eps * np.cos(g.alpha))
     assert np.max(np.abs(g.h - expect)) < 1e-13
 
 
-def test_normal_is_unit_and_orthogonal_to_tangent():
+@pytest.mark.parametrize("eps", [0.03, 0.3])
+def test_h_on_non_circular_section(eps):
+    # kappa and n . e1 from Cartesian derivatives of direct cosine sums
     shape = small_shape([0.0, 0.0, 0.05, -0.02, 0.01])
-    g = build_grid(shape, 0.03, 128)
-    assert np.max(np.abs(np.linalg.norm(g.normal, axis=1) - 1.0)) < 1e-14
-    # tangent of chi(alpha) = (1+theta)X(alpha)
-    tx = g.dtheta * np.cos(g.alpha) - (1.0 + g.theta) * np.sin(g.alpha)
-    ty = g.dtheta * np.sin(g.alpha) + (1.0 + g.theta) * np.cos(g.alpha)
-    dot = g.normal[:, 0] * tx + g.normal[:, 1] * ty
-    assert np.max(np.abs(dot)) < 1e-14
+    g = build_grid(shape, eps, 128)
+    assert np.max(np.abs(g.h - h_direct(shape, eps, g.alpha))) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -50,7 +46,7 @@ def test_normal_is_unit_and_orthogonal_to_tangent():
 def test_gauss_bonnet(coeffs):
     shape = small_shape([0.0] + coeffs)
     g = build_grid(shape, 0.0, 256)
-    total = np.sum(g.kappa * g.m) * g.weight
+    total = np.sum(g.h * g.m) * g.weight     # h = kappa exactly at eps = 0
     assert abs(total - 2.0 * np.pi) < 1e-10
 
 
@@ -74,16 +70,17 @@ def test_projection_restores_constraints_and_keeps_high_modes():
 
 
 def test_grid_samples_at_smallest_allowed_n():
-    # n = 4 (M + 1) is the coarsest grid build_grid accepts
+    # n = 4 (M + 1) is the coarsest grid build_grid accepts; theta, theta'
+    # (through m) and theta'' (through h = kappa) against direct sums
     rng = np.random.default_rng(11)
     a = rng.normal(size=9) * 0.02
     shape = FourierShape(a)
-    g = build_grid(shape, 0.02, 36)
-    l = np.arange(a.size)
-    ddtheta = -np.cos(np.multiply.outer(g.alpha, l)) @ (l * l * a)
-    assert np.max(np.abs(g.theta - shape.theta(g.alpha))) < 1e-13
-    assert np.max(np.abs(g.dtheta - shape.dtheta(g.alpha))) < 1e-13
-    assert np.max(np.abs(g.ddtheta - ddtheta)) < 1e-13
+    g = build_grid(shape, 0.0, 36)
+    theta = shape.theta(g.alpha)
+    m = np.hypot(dtheta_direct(shape, g.alpha), 1.0 + theta)
+    assert np.max(np.abs(g.theta - theta)) < 1e-13
+    assert np.max(np.abs(g.m - m)) < 1e-13
+    assert np.max(np.abs(g.h - h_direct(shape, 0.0, g.alpha))) < 1e-13
 
 
 @pytest.mark.parametrize("coeffs", [[0.1], [0.0, 0.2, 0.05]])
