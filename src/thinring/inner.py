@@ -195,15 +195,17 @@ def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):
 
     The Arnoldi basis is orthogonalized by classical Gram-Schmidt, applied
     twice; Givens rotations on Python floats keep the least-squares residual
-    |g_{j+1}| at hand, and the loop stops once it is at most tol |rhs|.
+    |g_{j+1}| at hand, and the loop stops once it is at most tol |rhs|.  The
+    rotated columns, kept as those floats, are the triangular factor R, and
+    R y = g is solved by back substitution, column by column.
     Returns (x, iterations, residual relative to |rhs|).  The core solve
     passes the Liouville-scaled system, whose rows carry the factor
     sqrt(1 + eps x1), with tol = _GMRES_TOL.
     """
     norm = math.sqrt(rhs @ rhs)
-    basis, hess = np.zeros((max_iter + 1, rhs.size)), np.zeros((max_iter,) * 2)
+    basis = np.zeros((max_iter + 1, rhs.size))
     basis[0] = rhs / norm
-    rot, g = [], [norm]
+    rot, g, cols = [], [norm], []
     for j in range(max_iter):
         done, w = basis[:j + 1], apply(basis[j])
         proj = done @ w
@@ -218,13 +220,17 @@ def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):
                                   cs * col[i + 1] - sn * col[i])
         rr = math.hypot(col[j], col[j + 1]) or math.nan
         rot.append((col[j] / rr, col[j + 1] / rr))
-        hess[:j + 1, j] = col[:j] + [rr]
+        cols.append(col[:j] + [rr])
         g.append(-rot[j][1] * g[j])
         g[j] *= rot[j][0]
         if abs(g[j + 1]) <= tol * norm:
             break
-    y = np.linalg.solve(np.triu(hess[:j + 1, :j + 1]), g[:j + 1])
-    return y @ basis[:j + 1], j + 1, abs(g[j + 1]) / norm
+    y = g[:j + 1]
+    for k in range(j, -1, -1):
+        y[k] /= cols[k][k]
+        for i in range(k):
+            y[i] -= cols[k][i] * y[k]
+    return np.array(y) @ basis[:j + 1], j + 1, abs(g[j + 1]) / norm
 
 
 def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
