@@ -205,10 +205,13 @@ def cosine_coeffs(values: np.ndarray, m: int) -> np.ndarray:
     """Project uniform-grid samples onto cosine modes 0..m.
 
     Returns a_l with f ~ sum a_l cos(l alpha); the sine content is
-    discarded (callers assert evenness separately when it matters).
+    discarded (callers assert evenness separately when it matters).  Raises
+    ValueError unless 0 <= m < n/2.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
+    if m < 0:
+        raise ValueError(f"m = {m} must be nonnegative")
     if m >= n // 2:
         raise ValueError(f"m = {m} unresolved by {n} samples")
     spec = np.fft.rfft(values)
@@ -225,8 +228,10 @@ def resample_trig(values: np.ndarray, n_target: int) -> np.ndarray:
     One rfft, the spectrum zero-padded (an even source's Nyquist bin halved,
     its sine dropped), one irfft.  A coarser target (n_target < n) is every
     m-th point of the interpolant on the m * n_target >= n grid, so it is
-    still exact point evaluation.
+    still exact point evaluation.  Raises ValueError for n_target < 1.
     """
+    if n_target < 1:
+        raise ValueError(f"n_target = {n_target} must be at least 1")
     values = np.asarray(values, dtype=float)
     n = values.size
     if n_target < n:

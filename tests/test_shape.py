@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dtheta_direct, h_direct, resample_dense
+from thinring.inner import InnerSolution
 from thinring.shape import (FourierShape, GeometryError, ProjectionError,
                             area, build_grid, cosine_coeffs, moment_x1,
                             project_constraints, resample_trig, sobolev_norm)
@@ -153,6 +154,18 @@ def test_cosine_projection_round_trip():
 def test_cosine_projection_rejects_unresolved_modes():
     with pytest.raises(ValueError):
         cosine_coeffs(np.zeros(16), 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: resample_trig(v, -4),
+    lambda v: resample_trig(v, 0),
+    lambda v: cosine_coeffs(v, -3),
+    lambda v: InnerSolution(np.zeros(8), v, {}).lam_on(0),
+], ids=["resample-negative", "resample-zero", "cosine-negative", "lam_on-zero"])
+def test_resampling_rejects_unusable_sizes(call):
+    # a negative or zero size must not return values or fail elsewhere
+    with pytest.raises(ValueError, match="must be"):
+        call(np.arange(8.0))
 
 
 def test_resample_preserves_band_limited_data():
