@@ -57,8 +57,8 @@ def _split_table(n: int) -> np.ndarray:
 
 _PQ = _split_table(_N_TERMS)
 # Largest coefficient of each order, the bound f_split truncates against.
-# From order 1 on the row maxima lie between 0.84 and 0.89, so for w <= 1/5
-# the omitted terms sum to less than 1.3 times the first of them.
+# From order 1 the row maxima are the Q_m and lie between 0.62 and 0.64, so
+# for w <= 1/5 the omitted terms sum to less than 1.3 times the first of them.
 _PQ_ROW_MAX = np.max(np.abs(_PQ), axis=1)
 _TRUNCATION = 1e-18
 
