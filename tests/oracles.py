@@ -138,10 +138,11 @@ def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
 
     ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0 on the
     given rows (default 0..n/2, the library's block), with chi formed from
-    alpha and theta, s1 = |chi_i - chi_j|^2 from the difference tensor, s2 = sqrt(rho_i rho_j),
-    log Q = log(s1 / 4 sin^2) and the smooth log of the split
-    F = p + q log w as 2 log eps + log Q - 2 log s2 - log(4 + s).  The chord table and the log weights are formed here
-    for the given rows; shares ``f_split``, ``f_elliptic`` and
+    alpha and theta, s1 = |chi_i - chi_j|^2 from the difference tensor,
+    s2 = sqrt(rho_i rho_j), log Q = log(s1 / 4 sin^2) and the smooth log
+    of the split F = p + q log w as 2 log eps + log Q - 2 log s2 -
+    log(4 + s).  The chord table and the log weights are formed here for
+    the given rows; shares ``f_split``, ``f_elliptic`` and
     ``kress_log_weights`` with the library.
     """
     n = grid.n
