@@ -10,15 +10,6 @@ configuration.
 
 from __future__ import annotations
 
-import os
-
-# cap BLAS pools before numpy is pulled in anywhere below
-_threads = os.environ.get("THINRING_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import math

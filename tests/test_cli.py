@@ -3,7 +3,6 @@
 import importlib
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -208,18 +207,6 @@ def test_module_entry_point_usage_error():
     proc = subprocess.run([sys.executable, "-m", "thinring.cli", "solve"],
                           capture_output=True, text=True)
     assert proc.returncode == 64
-
-
-def test_thread_cap_env_propagates():
-    env = dict(os.environ, THINRING_THREADS="2")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        env.pop(var, None)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import thinring.cli, os; print(os.environ['OMP_NUM_THREADS'])"],
-        capture_output=True, text=True, env=env)
-    assert proc.stdout.strip() == "2"
 
 
 def test_library_imports_without_scipy():
