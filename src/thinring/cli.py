@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .physics import (NAMED_KINDS, NondimParams, SigmaLaw, asymptotic_wgn,
-                      check_sigma, degeneracy_k0, degeneracy_margin,
-                      nu_sigma_rescaled)
+                      check_sigma, degeneracy_k0, degeneracy_margin)
 from .shape import build_grid
 from .solver import (ContinuationError, SolutionState, SolverError,
                      SolverOptions, continuation, newton_solve)
@@ -125,8 +124,9 @@ def _state_payload(state: SolutionState, args, params: NondimParams) -> dict:
     nu_pair = {"standard": state.nu}
     if not sig.is_zero:
         es = sig.eps_sigma(state.eps)
+        nu_asym = asymptotic_wgn(state.eps, params.rho, sig)[2]
         nu_pair["sigma_rescaled"] = state.nu / es
-        nu_pair["sigma_rescaled_asym"] = nu_sigma_rescaled(state.eps, params.rho, sig)
+        nu_pair["sigma_rescaled_asym"] = nu_asym / es
     return {
         "params": _params_payload(args, state.eps),
         "shape": {"coeffs": state.shape.coeffs},

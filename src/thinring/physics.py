@@ -29,7 +29,6 @@ __all__ = [
     "NondimParams",
     "SigmaReport",
     "asymptotic_wgn",
-    "nu_sigma_rescaled",
     "s_from_w",
     "degeneracy_k0",
     "degeneracy_margin",
@@ -174,18 +173,6 @@ def asymptotic_wgn(eps: float, rho: float,
         - rho * math.pi / 2.0 - es * math.pi / 4.0
     nu = 4.0 * rho - 1.0 / (4.0 * math.pi**2) + es
     return w, gamma, nu
-
-
-def nu_sigma_rescaled(eps: float, rho: float, sigma_law: SigmaLaw) -> float:
-    """Bernoulli constant in the tension-rescaled normalization.
-
-    nu / (eps sigma) at leading order: (1/(eps sigma))(4 rho - 1/(4 pi^2)) + 1.
-    Only meaningful for sigma > 0.
-    """
-    es = sigma_law.eps_sigma(eps)
-    if es <= 0.0:
-        raise ValueError("rescaled nu requires sigma > 0")
-    return (4.0 * rho - 1.0 / (4.0 * math.pi**2)) / es + 1.0
 
 
 def s_from_w(eps: float, w: float) -> float:

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from oracles import (PhysicalSetup, kelvin_hicks, nondimensionalize,
                      redimensionalize)
 from thinring.physics import (NondimParams, SigmaLaw, asymptotic_wgn,
-                              check_sigma, degeneracy_margin,
-                              nu_sigma_rescaled, s_from_w)
+                              check_sigma, degeneracy_margin, s_from_w)
 
 K0_RHO0 = 1.0 / (2.0 * math.pi**2)
 
@@ -158,12 +157,12 @@ def test_flux_constant_identity_cancels_parameters(rho, c, eps):
 
 
 def test_rescaled_bernoulli_constant():
+    # nu / (eps sigma) = (4 rho - 1/(4 pi^2)) / (eps sigma) + 1
     law = SigmaLaw(kind="c_over_eps", c=4.0)
     rho, eps = 0.03, 0.01
     expect = (4.0 * rho - 1.0 / (4.0 * math.pi**2)) / 4.0 + 1.0
-    assert abs(nu_sigma_rescaled(eps, rho, law) - expect) < 1e-14
-    with pytest.raises(ValueError):
-        nu_sigma_rescaled(eps, rho, SigmaLaw())
+    nu = asymptotic_wgn(eps, rho, law)[2]
+    assert abs(nu / law.eps_sigma(eps) - expect) < 1e-14
 
 
 def test_speed_coordinate_asymptote():
