@@ -98,7 +98,11 @@ def _fourier_diff(n: int) -> np.ndarray:
 
 
 class _Diagnostics(Mapping):
-    """Read-only mapping whose callable values are computed on first read."""
+    """Read-only mapping whose callable values are computed on first read.
+
+    A repr, a comparison or dict() reads every entry; for a core solve's
+    diagnostics that computes one refined solve.
+    """
 
     def __init__(self, entries: dict):
         self._entries = entries
@@ -326,7 +330,7 @@ def _solve_core(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
 
 
 def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
-                n_alpha: int = 32, check_resolution: bool = False) -> InnerSolution:
+                n_alpha: int = 32) -> InnerSolution:
     """Solve the core problem and return boundary traces.
 
     Parameters
@@ -334,8 +338,6 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     shape, eps : cross-section and aspect ratio.
     n_r : positive radial Chebyshev nodes (none at the center), at least 2.
     n_alpha : angular nodes, even and at least 2.
-    check_resolution : re-solve on a refined grid and record the trace
-        difference in ``diagnostics['refinement_diff']``.
 
     The harmonic extension must be invertible on the closed disk,
     1 + sum_l (l+1) a_l s^l cos(l alpha) > 0 on the collocation grid, and
@@ -349,11 +351,15 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
     Diagnostics always include the mean-flux defect
     ``int lambda m dalpha + 4 (area + eps moment)`` (zero in exact
     arithmetic by the divergence theorem), the minimum of phi on the
-    interior collocation rows (positive for the physical core flow) and
+    interior collocation rows (positive for the physical core flow),
     ``gmres_iterations``, the Krylov iterations of the solve (1 at the
-    disk with eps = 0, where the preconditioner is exact).  The flux defect
-    and the minimum are computed when first read, so a solve whose
-    diagnostics are not read pays only for lambda.
+    disk with eps = 0, where the preconditioner is exact), and
+    ``refinement_diff``, the largest difference of lambda, resampled onto
+    2 n_alpha angles, from a re-solve with n_r + 6 and 2 n_alpha nodes.
+    All but the iteration count are computed when first read, so a solve
+    whose diagnostics are not read pays only for lambda, and a repr of the
+    diagnostics pays for one refined solve, which raises as a solve on
+    that grid would.
     """
     if n_r < 2:
         raise ValueError(f"n_r must be >= 2, got {n_r}")
@@ -368,12 +374,13 @@ def solve_inner(shape: FourierShape, eps: float, n_r: int = 16,
         return float(np.sum(lam * m_all) * 2.0 * np.pi / n_alpha
                      + 4.0 * (area(shape) + eps * moment_x1(shape)))
 
-    diagnostics = {"flux_defect": flux_defect, "min_phi": min_phi,
-                   "gmres_iterations": iterations}
-    if check_resolution:
+    def refinement_diff():
         lam_f = _solve_core(shape, eps, n_r + 6, 2 * n_alpha)[0]
-        diagnostics["refinement_diff"] = float(
-            np.max(np.abs(resample_trig(lam, 2 * n_alpha) - lam_f)))
+        return float(np.max(np.abs(resample_trig(lam, 2 * n_alpha) - lam_f)))
+
+    diagnostics = {"flux_defect": flux_defect, "min_phi": min_phi,
+                   "gmres_iterations": iterations,
+                   "refinement_diff": refinement_diff}
     alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
     return InnerSolution(alpha=alpha, lam=lam,
                          diagnostics=_Diagnostics(diagnostics))

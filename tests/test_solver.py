@@ -286,8 +286,9 @@ def test_core_solve_on_converged_states(eps):
 
 
 def test_core_hot_path_computes_no_diagnostics(monkeypatch):
-    # residual reads only lam: the flux defect (area, moment_x1) and min_phi
-    # are computed when the diagnostics are read, with the same values
+    # residual reads only lam: the flux defect (area, moment_x1), min_phi
+    # and the refinement difference are computed when the diagnostics are
+    # read, with the same values
     def refuse(shape):
         raise AssertionError("moment_x1 called")
 
@@ -300,7 +301,8 @@ def test_core_hot_path_computes_no_diagnostics(monkeypatch):
         with pytest.raises(AssertionError, match="moment_x1"):
             sol.diagnostics["flux_defect"]
     d = sol.diagnostics
-    assert list(d) == ["flux_defect", "min_phi", "gmres_iterations"]
+    assert list(d) == ["flux_defect", "min_phi", "gmres_iterations",
+                       "refinement_diff"]
     _, _, _, phi, m = core_solve_dense(st.shape, 0.04, 16, 32)
     flux = (np.sum(sol.lam * m) * 2.0 * np.pi / 32
             + 4.0 * (area(st.shape) + 0.04 * moment_x1(st.shape)))
