@@ -72,7 +72,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
 def _cheb(n: int):
     """Chebyshev-Lobatto nodes (descending) and differentiation matrix."""
     k = np.arange(n + 1)
@@ -87,7 +86,6 @@ def _cheb(n: int):
     return t, d
 
 
-@lru_cache(maxsize=8)
 def _fourier_diff(n: int) -> np.ndarray:
     """Spectral differentiation matrix on n uniform nodes (n even)."""
     j = np.arange(1, n)

@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
 def kress_log_weights(n: int) -> np.ndarray:
     """Circulant quadrature weights for the log(4 sin^2((a-a~)/2)) factor.
 
