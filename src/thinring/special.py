@@ -87,14 +87,14 @@ def _agm_ke(k2, kp2):
 def f_elliptic(s):
     """Ring kernel profile F(s) through AGM elliptic integrals.
 
-    Accepts a float or ndarray, s > 0.  F is strictly decreasing, blows up
-    like log(8/sqrt(s)) - 2 as s -> 0+ and decays like O(s^{-3/2}) at
-    infinity.
+    Accepts a float or ndarray, 0 < s < inf; any other s, NaN included,
+    raises ValueError.  F is strictly decreasing, blows up like
+    log(8/sqrt(s)) - 2 as s -> 0+ and decays like O(s^{-3/2}) at infinity.
     """
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(sa <= 0.0):
-        raise ValueError("s must be positive")
+    if not np.all((sa > 0.0) & (sa < np.inf)):
+        raise ValueError("s must be positive and finite")
     # Both squared moduli exactly from s: k^2 = 4/(4+s), k'^2 = s/(4+s);
     # forming k and squaring back would lose ~1e-9 near s = 0.
     bigk, bige = _agm_ke(4.0 / (4.0 + sa), sa / (4.0 + sa))
@@ -133,15 +133,15 @@ def f_split(s):
     Raises
     ------
     ValueError
-        If any s is negative or exceeds SPLIT_S_MAX; callers needing larger s
+        If any s is negative, NaN or above SPLIT_S_MAX; callers needing larger s
         must use ``f_elliptic`` directly (no log split is needed away
         from the diagonal).
     """
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(sa < 0.0):
+    if not np.all(sa >= 0.0):
         raise ValueError("s must be nonnegative")
-    if np.any(sa > SPLIT_S_MAX):
+    if not np.all(sa <= SPLIT_S_MAX):
         raise ValueError(
             f"s exceeds split range s_max={SPLIT_S_MAX}; use f_elliptic")
     w = sa / (4.0 + sa)

@@ -140,6 +140,9 @@ def test_geometry_validation():
         build_grid(FourierShape(np.zeros(3)), -0.1, 64)
     with pytest.raises(ValueError):
         build_grid(FourierShape(np.zeros(3)), float("nan"), 64)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FourierShape([0.0, 0.0, bad])
 
 
 def test_cosine_projection_round_trip():

@@ -96,8 +96,19 @@ def test_split_empty_and_zero_inputs():
 
 
 def test_split_range_guard():
+    for s in (1.5, -1e-3, np.nan, np.inf, [0.1, np.nan]):
+        with pytest.raises(ValueError):
+            f_split(np.array(s))
     with pytest.raises(ValueError):
-        f_split(np.array([1.5]))
+        f_split(np.nan)
+
+
+def test_elliptic_domain_guard():
+    for s in (0.0, -1.0, np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            f_elliptic(np.array(s))
+    with pytest.raises(ValueError):
+        f_elliptic(np.nan)
 
 
 def test_f_monotone_decreasing_and_positive():
