@@ -1,10 +1,13 @@
 """Newton solver: residual bookkeeping, convergence, continuation."""
 
+import ast
+import importlib
 import math
 import platform
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,3 +611,21 @@ def test_residual_reuses_freed_heap():
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 100
+
+
+def test_trace_sites_name_the_library_functions():
+    # perfbench/tracer.py wraps each (module, attribute) of its SITES and
+    # names the span after the function's home module; a site that no
+    # longer resolves to that function drops its layer from the trace.
+    # SITES is read from the source, which is neither imported nor written.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tree = ast.parse(source.read_text())
+    sites = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SITES")
+    assert sites
+    for module, attr, span, _ in sites:
+        home, name = span.split(".")
+        assert name == attr, span
+        assert getattr(importlib.import_module(module), attr) \
+            is getattr(importlib.import_module(f"thinring.{home}"), name), span
