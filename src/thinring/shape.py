@@ -59,7 +59,7 @@ class FourierShape:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
         c = c.copy()
         c.setflags(write=False)
