@@ -15,14 +15,16 @@ m = |chi'| = sqrt(theta'^2 + (1+theta)^2) and the full mean-curvature factor
 
 with kappa the in-plane curvature and n the outward normal, which is what
 multiplies the surface tension in the pressure jump; theta, theta' and
-theta'' come from one inverse real FFT of the coefficients.  The
-admissible set is pinned by area pi and vanishing first moment, enforced on
-the (a_0, a_1) pair by ``project_constraints`` with an exact 2x2 Jacobian.
+theta'' come from one product with a cached cosine table.  The admissible
+set is pinned by area pi and vanishing first moment, a quadratic and a
+cubic in (a_0, a_1) solved by ``project_constraints`` with an exact 2x2
+Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,8 +113,8 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
     if n < 4 * (shape.modes + 1):
         raise GeometryError(
             f"n = {n} undersamples an M = {shape.modes} shape; need n >= {4 * (shape.modes + 1)}")
-    alpha = 2.0 * np.pi * np.arange(n) / n
-    th, dth, ddth = _samples(shape.coeffs, n)
+    alpha, (ca, _, _), sa, table = _tables(n, shape.coeffs.size)
+    th, dth, ddth = (shape.coeffs @ table).reshape(3, n)
     r = 1.0 + th
     if np.min(r) <= 0.0:
         raise GeometryError("polar graph degenerate: 1 + theta <= 0")
@@ -120,7 +122,6 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
         raise GeometryError("eps (1 + sup|theta|) >= 1: section touches the axis")
 
     m = np.hypot(dth, r)
-    ca, sa = np.cos(alpha), np.sin(alpha)
     # in-plane curvature, and n . e1 = (r cos + theta' sin)/m from the
     # outward normal ((1+theta) X - theta' X_perp)/m of the polar graph
     kappa = (r * r + 2.0 * dth * dth - r * ddth) / m**3
@@ -129,16 +130,26 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
                         eps=float(eps))
 
 
-def _samples(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Rows theta, theta', theta'' on n uniform angles; exact while n > 2M."""
-    a = coeffs * (0.5 * n)
-    a[0] *= 2.0   # irfft counts mode 0 once and every other mode twice
-    l = np.arange(a.size)
-    spec = np.zeros((3, n // 2 + 1), dtype=complex)
-    spec[0, : a.size] = a
-    spec[1, : a.size] = 1j * l * a
-    spec[2, : a.size] = -(l * l) * a
-    return np.fft.irfft(spec, n)
+@lru_cache(maxsize=16)
+def _tables(n: int, size: int):
+    """(alpha, cos^k alpha for k = 1..3, sin alpha, table) on alpha_j =
+    2 pi j / n, read-only; row l < size of table holds cos(l alpha_j),
+    -l sin(l alpha_j), -l^2 cos(l alpha_j), so coeffs @ table is theta,
+    theta', theta'' side by side."""
+    j, l = np.arange(n), np.arange(size)[:, None]
+    angle = 2.0 * np.pi * (l * j % n) / n
+    c, s = np.cos(angle), np.sin(angle)
+    alpha = 2.0 * np.pi * j / n
+    ca = np.cos(alpha)
+    return _read_only(alpha, np.array([ca, ca * ca, ca**3]), np.sin(alpha),
+                      np.hstack([c, -l * s, -(l * l) * c]))
+
+
+def _read_only(*arrays):
+    # cached tables are shared by every later call
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def area(shape: FourierShape) -> float:
@@ -147,11 +158,30 @@ def area(shape: FourierShape) -> float:
     return float(np.pi * (1.0 + a[0]) ** 2 + 0.5 * np.pi * np.dot(a[1:], a[1:]))
 
 
+def _high_moments(coeffs: np.ndarray) -> list:
+    """i[k-1][j-1] = int b^k cos^j alpha (j, k = 1..3) of b = sum_{l>=2}
+    a_l cos(l alpha), from 4 (M + 1) samples: exact to degree 4M + 3."""
+    n = 4 * coeffs.size
+    _, cos_pow, _, table = _tables(n, coeffs.size)
+    b = coeffs[2:] @ table[2:, :n]
+    bb = b * b
+    return ((np.array([b, bb, bb * b]) @ cos_pow.T) * (2.0 * np.pi / n)).tolist()
+
+
+def _moment(c: float, a1: float, i: list):
+    # (1/3) int (c + a1 cos + b)^3 cos and its c, a1 derivatives, c = 1 + a_0
+    (i11, i12, i13), (i21, i22, _), (i31, _, _) = i
+    return (np.pi * c * c * a1 + 0.25 * np.pi * a1**3 + c * c * i11
+            + 2.0 * c * a1 * i12 + a1 * a1 * i13 + c * i21 + a1 * i22
+            + i31 / 3.0,
+            2.0 * (np.pi * c * a1 + c * i11 + a1 * i12) + i21,
+            np.pi * (c * c + 0.75 * a1 * a1) + 2.0 * (c * i12 + a1 * i13) + i22)
+
+
 def moment_x1(shape: FourierShape) -> float:
     """First moment int_Omega y_1 dy = (1/3) int (1+theta)^3 cos alpha d alpha."""
-    n = 4 * (shape.modes + 2)   # the trapezoid is exact for the degree-(3M+1) integrand
-    r = 1.0 + _samples(shape.coeffs, n)[0]
-    return float(np.sum(r**3 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 3.0 * 2.0 * np.pi / n)
+    c = np.concatenate((shape.coeffs, [0.0] * (2 - shape.coeffs.size)))
+    return float(_moment(1.0 + c[0], c[1], _high_moments(c))[0])
 
 
 _PROJ_TOL = 1e-12
@@ -161,32 +191,25 @@ _PROJ_MAX_ITER = 20
 def project_constraints(shape: FourierShape) -> FourierShape:
     """Slave (a_0, a_1) to the geometric constraints area = pi, moment = 0.
 
-    Higher modes are untouched (a one-coefficient shape is padded).  Newton on
-    r = 1 + theta_high + a_0 + a_1 cos alpha, theta_high sampled once, with the
-    exact Jacobian [[2 pi (1+a_0), pi a_1], [int r^2 cos, int r^2 cos^2]].
+    Higher modes are untouched (a one-coefficient shape is padded).  Newton
+    on Python floats in c = 1 + a_0 and a_1: the area pi c^2 + (pi/2)
+    sum_{l>=1} a_l^2 and the moment, a cubic on six moments of the fixed
+    modes (_high_moments), with their exact Jacobian.
     """
-    c = np.zeros(max(shape.coeffs.size, 2))
-    c[: shape.coeffs.size] = shape.coeffs
-    a0, a1 = float(c[0]), float(c[1])
-    c[:2] = 0.0
-    high_sq = float(np.dot(c, c))
-    n = 4 * (c.size + 1)
-    cos_a = np.cos(2.0 * np.pi * np.arange(n) / n)
-    base = 1.0 + _samples(c, n)[0]
+    c = np.concatenate((shape.coeffs, [0.0] * (2 - shape.coeffs.size)))
+    i, high_sq = _high_moments(c), float(c[2:] @ c[2:])
+    c0, a1 = 1.0 + float(c[0]), float(c[1])
     for _ in range(_PROJ_MAX_ITER):
-        r = base + a0 + a1 * cos_a
-        r2c = r * r * cos_a * (2.0 * np.pi / n)   # with the trapezoid weight
-        g1 = np.pi * (1.0 + a0) ** 2 + 0.5 * np.pi * (a1 * a1 + high_sq) - np.pi
-        g2 = float(np.dot(r2c, r)) / 3.0
+        g1 = np.pi * c0 * c0 + 0.5 * np.pi * (a1 * a1 + high_sq) - np.pi
+        g2, j10, j11 = _moment(c0, a1, i)
         if abs(g1) <= _PROJ_TOL and abs(g2) <= _PROJ_TOL:
-            c[0], c[1] = a0, a1
+            c[0], c[1] = c0 - 1.0, a1
             return FourierShape(c)
-        j00, j01 = 2.0 * np.pi * (1.0 + a0), np.pi * a1
-        j10, j11 = float(np.sum(r2c)), float(np.dot(r2c, cos_a))
+        j00, j01 = 2.0 * np.pi * c0, np.pi * a1
         det = j00 * j11 - j01 * j10
         if det == 0.0:
             raise ProjectionError("constraint Jacobian singular")
-        a0, a1 = a0 - (g1 * j11 - j01 * g2) / det, a1 - (j00 * g2 - j10 * g1) / det
+        c0, a1 = c0 - (g1 * j11 - j01 * g2) / det, a1 - (j00 * g2 - j10 * g1) / det
     raise ProjectionError(
         f"no convergence in {_PROJ_MAX_ITER} iterations: area defect {g1:.3e}, moment {g2:.3e}")
 

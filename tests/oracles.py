@@ -11,7 +11,9 @@ the outer bordered system on all n nodes, without the even-symmetry fold;
 ``boundary_points`` forms the chart chi from a grid's alpha and theta;
 ``dtheta_direct``, ``ddtheta_direct`` and ``h_direct`` give theta',
 theta'' and the mean-curvature factor h from direct cosine sums rather than
-one inverse FFT; ``core_solve_dense`` is the core collocation solve on all
+one product with cached tables; ``project_constraints_sampled`` solves the
+area and moment constraints by Newton on boundary samples of the shape,
+where the library's projection solves a cubic in closed form; ``core_solve_dense`` is the core collocation solve on all
 angles, its operator assembled as dense ``np.kron`` products and solved by
 LU rather than applied as a function on the even half-grid inside
 preconditioned GMRES; ``dtn_disk`` is the Dirichlet-to-Neumann map of the
@@ -92,6 +94,38 @@ def ddtheta_direct(shape: FourierShape, alpha: np.ndarray) -> np.ndarray:
     """theta'' = -sum l^2 a_l cos(l alpha), summed directly."""
     l = np.arange(shape.coeffs.size)
     return -np.cos(np.multiply.outer(np.asarray(alpha, float), l)) @ (l * l * shape.coeffs)
+
+
+def project_constraints_sampled(shape: FourierShape) -> FourierShape:
+    """(a_0, a_1) slaved to area pi and zero first moment, Newton on samples.
+
+    r = 1 + theta_high + a_0 + a_1 cos alpha is sampled on 4 (M + 2) angles,
+    where the trapezoid is exact for the degree-(3M + 1) moment integrand,
+    with the exact Jacobian [[2 pi (1 + a_0), pi a_1], [int r^2 cos,
+    int r^2 cos^2]]; it iterates until the update stops shrinking.
+    """
+    c = np.zeros(max(shape.coeffs.size, 2))
+    c[: shape.coeffs.size] = shape.coeffs
+    a0, a1 = float(c[0]), float(c[1])
+    c[:2] = 0.0
+    n = 4 * (c.size + 1)
+    alpha = 2.0 * np.pi * np.arange(n) / n
+    cos_a, base = np.cos(alpha), 1.0 + FourierShape(c).theta(alpha)
+    last = math.inf
+    for _ in range(50):
+        r = base + a0 + a1 * cos_a
+        r2c = r * r * cos_a * (2.0 * np.pi / n)
+        g1 = np.pi * (1.0 + a0) ** 2 + 0.5 * np.pi * (a1 * a1 + c @ c) - np.pi
+        g2 = float(r2c @ r) / 3.0
+        jac = [[2.0 * np.pi * (1.0 + a0), np.pi * a1],
+               [float(np.sum(r2c)), float(r2c @ cos_a)]]
+        d0, d1 = np.linalg.solve(jac, [g1, g2])
+        a0, a1 = a0 - d0, a1 - d1
+        if max(abs(d0), abs(d1)) >= last:
+            break
+        last = max(abs(d0), abs(d1))
+    c[0], c[1] = a0, a1
+    return FourierShape(c)
 
 
 def h_direct(shape: FourierShape, eps: float, alpha: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dtheta_direct, h_direct, resample_dense
+from oracles import (dtheta_direct, h_direct, project_constraints_sampled,
+                     resample_dense)
 from thinring.inner import InnerSolution
 from thinring.shape import (FourierShape, GeometryError, ProjectionError,
                             area, build_grid, cosine_coeffs, moment_x1,
@@ -92,6 +93,24 @@ def test_projection_pads_and_handles_large_a1(coeffs):
     assert abs(area(proj) - np.pi) < 1e-12
     assert abs(moment_x1(proj)) < 1e-12
     assert np.array_equal(proj.coeffs[2:], shape.coeffs[2:])
+
+
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize("coeffs", [
+    *(_RNG.normal(size=size) * 0.03 / np.arange(1, size + 1)
+      for size in (2, 3, 9, 17, 33)),
+    # the largest deformations of the core tests
+    [0.0, 0.0, 0.3], np.r_[np.zeros(8), 0.08],
+    np.r_[0.0, 0.0, 0.02, np.full(20, 0.002)]])
+def test_projection_matches_sampled_oracle(coeffs):
+    # the closed-form cubic against Newton on boundary samples
+    shape = FourierShape(coeffs)
+    got = project_constraints(shape).coeffs
+    want = project_constraints_sampled(shape).coeffs
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert abs(moment_x1(FourierShape(want))) < 1e-13
 
 
 def test_projection_failure_is_reported():
