@@ -57,7 +57,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .shape import FourierShape, GeometryError, area, moment_x1, resample_trig
+from .shape import (FourierShape, GeometryError, _read_only, area, moment_x1,
+                    resample_trig)
 
 # a core solve whose GMRES residual, relative to the lifted right-hand side
 # of the Liouville-scaled system, is not below _GMRES_TOL within
@@ -145,7 +146,8 @@ def _folded_cheb(n_r: int):
     """
     ns = 2 * n_r - 1
     t_all, d_all = _cheb(ns)
-    return t_all[:n_r], d_all[:n_r, :n_r], d_all[:n_r, ns - np.arange(n_r)]
+    return _read_only(t_all[:n_r], d_all[:n_r, :n_r],
+                      d_all[:n_r, ns - np.arange(n_r)])
 
 
 @lru_cache(maxsize=8)
@@ -179,7 +181,7 @@ def _half_tables(n_r: int, n_alpha: int):
     l_k = d_k @ (t[:, None] * d_k) - k2[:, None, None] * np.diag(1.0 / t)
     lift = np.concatenate([np.zeros((h + 1, 1, n_r - 1)),
                            np.linalg.inv(l_k[:, 1:, 1:]) / n_alpha], axis=1)
-    return (d @ unfold).T, (d @ odd).T, cos_t, lift
+    return _read_only((d @ unfold).T, (d @ odd).T, cos_t, lift)
 
 
 @lru_cache(maxsize=8)
@@ -188,8 +190,8 @@ def _extension_tables(n_r: int, n_alpha: int, n_l: int):
     l = np.arange(n_l)
     alpha = np.pi * np.arange(n_alpha // 2 + 1) / (n_alpha // 2)
     angle = np.multiply.outer(l, alpha)
-    return (_folded_cheb(n_r)[0][:, None] ** l, np.cos(angle), np.sin(angle),
-            np.cos(alpha), np.sin(alpha))
+    return _read_only(_folded_cheb(n_r)[0][:, None] ** l, np.cos(angle),
+                      np.sin(angle), np.cos(alpha), np.sin(alpha))
 
 
 def _gmres(apply, rhs: np.ndarray, tol: float, max_iter: int):

@@ -26,11 +26,11 @@ columns are diagonal, (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma)
 with k0 = degeneracy_k0(rho), and only the w column is formed by forward
 differences, at the cost of one residual.  Near degeneracy (margin below
 0.05) a symbol entry is close to 0, so the start is the full
-forward-difference Jacobian instead.  The full Jacobian is also rebuilt
-after a step that fails to shrink max |r| below 0.7 of the larger of its
-last two values (of its last value on the first step): the first Broyden
-update after a symbol start may overshoot for one step.  Each converged
-state carries its matrix to the next.
+forward-difference Jacobian instead, as after a step that fails to
+contract.  A level stops on the step it would take next, an estimate of
+its error (Deuflhard 2004, Newton Methods for Nonlinear Problems, ch. 2).
+A converged state passes its matrix on, and its shape mode l scaled by
+(eps / eps_prev)^l, the order of mode l in a thin ring (Fraenkel 1970).
 
 The truncation M is chosen per solve by a two-grid check, truncation by
 coefficient decay (Boyd 2001, Chebyshev and Fourier Spectral Methods,
@@ -182,15 +182,17 @@ class SolutionState:
     diagnostics keys: residual_norm (max |r_1..r_2M| of the check, or
     max |r_1..r_M| at the cap), modes (the M it was solved at),
     check_residual (the check's max |r_1..r_2M|; nan when solved at the
-    cap, which has no check), iterations (Newton steps over all levels),
-    fd_columns (the residuals spent on forward differences: 1 for a symbol
-    start, M for each full Jacobian, 0 for a carried matrix that keeps
-    contracting), jacobian_cond (of the last Newton matrix that was
-    factored, to 3 significant digits; nan when no Newton step was taken),
-    margin, worst_mode, theta_sup, theta_h5, window_theta
-    (||theta||_{H^5}/eps^0.75), window_speed
-    (|w| log(1/eps)(eps^2 + ||theta||_{H^5}^2)), area_residual,
-    moment_residual, warnings (tuple of strings).
+    cap, which has no check), newton_error (max |dx| of the step that ended
+    the accepting level, the error estimate of the iterate it was formed at;
+    nan for a level accepted with no matrix), iterations (Newton steps
+    applied, a level's last step below the cap included), fd_columns (the
+    residuals spent on forward differences: 1 for a symbol start, M for
+    each full Jacobian, 0 for a carried matrix that keeps contracting),
+    jacobian_cond (of jacobian, to 3 significant digits; nan when no Newton
+    step was applied), margin, worst_mode, theta_sup, theta_h5,
+    window_theta (||theta||_{H^5}/eps^0.75), window_speed (|w| log(1/eps)
+    (eps^2 + ||theta||_{H^5}^2)), area_residual, moment_residual, warnings
+    (tuple of strings).
     """
 
     shape: FourierShape
@@ -311,15 +313,12 @@ def newton_solve(eps: float, params: NondimParams,
 
     The truncation M climbs a ladder of levels within the call.  Newton
     converges at M = min(8, options.modes) on the grids of _level; the
-    converged state, zero-padded, then gets one residual at the next level,
-    min(2M, options.modes), on that level's grids.  When its
-    max |r_1..r_2M| is at most options.tol the state is accepted and
-    reported from that check evaluation (gamma, nu, mu, lam and the padded
-    shape, all on the finer grid).  Otherwise Newton carries on at the
-    finer level from the padded state, with the check as its first
-    residual.  The cap level, options.modes on options' own grids (with
-    at least 4 (M + 1) core angles), takes no check and is reported from
-    its last residual.
+    zero-padded state then gets one residual at the next level,
+    min(2M, options.modes), on its grids, and is accepted and reported from
+    it (gamma, nu, mu, lam, padded shape) when its max |r_1..r_2M| is at
+    most options.tol.  Otherwise Newton carries on at the finer level, the
+    check its first residual.  The cap level, options.modes on options' own
+    grids (with at least 4 (M + 1) core angles), takes no check.
 
     At each level the unknowns are (w, a_2..a_M) against residual modes
     r_1..r_M.  The M x M matrix is init.jacobian, or the matrix of the
@@ -333,18 +332,19 @@ def newton_solve(eps: float, params: NondimParams,
     max |r_1..r_M| above options.tol and above _CONTRACTION times the
     larger of its last two values at this level (its last value after the
     level's first step), and otherwise gets a good-Broyden update from each
-    step.  A level converges when max |r_1..r_M| <= options.tol and, once
-    it took a step, its last step has max |dx| <= options.tol (1 + max |x|):
-    d r_1 / d w is only about -0.003 to -0.025, so a residual just under
-    tol alone can leave w far off.  nu is (1 + eps sigma) r_0 at nu = 0,
-    which zeroes r_0.  Without an initializer the zero shape and the
-    leading-order w are used; they are inside the Newton basin throughout
-    the thin regime eps <= 0.05.  A warm start reads init.w, init.shape,
-    init.jacobian and init.eps, not init.nu: w starts at init.w shifted by
-    the change of its asymptotic value from init.eps to eps, and the
-    shape's modes 2..M carry over (truncated or zero-padded).  At
-    init.eps == eps the shift is zero, but w is formed as (init.w + W) - W,
-    so it equals init.w only up to roundoff.
+    step.  Once max |r_1..r_M| <= options.tol the level forms its next step
+    and converges when it has max |dx| <= options.tol (1 + max |x|), which
+    bounds the iterate's error: d r_1 / d w is only -0.003 to -0.025, so a
+    residual under tol alone can leave w far off.  That step's update is
+    not kept (on a sweep it spoiled the w column a warm start carries).
+    Below the cap the step is applied before the check; the cap reports its
+    last residual without it.  nu is (1 + eps sigma) r_0 at nu = 0, which
+    zeroes r_0.  Without an initializer the zero shape and the leading-order
+    w are used, inside the Newton basin for eps <= 0.05.  A warm start reads
+    init.w, init.shape, init.jacobian and init.eps, not init.nu: w starts at
+    init.w shifted by the change of its asymptotic value W, formed as
+    (init.w + W(eps)) - W(init.eps), and shape mode l = 2..M at q^l times
+    init's (truncated or zero-padded), q = min(1, eps / init.eps).
 
     Raises SolverError on non-convergence (after _MAX_ITER steps at one
     level) or stagnation.  A degeneracy warning is attached when the mode
@@ -374,8 +374,10 @@ def newton_solve(eps: float, params: NondimParams,
     if init is not None:
         w_old = asymptotic_wgn(init.eps, params.rho, params.sigma_law)[0]
         high = init.shape.coeffs[2:level.modes + 1]
+        # mode l of a thin ring scales as eps^l; the factor never amplifies
+        q = min(1.0, eps / init.eps)
         x[0] = init.w + x[0] - w_old
-        x[1:1 + high.size] = high
+        x[1:1 + high.size] = high * q ** np.arange(2.0, 2.0 + high.size)
         jac = carry(init.jacobian, level.modes)
 
     def evaluate(xv: np.ndarray, grids: SolverOptions) -> ResidualVector:
@@ -394,6 +396,10 @@ def newton_solve(eps: float, params: NondimParams,
         fd_columns += 1
         return evaluate(xv, level).r[1:]
 
+    def unconverged(detail: str) -> SolverError:
+        return SolverError(f"no convergence in {_MAX_ITER} iterations at M = "
+                           f"{level.modes} ({detail})" + degen_note, rnorm)
+
     iterations = 0
     dx = None
     stalled = False
@@ -402,62 +408,69 @@ def newton_solve(eps: float, params: NondimParams,
     while True:
         f = rv.r[1:]
         rnorm = float(np.max(np.abs(f)))
-        bound = options.tol * (1.0 + float(np.max(np.abs(x))))
-        if rnorm <= options.tol and (
-                dx is None or float(np.max(np.abs(dx))) <= bound):
-            # converged at this level: check it on the next level's grids
-            modes, check = level.modes, math.nan
-            if modes == options.modes:
-                break
-            level = _level(options, min(2 * modes, options.modes))
-            x = np.r_[x, np.zeros(level.modes - modes)]
-            rv = evaluate(x, level)
-            check = float(np.max(np.abs(rv.r[1:])))
-            if check <= options.tol:
-                break
-            jac = carry(jac, level.modes)
-            dx, stalled, norms = None, False, []
-            continue
-        if stalled:
+        near = rnorm <= options.tol
+        if not near and stalled:
             raise SolverError(
                 f"Newton stagnated at residual {rnorm:.3e}" + degen_note, rnorm)
-        if len(norms) == _MAX_ITER:
-            detail = f"residual {rnorm:.3e}"
-            if rnorm <= options.tol:
-                detail += (f", last step {float(np.max(np.abs(dx))):.3e} "
-                           f"above its bound {bound:.3e}")
-            raise SolverError(
-                f"no convergence in {_MAX_ITER} iterations at M = "
-                f"{level.modes} ({detail})" + degen_note, rnorm)
-        rebuild = ((jac is None and margin < _DEGEN_MARGIN) or (
-            dx is not None and rnorm > max(options.tol,
-                                           _CONTRACTION * max(norms[-2:]))))
-        if rebuild:
-            jac = jacobian_fd(fun, x, f)
-        elif jac is None:
-            jac = _symbol_start(fun, x, f, eps, params)
-        elif dx is not None:
-            # good Broyden: the secant condition jac dx = f - f_old
-            jac = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Newton Jacobian" + degen_note,
-                              rnorm) from exc
-        if not np.all(np.isfinite(dx)):
-            raise SolverError("non-finite Newton step" + degen_note, rnorm)
-        x = x + dx
-        iterations += 1
-        f_old = f
-        norms.append(rnorm)
-        # a tiny step from a symbol or reused matrix fails to contract and
-        # rebuilds; only one from a fresh Jacobian is stagnation
-        stalled = rebuild and (float(np.max(np.abs(dx)))
-                               <= 1e-14 * (1.0 + float(np.max(np.abs(x)))))
+        if not near and len(norms) == _MAX_ITER:
+            raise unconverged(f"residual {rnorm:.3e}")
+        step, converged = math.nan, near    # a level accepted with no matrix
+        if jac is not None or not near:
+            kept = jac
+            rebuild = ((jac is None and margin < _DEGEN_MARGIN) or (
+                dx is not None and rnorm > max(options.tol,
+                                               _CONTRACTION * max(norms[-2:]))))
+            if rebuild:
+                jac = jacobian_fd(fun, x, f)
+            elif jac is None:
+                jac = _symbol_start(fun, x, f, eps, params)
+            elif dx is not None:
+                # good Broyden: the secant condition jac dx = f - f_old
+                jac = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
+            try:
+                dx = np.linalg.solve(jac, -f)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("singular Newton Jacobian" + degen_note,
+                                  rnorm) from exc
+            if not np.all(np.isfinite(dx)):
+                raise SolverError("non-finite Newton step" + degen_note, rnorm)
+            # the step this iterate would take estimates its error
+            step = float(np.max(np.abs(dx)))
+            bound = options.tol * (1.0 + float(np.max(np.abs(x))))
+            converged = near and step <= bound
+            if converged:
+                # an update at a residual under tol is roundoff over a tiny
+                # step: it serves this step only
+                jac = kept
+            if not converged and len(norms) == _MAX_ITER:
+                raise unconverged(f"residual {rnorm:.3e}, next step {step:.3e}"
+                                  f" above its bound {bound:.3e}")
+            if not converged or level.modes < options.modes:
+                x = x + dx
+                iterations += 1
+            if not converged:
+                f_old = f
+                norms.append(rnorm)
+                # only a tiny step from a fresh Jacobian is stagnation; one
+                # from a symbol or reused matrix fails to contract, rebuilds
+                stalled = rebuild and step <= 1e-14 * (1.0 + np.max(np.abs(x)))
+                rv = evaluate(x, level)
+                continue
+        # converged at this level: the cap reports its last residual, a
+        # lower level checks the stepped state on the next level's grids
+        modes, check, newton_error = level.modes, math.nan, step
+        if modes == options.modes:
+            break
+        level = _level(options, min(2 * modes, options.modes))
+        x = np.r_[x, np.zeros(level.modes - modes)]
         rv = evaluate(x, level)
+        check = float(np.max(np.abs(rv.r[1:])))
+        if check <= options.tol:
+            break
+        jac = carry(jac, level.modes)
+        dx, stalled, norms = None, False, []
 
-    # a level above the first always steps, so the last matrix was factored
-    # once any level stepped
+    # an applied step leaves a matrix in jac
     cond = (math.nan if iterations == 0
             else float(f"{np.linalg.cond(jac):.3g}"))
 
@@ -486,6 +499,7 @@ def newton_solve(eps: float, params: NondimParams,
         "residual_norm": float(np.max(np.abs(rv.r[1:]))),
         "modes": modes,
         "check_residual": check,
+        "newton_error": newton_error,
         "iterations": iterations,
         "fd_columns": fd_columns,
         "jacobian_cond": cond,
@@ -509,9 +523,9 @@ def continuation(eps_grid, params: NondimParams,
     """Warm-started solves over a descending eps grid.
 
     Each solve is newton_solve with init set to the previous state, which
-    shifts w by the change of its asymptotic value and carries the shape
-    and the Newton matrix over.  The first failure aborts; the exception carries the states
-    already solved.
+    shifts w by the change of its asymptotic value, scales shape mode l by
+    (eps / eps_prev)^l and carries the Newton matrix over.  The first
+    failure aborts; the exception carries the states already solved.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not all(0.0 < e < math.inf for e in eps_grid):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import math
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import core_solve_dense
+import thinring
 from thinring import inner
 from thinring.inner import solve_inner
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
@@ -214,20 +216,65 @@ def test_converged_warm_start_evaluates_one_residual(solved_classical,
 
 
 def test_newton_converges_on_the_last_allowed_step(monkeypatch):
-    # the cold classical solve at eps = 0.02 takes exactly 4 steps: the
-    # symbol start, three Broyden updates, and the last step is needed for
-    # the step test although the residual is already below tol
-    monkeypatch.setattr("thinring.solver._MAX_ITER", 4)
-    st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
-    assert st.diagnostics["iterations"] == 4
-    assert st.diagnostics["residual_norm"] <= OPTS8.tol
-    # with the residual below tol, the message names the step that is not
+    # the cold classical solve at eps = 0.02 takes exactly 3 steps, the
+    # symbol start and two Broyden updates: its residual is then 3.6e-12,
+    # and the step it would take, 1.3e-10, is below its bound tol (1 +
+    # max |x|) = 1.4e-10, so the cap level stops without taking it
     monkeypatch.setattr("thinring.solver._MAX_ITER", 3)
-    with pytest.raises(SolverError, match=r"no convergence in 3 iterations "
-                       r"at M = 8 \(residual .*, last step .* above its "
+    st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+    d = st.diagnostics
+    assert d["iterations"] == 3
+    assert d["residual_norm"] <= OPTS8.tol
+    assert d["newton_error"] <= OPTS8.tol * (1.0 + abs(st.w))
+    # at tol = 1e-9 the residual after 2 steps, 8.6e-10, is below tol, but
+    # the step it would take is not below its bound; the message names it
+    monkeypatch.setattr("thinring.solver._MAX_ITER", 2)
+    loose = replace(OPTS8, tol=1e-9)
+    with pytest.raises(SolverError, match=r"no convergence in 2 iterations "
+                       r"at M = 8 \(residual .*, next step .* above its "
                        r"bound .*\)") as exc_info:
-        newton_solve(0.02, P_CLASSICAL, options=OPTS8)
-    assert exc_info.value.residual_norm <= OPTS8.tol
+        newton_solve(0.02, P_CLASSICAL, options=loose)
+    assert exc_info.value.residual_norm <= loose.tol
+
+
+def test_newton_error_is_the_stopping_step():
+    # the step the accepting level would take estimates the error of the
+    # state it stops at; at the cap the state is reported without it
+    st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+    tight = newton_solve(0.02, P_CLASSICAL,
+                         options=replace(OPTS8, tol=1e-13))
+    err = st.diagnostics["newton_error"]
+    assert 0.0 < err <= OPTS8.tol * (1.0 + abs(st.w))
+    assert 0.5 * err < abs(st.w - tight.w) < 2.0 * err
+    # a level accepted on its first residual with no matrix forms no step
+    again = newton_solve(0.02, P_CLASSICAL, options=OPTS8,
+                         init=replace(st, jacobian=None))
+    assert again.diagnostics["iterations"] == 0
+    assert math.isnan(again.diagnostics["newton_error"])
+
+
+def test_warm_start_scales_modes_by_the_thin_ring_law(monkeypatch):
+    # going down in eps mode l starts at (eps / init.eps)^l times its value;
+    # going up it starts unscaled
+    prev = {e: newton_solve(e, P_TENSION, options=OPTS8) for e in (0.04, 0.02)}
+    first = []
+    real = residual
+    monkeypatch.setattr("thinring.solver.residual",
+                        lambda *a: first.append(a[0].coeffs) or real(*a))
+    for eps, init, q in ((0.02, prev[0.04], 0.5), (0.04, prev[0.02], 1.0)):
+        first.clear()
+        newton_solve(eps, P_TENSION, init=init, options=OPTS8)
+        l = np.arange(2, 9)
+        assert np.array_equal(first[0][2:], init.shape.coeffs[2:9] * q**l)
+    # against the unscaled start, its first residual is over 10x smaller
+    w0 = (prev[0.04].w + asymptotic_wgn(0.02, 0.0, P_TENSION.sigma_law)[0]
+          - asymptotic_wgn(0.04, 0.0, P_TENSION.sigma_law)[0])
+    shapes = {q: FourierShape(np.r_[0.0, 0.0, prev[0.04].shape.coeffs[2:9]
+                                    * q ** np.arange(2, 9)])
+              for q in (1.0, 0.5)}
+    r = {q: np.max(np.abs(real(sh, 0.02, w0, 0.0, P_TENSION, OPTS8).r[1:]))
+         for q, sh in shapes.items()}
+    assert r[0.5] < 0.1 * r[1.0]
 
 
 @pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION],
@@ -525,8 +572,9 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     assert d["residual_norm"] <= SolverOptions().tol
     assert d["fd_columns"] == 1
     assert sorted(set(seen)) == [(8, 64, 36), (16, 128, 68), (32, 256, 132)]
-    # the first residual, the w column, one per step and the two checks
-    assert len(seen) == 1 + d["fd_columns"] + d["iterations"] + 2
+    # the first residual, the w column and one per step: the step that
+    # ends each level below the cap is followed by that level's check
+    assert len(seen) == 1 + d["fd_columns"] + d["iterations"]
     assert st.mu.size == 256 and st.shape.coeffs.size == 33
     assert st.jacobian.shape == (32, 32)
 
@@ -629,3 +677,29 @@ def test_trace_sites_name_the_library_functions():
         assert name == attr, span
         assert getattr(importlib.import_module(module), attr) \
             is getattr(importlib.import_module(f"thinring.{home}"), name), span
+
+
+# every lru_cache'd table builder of the library, with arguments to call it
+_TABLE_CALLS = {
+    "thinring.inner._folded_cheb": (16,),
+    "thinring.inner._half_tables": (16, 36),
+    "thinring.inner._extension_tables": (16, 36, 9),
+    "thinring.outer._half_tables": (64,),
+    "thinring.shape._tables": (64, 9),
+}
+
+
+def test_cached_tables_are_read_only():
+    # a cached array is shared by every later call: a write into it would
+    # change every later solve
+    modules = [importlib.import_module(f"thinring.{m.name}")
+               for m in pkgutil.iter_modules(thinring.__path__)]
+    cached = {f"{m.__name__}.{name}" for m in modules
+              for name, obj in vars(m).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == m.__name__}
+    assert cached == set(_TABLE_CALLS)
+    for qualname, args in _TABLE_CALLS.items():
+        module, name = qualname.rsplit(".", 1)
+        out = getattr(importlib.import_module(module), name)(*args)
+        assert all(isinstance(a, np.ndarray) for a in out), qualname
+        assert not any(a.flags.writeable for a in out), qualname
