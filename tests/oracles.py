@@ -13,11 +13,12 @@ the outer bordered system on all n nodes, without the even-symmetry fold;
 theta'' and the mean-curvature factor h from direct cosine sums rather than
 one product with cached tables; ``project_constraints_sampled`` solves the
 area and moment constraints by Newton on boundary samples of the shape,
-where the library's projection solves a cubic in closed form; ``core_solve_dense`` is the core collocation solve on all
-angles, its operator assembled as dense ``np.kron`` products and solved by
-LU rather than applied as a function on the even half-grid inside
-preconditioned GMRES; ``dtn_disk`` is the Dirichlet-to-Neumann map of the
-unit disk as a Fourier multiplier; ``particular_solution`` is the
+where the library solves a cubic in closed form; ``core_solve_dense`` is
+the core collocation solve on all angles, its operator assembled as dense
+``np.kron`` products and solved by LU rather than applied as a function
+on the even half-grid inside preconditioned GMRES; ``dtn_disk`` is the
+Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
+``particular_solution`` is the
 polynomial particular part of the core problem with its gradient at
 arbitrary points, which the library evaluates on the boundary ring only;
 ``resample_dense`` is trigonometric interpolation summed on dense cosine
