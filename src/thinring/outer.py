@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .shape import BoundaryGrid, GeometryError
+from .shape import BoundaryGrid, GeometryError, _read_only
 from .special import SPLIT_S_MAX, f_elliptic, f_split
 
 __all__ = [
@@ -81,9 +81,7 @@ def _half_tables(n: int):
     chord = 4.0 * np.sin(0.5 * (alpha[:h + 1, None] - alpha[None, :])) ** 2
     np.fill_diagonal(chord, 1.0)
     weights = r[(np.arange(h + 1)[:, None] - np.arange(n)[None, :]) % n]
-    chord.setflags(write=False)
-    weights.setflags(write=False)
-    return chord, weights
+    return _read_only(chord, weights)
 
 
 def _half_pairs(grid: BoundaryGrid) -> np.ndarray:

@@ -20,15 +20,15 @@ the large-tension regime eps sigma >> 1.
 
 The iteration is quasi-Newton.  Near a ring the linearized operator is
 invertible and moves smoothly with eps, so one matrix, kept current by
-good-Broyden rank-one updates, serves a whole continuation sweep.  A cold
-start takes the paper's linearized symbol: in (w, a_2..a_M) the shape
-columns are diagonal, (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma)
-with k0 = degeneracy_k0(rho), and only the w column is formed by forward
-differences, at the cost of one residual.  Near degeneracy (margin below
-0.05) a symbol entry is close to 0, so the start is the full
-forward-difference Jacobian instead, as after a step that fails to
-contract.  A level stops on the step it would take next, an estimate of
-its error (Deuflhard 2004, Newton Methods for Nonlinear Problems, ch. 2).
+good-Broyden rank-one updates, serves a whole continuation sweep.  Every
+fresh matrix is the paper's linearized symbol, diagonal in (w, a_2..a_M)
+with entries (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma),
+k0 = degeneracy_k0(rho), whose first cols columns are replaced by forward
+differences, one residual each: cols = 1, the w column the symbol lacks,
+on a cold start; cols = M near degeneracy (margin below 0.05, where a
+symbol entry is close to 0) and after a step that fails to contract.  A
+level stops on the step it would take next, an estimate of its error
+(Deuflhard 2004, Newton Methods for Nonlinear Problems, ch. 2).
 A converged state passes its matrix on, and its shape mode l scaled by
 (eps / eps_prev)^l, the order of mode l in a thin ring (Fraenkel 1970).
 
@@ -82,8 +82,8 @@ _FD_STEP = 1e-7
 # once, and below 1 a useless carried matrix is caught after one step
 _CONTRACTION = 0.7
 
-# degeneracy margin below which a solve carries a warning and a cold start
-# builds the full forward-difference Jacobian instead of the symbol
+# degeneracy margin below which a solve carries a warning and every column
+# of a fresh Newton matrix is a forward difference
 _DEGEN_MARGIN = 0.05
 
 # the first level of newton_solve's truncation ladder
@@ -112,13 +112,13 @@ class SolverOptions:
 
     modes is the cap on the cosine truncation M that newton_solve climbs
     to, n_grid the boundary quadrature size and inner_nr/inner_nalpha the
-    core collocation resolution at that cap, where newton_solve raises the
-    core angles to at least 4 (modes + 1); a level below the cap scales
-    n_grid by M / modes and takes 4 (M + 1) core angles (see _level).
+    core collocation resolution at that cap.  Every level, the cap
+    included, scales n_grid by M / modes and raises the core angles to at
+    least 4 (M + 1) (see _level).
     residual evaluates at exactly the grids it is given.  The Newton tolerance
     applies to the infinity norm of the projected residual; the attainable
     floor is set by grid resolution, about 1e-12 at the defaults for thin
-    sections.  Integer fields reject bool.
+    sections.  Integer fields and tol reject bool.
     """
 
     n_grid: int = 256
@@ -139,8 +139,9 @@ class SolverOptions:
             raise ValueError("n_grid must resolve the mode truncation (>= 4(M+1))")
         if self.n_grid % 2:
             raise ValueError("n_grid must be even")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        if (isinstance(self.tol, (bool, np.bool_))
+                or not 0.0 < self.tol < math.inf):
+            raise ValueError("tol must be a positive finite number")
         if self.inner_nr < 2:
             raise ValueError("inner_nr must be >= 2")
         if self.inner_nalpha < 2 or self.inner_nalpha % 2:
@@ -176,8 +177,8 @@ class SolutionState:
     solve on the core grid of the level solved at, resampled onto that
     grid).  nu is its mode-0 projection at nu = 0, times 1 + eps sigma.  A
     state solved at the cap is reported from its last residual.  jacobian is
-    the M x M Newton matrix in (w, a_2..a_M) at the solved M, started from
-    the symbol or by forward differences and Broyden-updated, that a warm start
+    the M x M Newton matrix in (w, a_2..a_M) at the solved M, the symbol
+    with forward-difference columns, Broyden-updated, that a warm start
     from this state reuses (None when none was built); it is not reported.
     diagnostics keys: residual_norm (max |r_1..r_2M| of the check, or
     max |r_1..r_M| at the cap), modes (the M it was solved at),
@@ -186,8 +187,9 @@ class SolutionState:
     the accepting level, the error estimate of the iterate it was formed at;
     nan for a level accepted with no matrix), iterations (Newton steps
     applied, a level's last step below the cap included), fd_columns (the
-    residuals spent on forward differences: 1 for a symbol start, M for
-    each full Jacobian, 0 for a carried matrix that keeps contracting),
+    residuals spent on forward differences, cols for each fresh matrix: 1
+    on a cold start, M near degeneracy or after a step that fails to
+    contract, 0 for a carried matrix that keeps contracting),
     jacobian_cond (of jacobian, to 3 significant digits; nan when no Newton
     step was applied), margin, worst_mode, theta_sup, theta_h5,
     window_theta (||theta||_{H^5}/eps^0.75), window_speed (|w| log(1/eps)
@@ -272,33 +274,17 @@ def _symbol(modes: int, eps: float, params: NondimParams) -> np.ndarray:
             / (1.0 + es))
 
 
-def _symbol_start(fun, x: np.ndarray, f: np.ndarray, eps: float,
-                  params: NondimParams) -> np.ndarray:
-    """Cold-start matrix: the linearized symbol, with the w column by FD.
-
-    Column 0 (w, which the symbol lacks) is one forward difference of fun
-    at (x, f).
-    """
-    jac = np.diag(_symbol(x.size, eps, params))
-    jac[:, :1] = jacobian_fd(lambda v: fun(np.r_[v, x[1:]]), x[:1], f)
-    return jac
-
-
 def _level(options: SolverOptions, modes: int) -> SolverOptions:
     """Grids of the ladder level that solves at M = modes.
 
-    Every level gives the core 4 (M + 1) angles, which resolve its M modes
-    without aliasing; the cap level, modes == options.modes, keeps
-    options.inner_nalpha when that is more, and options' n_grid.  A lower
-    level scales n_grid by M / options.modes, rounded up to even and at
-    least 4 (M + 1).
+    One rule for every level, the cap M = options.modes included: n_grid
+    scaled by M / options.modes, rounded up to even and at least 4 (M + 1),
+    and options.inner_nalpha core angles raised to at least 4 (M + 1),
+    which resolve M modes without aliasing.
     """
-    if modes == options.modes:
-        return replace(options, inner_nalpha=max(options.inner_nalpha,
-                                                 4 * (modes + 1)))
     n_grid = 2 * -(-options.n_grid * modes // (2 * options.modes))
     return replace(options, n_grid=max(n_grid, 4 * (modes + 1)), modes=modes,
-                   inner_nalpha=4 * (modes + 1))
+                   inner_nalpha=max(options.inner_nalpha, 4 * (modes + 1)))
 
 
 def _resolve_omega(params: NondimParams) -> float:
@@ -317,30 +303,31 @@ def newton_solve(eps: float, params: NondimParams,
     min(2M, options.modes), on its grids, and is accepted and reported from
     it (gamma, nu, mu, lam, padded shape) when its max |r_1..r_2M| is at
     most options.tol.  Otherwise Newton carries on at the finer level, the
-    check its first residual.  The cap level, options.modes on options' own
-    grids (with at least 4 (M + 1) core angles), takes no check.
+    check its first residual.  The cap level, options.modes, takes no
+    check.
 
     At each level the unknowns are (w, a_2..a_M) against residual modes
     r_1..r_M.  The M x M matrix is init.jacobian, or the matrix of the
     level below, carried to M: its leading block when M is smaller, padded
     with the symbol diagonal for the added modes when M is larger (near
     degeneracy, margin below _DEGEN_MARGIN, a padded matrix is dropped).
-    Without a matrix the start is the linearized symbol with a
-    forward-difference w column (_symbol_start), or the full
-    forward-difference Jacobian when the margin is below _DEGEN_MARGIN.
-    It is rebuilt by forward differences whenever a step leaves
-    max |r_1..r_M| above options.tol and above _CONTRACTION times the
-    larger of its last two values at this level (its last value after the
-    level's first step), and otherwise gets a good-Broyden update from each
-    step.  Once max |r_1..r_M| <= options.tol the level forms its next step
-    and converges when it has max |dx| <= options.tol (1 + max |x|), which
-    bounds the iterate's error: d r_1 / d w is only -0.003 to -0.025, so a
-    residual under tol alone can leave w far off.  That step's update is
-    not kept (on a sweep it spoiled the w column a warm start carries).
-    Below the cap the step is applied before the check; the cap reports its
-    last residual without it.  nu is (1 + eps sigma) r_0 at nu = 0, which
-    zeroes r_0.  Without an initializer the zero shape and the leading-order
-    w are used, inside the Newton basin for eps <= 0.05.  A warm start reads
+    Every fresh matrix is one expression: the symbol diagonal, its first
+    cols columns replaced by one jacobian_fd call on the level's residual,
+    and fd_columns counts cols.  cols = 1 (the w column) without a matrix;
+    cols = M without a matrix when the margin is below _DEGEN_MARGIN, and
+    whenever a step leaves max |r_1..r_M| above options.tol and above
+    _CONTRACTION times the larger of its last two values at this level
+    (its last value after the level's first step).  Otherwise the matrix
+    gets a good-Broyden update from each step.  Once max |r_1..r_M| <=
+    options.tol the level forms its next step and converges when it has
+    max |dx| <= options.tol (1 + max |x|), which bounds the iterate's
+    error: d r_1 / d w is only -0.003 to -0.025, so a residual under tol
+    alone can leave w far off.  That step's update is not kept (on a sweep
+    it spoiled the w column a warm start carries).  Below the cap the step
+    is applied before the check; the cap reports its last residual without
+    it.  nu is (1 + eps sigma) r_0 at nu = 0, which zeroes r_0.  Without an
+    initializer the zero shape and the leading-order w are used, inside the
+    Newton basin for eps <= 0.05.  A warm start reads
     init.w, init.shape, init.jacobian and init.eps, not init.nu: w starts at
     init.w shifted by the change of its asymptotic value W, formed as
     (init.w + W(eps)) - W(init.eps), and shape mode l = 2..M at q^l times
@@ -391,11 +378,6 @@ def newton_solve(eps: float, params: NondimParams,
 
     fd_columns = 0
 
-    def fun(xv: np.ndarray) -> np.ndarray:
-        nonlocal fd_columns
-        fd_columns += 1
-        return evaluate(xv, level).r[1:]
-
     def unconverged(detail: str) -> SolverError:
         return SolverError(f"no convergence in {_MAX_ITER} iterations at M = "
                            f"{level.modes} ({detail})" + degen_note, rnorm)
@@ -417,13 +399,19 @@ def newton_solve(eps: float, params: NondimParams,
         step, converged = math.nan, near    # a level accepted with no matrix
         if jac is not None or not near:
             kept = jac
-            rebuild = ((jac is None and margin < _DEGEN_MARGIN) or (
-                dx is not None and rnorm > max(options.tol,
-                                               _CONTRACTION * max(norms[-2:]))))
-            if rebuild:
-                jac = jacobian_fd(fun, x, f)
-            elif jac is None:
-                jac = _symbol_start(fun, x, f, eps, params)
+            rebuild = dx is not None and rnorm > max(
+                options.tol, _CONTRACTION * max(norms[-2:]))
+            cols = 0
+            if jac is None or rebuild:
+                # w alone on a cold start, every column near degeneracy or
+                # after a step that failed to contract
+                cols = (level.modes if rebuild or margin < _DEGEN_MARGIN
+                        else 1)
+                jac = np.diag(_symbol(level.modes, eps, params))
+                jac[:, :cols] = jacobian_fd(
+                    lambda v: evaluate(np.r_[v, x[cols:]], level).r[1:],
+                    x[:cols], f)
+                fd_columns += cols
             elif dx is not None:
                 # good Broyden: the secant condition jac dx = f - f_old
                 jac = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
@@ -451,9 +439,10 @@ def newton_solve(eps: float, params: NondimParams,
             if not converged:
                 f_old = f
                 norms.append(rnorm)
-                # only a tiny step from a fresh Jacobian is stagnation; one
+                # only a tiny step from an all-FD matrix is stagnation; one
                 # from a symbol or reused matrix fails to contract, rebuilds
-                stalled = rebuild and step <= 1e-14 * (1.0 + np.max(np.abs(x)))
+                stalled = (cols == level.modes
+                           and step <= 1e-14 * (1.0 + np.max(np.abs(x))))
                 rv = evaluate(x, level)
                 continue
         # converged at this level: the cap reports its last residual, a

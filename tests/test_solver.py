@@ -96,7 +96,7 @@ def test_options_reject_unusable_core_grid(inner_nr, inner_nalpha, field):
 
 
 @pytest.mark.parametrize("field, value", [("n_grid", 128.0), ("modes", 8.0),
-                                          ("modes", True)])
+                                          ("modes", True), ("tol", True)])
 def test_options_require_integer_sizes(field, value):
     # bool is an int subclass; modes=True must not make a one-mode option set
     with pytest.raises(ValueError, match=field):
@@ -407,6 +407,24 @@ def test_newton_warns_near_degenerate_tension(monkeypatch):
     assert st.diagnostics["fd_columns"] == sum(calls)
 
 
+def test_near_degenerate_climb_drops_the_padded_matrix(monkeypatch):
+    # a 6 x 6 matrix carried into M = 8 would be padded with symbol entries
+    # near 0; near degeneracy it is dropped, and the first matrix is all
+    # forward differences
+    k0 = 1.0 / (2.0 * np.pi**2)
+    omega = 3.06 / k0
+    params = NondimParams(rho=0.0, omega=omega,
+                          sigma_law=SigmaLaw(kind="c_over_eps", c=1.0 / omega))
+    warm = newton_solve(0.04, params,
+                        options=SolverOptions(n_grid=128, modes=6))
+    assert warm.jacobian.shape == (6, 6)
+    calls = count_fd_jacobians(monkeypatch)
+    st = newton_solve(0.02, params, init=warm, options=OPTS8)
+    assert calls[0] == 8
+    assert st.diagnostics["residual_norm"] <= OPTS8.tol
+    assert st.diagnostics["fd_columns"] == sum(calls)
+
+
 # -------------------------------------------------------------- continuation
 
 def test_continuation_matches_cold_start():
@@ -507,12 +525,13 @@ def test_cold_core_solve_starts_from_symbol():
                          ids=["classical", "tension", "core"])
 def test_symbol_start_matches_fd_start(monkeypatch, params, eps):
     symbol = newton_solve(eps, params)
-    monkeypatch.setattr("thinring.solver._symbol_start",
-                        lambda fun, x, f, *_: jacobian_fd(fun, x, f))
+    # a zero margin makes every fresh matrix all forward differences
+    monkeypatch.setattr("thinring.solver.degeneracy_margin",
+                        lambda *_: (0.0, 2))
     fd = newton_solve(eps, params)
     assert symbol.diagnostics["fd_columns"] == 1
     # the full start is built at the ladder's first level, M = 8; a climb
-    # pads it with the symbol diagonal
+    # drops the matrix and rebuilds it
     assert fd.diagnostics["fd_columns"] >= 8
     assert fd.diagnostics["modes"] == symbol.diagnostics["modes"]
     for name in ("w", "gamma", "nu"):
@@ -577,6 +596,15 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     assert len(seen) == 1 + d["fd_columns"] + d["iterations"]
     assert st.mu.size == 256 and st.shape.coeffs.size == 33
     assert st.jacobian.shape == (32, 32)
+    # every level raises the options' core angles to 4 (M + 1), no lower;
+    # at rho = 0 the core does not enter the residual
+    seen.clear()
+    wide = newton_solve(0.3, P_CLASSICAL,
+                        options=SolverOptions(inner_nalpha=96))
+    assert sorted(set(seen)) == [(8, 64, 96), (16, 128, 96), (32, 256, 132)]
+    assert wide.w == st.w
+    for key in ("fd_columns", "iterations"):
+        assert wide.diagnostics[key] == d[key]
 
 
 def test_classical_report_resolves_its_modes():
