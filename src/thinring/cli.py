@@ -86,6 +86,13 @@ def _rho(text: str) -> float:
     return value
 
 
+def _eps(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"eps must be > 0, got {text!r}")
+    return value
+
+
 def _split_grid(spec: str) -> tuple[float, float, int]:
     # a:b:n with finite endpoints; callers check the ranges they need
     try:
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "solve", "single steady solve", cmd_solve,
                      _params, _options)
-    p.add_argument("--eps", type=_finite, required=True,
+    p.add_argument("--eps", type=_eps, required=True,
                    help="thinness parameter")
 
     p = _add_command(sub, "sweep", "continuation over an eps grid", cmd_sweep,

@@ -25,8 +25,7 @@ fresh matrix is the paper's linearized symbol, diagonal in (w, a_2..a_M)
 with entries (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma),
 k0 = degeneracy_k0(rho), whose first cols columns are replaced by forward
 differences, one residual each: cols = 1, the w column the symbol lacks,
-on a cold start; cols = M near degeneracy (margin below 0.05, where a
-symbol entry is close to 0) and after a step that fails to contract.  A
+at every margin, and cols = M after a step that fails to contract.  A
 level stops on the step it would take next, an estimate of its error
 (Deuflhard 2004, Newton Methods for Nonlinear Problems, ch. 2).
 A converged state passes its matrix on, and its shape mode l scaled by
@@ -82,8 +81,8 @@ _FD_STEP = 1e-7
 # once, and below 1 a useless carried matrix is caught after one step
 _CONTRACTION = 0.7
 
-# degeneracy margin below which a solve carries a warning and every column
-# of a fresh Newton matrix is a forward difference
+# degeneracy margin below which a solve carries a warning and a matrix
+# padded with symbol entries, some close to 0, is not carried up the ladder
 _DEGEN_MARGIN = 0.05
 
 # the first level of newton_solve's truncation ladder
@@ -179,22 +178,20 @@ class SolutionState:
     state solved at the cap is reported from its last residual.  jacobian is
     the M x M Newton matrix in (w, a_2..a_M) at the solved M, the symbol
     with forward-difference columns, Broyden-updated, that a warm start
-    from this state reuses (None when none was built); it is not reported.
-    diagnostics keys: residual_norm (max |r_1..r_2M| of the check, or
-    max |r_1..r_M| at the cap), modes (the M it was solved at),
-    check_residual (the check's max |r_1..r_2M|; nan when solved at the
-    cap, which has no check), newton_error (max |dx| of the step that ended
-    the accepting level, the error estimate of the iterate it was formed at;
-    nan for a level accepted with no matrix), iterations (Newton steps
-    applied, a level's last step below the cap included), fd_columns (the
-    residuals spent on forward differences, cols for each fresh matrix: 1
-    on a cold start, M near degeneracy or after a step that fails to
-    contract, 0 for a carried matrix that keeps contracting),
-    jacobian_cond (of jacobian, to 3 significant digits; nan when no Newton
-    step was applied), margin, worst_mode, theta_sup, theta_h5,
-    window_theta (||theta||_{H^5}/eps^0.75), window_speed (|w| log(1/eps)
-    (eps^2 + ||theta||_{H^5}^2)), area_residual, moment_residual, warnings
-    (tuple of strings).
+    from this state reuses; it is not reported.  diagnostics keys:
+    residual_norm (max |r_1..r_2M| of the check, or max |r_1..r_M| at the
+    cap), modes (the M it was solved at), check_residual (the check's
+    max |r_1..r_2M|; nan when solved at the cap, which has no check),
+    newton_error (max |dx| of the step that ended the accepting level, the
+    error estimate of the iterate it was formed at; never nan), iterations
+    (Newton steps applied, a level's last step below the cap included),
+    fd_columns (the residuals spent on forward differences, cols for each
+    fresh matrix: 1 without a matrix, M after a step that fails to contract,
+    0 for a carried matrix that keeps contracting), jacobian_cond (of
+    jacobian, to 3 significant digits; never nan), margin, worst_mode,
+    theta_sup, theta_h5, window_theta (||theta||_{H^5}/eps^0.75),
+    window_speed (|w| log(1/eps) (eps^2 + ||theta||_{H^5}^2)),
+    area_residual, moment_residual, warnings (tuple of strings).
     """
 
     shape: FourierShape
@@ -313,25 +310,26 @@ def newton_solve(eps: float, params: NondimParams,
     degeneracy, margin below _DEGEN_MARGIN, a padded matrix is dropped).
     Every fresh matrix is one expression: the symbol diagonal, its first
     cols columns replaced by one jacobian_fd call on the level's residual,
-    and fd_columns counts cols.  cols = 1 (the w column) without a matrix;
-    cols = M without a matrix when the margin is below _DEGEN_MARGIN, and
-    whenever a step leaves max |r_1..r_M| above options.tol and above
-    _CONTRACTION times the larger of its last two values at this level
-    (its last value after the level's first step).  Otherwise the matrix
-    gets a good-Broyden update from each step.  Once max |r_1..r_M| <=
-    options.tol the level forms its next step and converges when it has
-    max |dx| <= options.tol (1 + max |x|), which bounds the iterate's
-    error: d r_1 / d w is only -0.003 to -0.025, so a residual under tol
-    alone can leave w far off.  That step's update is not kept (on a sweep
-    it spoiled the w column a warm start carries).  Below the cap the step
-    is applied before the check; the cap reports its last residual without
-    it.  nu is (1 + eps sigma) r_0 at nu = 0, which zeroes r_0.  Without an
-    initializer the zero shape and the leading-order w are used, inside the
-    Newton basin for eps <= 0.05.  A warm start reads
-    init.w, init.shape, init.jacobian and init.eps, not init.nu: w starts at
-    init.w shifted by the change of its asymptotic value W, formed as
-    (init.w + W(eps)) - W(init.eps), and shape mode l = 2..M at q^l times
-    init's (truncated or zero-padded), q = min(1, eps / init.eps).
+    and fd_columns counts cols.  cols = 1 (the w column) without a matrix,
+    at every margin (an all-difference start near degeneracy reached other
+    roots), and cols = M whenever a step leaves max |r_1..r_M| above
+    options.tol and above _CONTRACTION times the larger of its last two
+    values at this level (its last value after the level's first step).
+    Otherwise the matrix gets a good-Broyden update from each step.  Every
+    level forms a step; once max |r_1..r_M| <= options.tol it converges
+    when that step has max |dx| <= options.tol (1 + max |x|), which bounds
+    the iterate's error: d r_1 / d w is only -0.003 to -0.025, so a
+    residual under tol alone can leave w far off.  That step's update is
+    not kept (on a sweep it spoiled the w column a warm start carries).
+    Below the cap the step is applied before the check; the cap reports
+    its last residual without it.  nu is (1 + eps sigma) r_0 at nu = 0,
+    which zeroes r_0.  Without an initializer the zero shape and the
+    leading-order w are used, inside the Newton basin for eps <= 0.05.  A
+    warm start reads init.w, init.shape, init.jacobian and init.eps, not
+    init.nu: w starts at init.w shifted by the change of its asymptotic
+    value W, formed as (init.w + W(eps)) - W(init.eps), and shape mode
+    l = 2..M at q^l times init's (truncated or zero-padded),
+    q = min(1, eps / init.eps).
 
     Raises SolverError on non-convergence (after _MAX_ITER steps at one
     level) or stagnation.  A degeneracy warning is attached when the mode
@@ -396,55 +394,50 @@ def newton_solve(eps: float, params: NondimParams,
                 f"Newton stagnated at residual {rnorm:.3e}" + degen_note, rnorm)
         if not near and len(norms) == _MAX_ITER:
             raise unconverged(f"residual {rnorm:.3e}")
-        step, converged = math.nan, near    # a level accepted with no matrix
-        if jac is not None or not near:
-            kept = jac
-            rebuild = dx is not None and rnorm > max(
-                options.tol, _CONTRACTION * max(norms[-2:]))
-            cols = 0
-            if jac is None or rebuild:
-                # w alone on a cold start, every column near degeneracy or
-                # after a step that failed to contract
-                cols = (level.modes if rebuild or margin < _DEGEN_MARGIN
-                        else 1)
-                jac = np.diag(_symbol(level.modes, eps, params))
-                jac[:, :cols] = jacobian_fd(
-                    lambda v: evaluate(np.r_[v, x[cols:]], level).r[1:],
-                    x[:cols], f)
-                fd_columns += cols
-            elif dx is not None:
-                # good Broyden: the secant condition jac dx = f - f_old
-                jac = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
-            try:
-                dx = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("singular Newton Jacobian" + degen_note,
-                                  rnorm) from exc
-            if not np.all(np.isfinite(dx)):
-                raise SolverError("non-finite Newton step" + degen_note, rnorm)
-            # the step this iterate would take estimates its error
-            step = float(np.max(np.abs(dx)))
-            bound = options.tol * (1.0 + float(np.max(np.abs(x))))
-            converged = near and step <= bound
-            if converged:
-                # an update at a residual under tol is roundoff over a tiny
-                # step: it serves this step only
-                jac = kept
-            if not converged and len(norms) == _MAX_ITER:
-                raise unconverged(f"residual {rnorm:.3e}, next step {step:.3e}"
-                                  f" above its bound {bound:.3e}")
-            if not converged or level.modes < options.modes:
-                x = x + dx
-                iterations += 1
-            if not converged:
-                f_old = f
-                norms.append(rnorm)
-                # only a tiny step from an all-FD matrix is stagnation; one
-                # from a symbol or reused matrix fails to contract, rebuilds
-                stalled = (cols == level.modes
-                           and step <= 1e-14 * (1.0 + np.max(np.abs(x))))
-                rv = evaluate(x, level)
-                continue
+        rebuild = dx is not None and rnorm > max(
+            options.tol, _CONTRACTION * max(norms[-2:]))
+        cols, mat = 0, jac
+        if jac is None or rebuild:
+            # w alone without a matrix, every column after a step that
+            # failed to contract; a fresh matrix is kept at once
+            cols = level.modes if rebuild else 1
+            jac = mat = np.diag(_symbol(level.modes, eps, params))
+            mat[:, :cols] = jacobian_fd(
+                lambda v: evaluate(np.r_[v, x[cols:]], level).r[1:],
+                x[:cols], f)
+            fd_columns += cols
+        elif dx is not None:
+            # good Broyden: the secant condition mat dx = f - f_old
+            mat = jac + np.outer(f - f_old - jac @ dx, dx / (dx @ dx))
+        try:
+            dx = np.linalg.solve(mat, -f)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular Newton Jacobian" + degen_note,
+                              rnorm) from exc
+        if not np.all(np.isfinite(dx)):
+            raise SolverError("non-finite Newton step" + degen_note, rnorm)
+        # the step this iterate would take estimates its error
+        step = float(np.max(np.abs(dx)))
+        bound = options.tol * (1.0 + float(np.max(np.abs(x))))
+        converged = near and step <= bound
+        if not converged and len(norms) == _MAX_ITER:
+            raise unconverged(f"residual {rnorm:.3e}, next step {step:.3e}"
+                              f" above its bound {bound:.3e}")
+        if not converged or level.modes < options.modes:
+            x = x + dx
+            iterations += 1
+        if not converged:
+            # an update at a residual under tol is roundoff over a tiny
+            # step: it serves the converging step only
+            jac = mat
+            f_old = f
+            norms.append(rnorm)
+            # only a tiny step from an all-FD matrix is stagnation; one
+            # from a symbol or reused matrix fails to contract, rebuilds
+            stalled = (cols == level.modes
+                       and step <= 1e-14 * (1.0 + np.max(np.abs(x))))
+            rv = evaluate(x, level)
+            continue
         # converged at this level: the cap reports its last residual, a
         # lower level checks the stepped state on the next level's grids
         modes, check, newton_error = level.modes, math.nan, step
@@ -459,9 +452,8 @@ def newton_solve(eps: float, params: NondimParams,
         jac = carry(jac, level.modes)
         dx, stalled, norms = None, False, []
 
-    # an applied step leaves a matrix in jac
-    cond = (math.nan if iterations == 0
-            else float(f"{np.linalg.cond(jac):.3g}"))
+    # every accepted level formed a step, which leaves a matrix in jac
+    cond = float(f"{np.linalg.cond(jac):.3g}")
 
     warnings_list: list[str] = []
     if margin < _DEGEN_MARGIN:

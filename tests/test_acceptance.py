@@ -256,3 +256,5 @@ def test_criterion_10_degeneracy_detection():
           f"warnings {st.diagnostics['warnings']}")
     assert margin < 0.05
     assert any("degeneracy margin" in w for w in st.diagnostics["warnings"])
+    # at most 2 full forward-difference Jacobians after the symbol start
+    assert st.diagnostics["fd_columns"] <= 17

@@ -78,12 +78,6 @@ def test_force_bypasses_gate_then_fails_numerically(tmp_path, capsys):
     assert "degeneracy margin" in err["message"]
 
 
-def test_solve_invalid_eps_is_numerical_error(tmp_path, capsys):
-    code = run(["solve", "--eps", "-0.01", "--out", str(tmp_path)] + FAST)
-    assert code == 1
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == 1
-
-
 def test_solve_names_negative_tension(tmp_path, capsys):
     # c log(1/eps) / eps is negative past eps = 1
     code = run(["solve", "--eps", "2", "--sigma-kind", "c_log_over_eps",
@@ -124,6 +118,8 @@ def test_solve_names_negative_tension(tmp_path, capsys):
      "--sigma-c", "1"],                               # the kind does not read
     ["check-sigma", "--sigma-kind", "c_over_eps", "--sigma-c", "1",
      "--sigma-p", "1.5"],
+    ["solve", "--eps", "-0.01"],                      # nonpositive eps
+    ["solve", "--eps", "0"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
     assert run(argv) == 64

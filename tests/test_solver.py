@@ -28,6 +28,11 @@ P_CLASSICAL = NondimParams(rho=0.0, sigma_law=SigmaLaw(), omega=math.inf)
 P_TENSION = NondimParams(rho=0.0, sigma_law=SigmaLaw(kind="c_over_eps", c=4.0),
                          omega=0.25)
 P_CORE = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
+# K = omega / (2 pi^2) = 3.06 under sigma = 1/(omega eps): margin 0.03
+_OMEGA_NEAR = 3.06 * 2.0 * math.pi**2
+P_NEAR_DEGENERATE = NondimParams(
+    rho=0.0, omega=_OMEGA_NEAR,
+    sigma_law=SigmaLaw(kind="c_over_eps", c=1.0 / _OMEGA_NEAR))
 
 
 def zero_shape(modes=8):
@@ -203,7 +208,8 @@ def test_warm_start_ignores_initial_nu(solved_classical):
 
 def test_converged_warm_start_evaluates_one_residual(solved_classical,
                                                      monkeypatch):
-    # no Newton step, so no Jacobian is built and none has a condition
+    # the carried matrix forms the stopping step, which is not applied at
+    # the cap, and is passed on with its condition
     calls = []
     real = residual
     monkeypatch.setattr("thinring.solver.residual",
@@ -212,7 +218,8 @@ def test_converged_warm_start_evaluates_one_residual(solved_classical,
                          init=solved_classical)
     assert again.diagnostics["iterations"] == 0
     assert len(calls) == 1
-    assert math.isnan(again.diagnostics["jacobian_cond"])
+    assert (again.diagnostics["jacobian_cond"]
+            == solved_classical.diagnostics["jacobian_cond"])
 
 
 def test_newton_converges_on_the_last_allowed_step(monkeypatch):
@@ -246,11 +253,13 @@ def test_newton_error_is_the_stopping_step():
     err = st.diagnostics["newton_error"]
     assert 0.0 < err <= OPTS8.tol * (1.0 + abs(st.w))
     assert 0.5 * err < abs(st.w - tight.w) < 2.0 * err
-    # a level accepted on its first residual with no matrix forms no step
+    # a level whose first residual is under tol with no matrix builds the
+    # symbol start and forms its step like any other
     again = newton_solve(0.02, P_CLASSICAL, options=OPTS8,
                          init=replace(st, jacobian=None))
-    assert again.diagnostics["iterations"] == 0
-    assert math.isnan(again.diagnostics["newton_error"])
+    d = again.diagnostics
+    assert d["iterations"] == 0 and d["fd_columns"] == 1
+    assert 0.0 < d["newton_error"] <= OPTS8.tol * (1.0 + abs(again.w))
 
 
 def test_warm_start_scales_modes_by_the_thin_ring_law(monkeypatch):
@@ -390,39 +399,44 @@ def test_newton_reports_too_fat_section_as_solver_error():
 
 
 def test_newton_warns_near_degenerate_tension(monkeypatch):
-    # K = omega / (2 pi^2) just off the integer 3: narrow margin, still solves;
-    # a symbol entry near 0 would step out of the shape region, so every
-    # matrix is a full forward-difference Jacobian
-    k0 = 1.0 / (2.0 * np.pi**2)
-    omega = 3.06 / k0
-    params = NondimParams(rho=0.0, omega=omega,
-                          sigma_law=SigmaLaw(kind="c_over_eps", c=1.0 / omega))
+    # K = omega / (2 pi^2) just off the integer 3: narrow margin, still
+    # solves; the symbol start's first step fails to contract, and two full
+    # forward-difference Jacobians follow
     calls = count_fd_jacobians(monkeypatch)
-    st = newton_solve(0.02, params, options=OPTS8)
+    st = newton_solve(0.02, P_NEAR_DEGENERATE, options=OPTS8)
     assert st.diagnostics["residual_norm"] <= OPTS8.tol
     assert abs(st.diagnostics["margin"] - 0.03) < 1e-12
     assert st.diagnostics["worst_mode"] == 2
     assert any("degeneracy margin" in w for w in st.diagnostics["warnings"])
-    assert calls and set(calls) == {8}
+    assert calls == [1, 8, 8]
     assert st.diagnostics["fd_columns"] == sum(calls)
+
+
+def test_near_degenerate_cold_solve_is_on_the_branch():
+    # the branch continued from eps -> 0: a warm start from eps = 0.01
+    # reaches it, and so must the cold symbol start
+    cold = newton_solve(0.02, P_NEAR_DEGENERATE, options=OPTS8)
+    warm = newton_solve(0.02, P_NEAR_DEGENERATE, options=OPTS8,
+                        init=newton_solve(0.01, P_NEAR_DEGENERATE,
+                                          options=OPTS8))
+    for name in ("w", "gamma", "nu"):
+        assert abs(getattr(cold, name) - getattr(warm, name)) < 1e-9, name
 
 
 def test_near_degenerate_climb_drops_the_padded_matrix(monkeypatch):
     # a 6 x 6 matrix carried into M = 8 would be padded with symbol entries
-    # near 0; near degeneracy it is dropped, and the first matrix is all
-    # forward differences
-    k0 = 1.0 / (2.0 * np.pi**2)
-    omega = 3.06 / k0
-    params = NondimParams(rho=0.0, omega=omega,
-                          sigma_law=SigmaLaw(kind="c_over_eps", c=1.0 / omega))
-    warm = newton_solve(0.04, params,
+    # near 0; near degeneracy it is dropped for the symbol start, and the
+    # state lands on the cold solve's root
+    warm = newton_solve(0.04, P_NEAR_DEGENERATE,
                         options=SolverOptions(n_grid=128, modes=6))
     assert warm.jacobian.shape == (6, 6)
     calls = count_fd_jacobians(monkeypatch)
-    st = newton_solve(0.02, params, init=warm, options=OPTS8)
-    assert calls[0] == 8
+    st = newton_solve(0.02, P_NEAR_DEGENERATE, init=warm, options=OPTS8)
+    assert calls == [1, 8]
     assert st.diagnostics["residual_norm"] <= OPTS8.tol
     assert st.diagnostics["fd_columns"] == sum(calls)
+    cold = newton_solve(0.02, P_NEAR_DEGENERATE, options=OPTS8)
+    assert abs(st.w - cold.w) < 1e-9
 
 
 # -------------------------------------------------------------- continuation
@@ -525,13 +539,11 @@ def test_cold_core_solve_starts_from_symbol():
                          ids=["classical", "tension", "core"])
 def test_symbol_start_matches_fd_start(monkeypatch, params, eps):
     symbol = newton_solve(eps, params)
-    # a zero margin makes every fresh matrix all forward differences
-    monkeypatch.setattr("thinring.solver.degeneracy_margin",
-                        lambda *_: (0.0, 2))
+    # a zero contraction factor rebuilds a full forward-difference Jacobian
+    # after every step that leaves the residual above tol
+    monkeypatch.setattr("thinring.solver._CONTRACTION", 0.0)
     fd = newton_solve(eps, params)
     assert symbol.diagnostics["fd_columns"] == 1
-    # the full start is built at the ladder's first level, M = 8; a climb
-    # drops the matrix and rebuilds it
     assert fd.diagnostics["fd_columns"] >= 8
     assert fd.diagnostics["modes"] == symbol.diagnostics["modes"]
     for name in ("w", "gamma", "nu"):
