@@ -20,20 +20,16 @@ smooth and periodic, so the trapezoid weights for B and the spectral log
 weights for A integrate trigonometric densities of degree < n/2 exactly.
 On the diagonal Q -> m^2.
 
-The eps -> 0 limit kernel is -(m(alpha~)/2 pi) log |chi - chi~|, assembled
-by the same split with A = -m/(4 pi) exactly.
-
-Both operators are used through bordered (n+1) systems that append the
-unknown constant (capacity constant or flux constant gamma) and the
-circulation row sum m mu = 1.
+The operator is used through a bordered (n+1) system that appends the
+unknown flux constant gamma and the circulation row sum m mu = 1.
 
 Every section is even (a cosine series) and the grid alpha_j = 2 pi j / n
 has even n, so the reflection alpha -> -alpha maps node j to node n - j and
-the matrices satisfy M[n-i, n-j] = M[i, j].  The assemblies therefore
-return the (n/2 + 1, n) block of rows 0..n/2, which holds one
-representative of every pair of nodes; the bordered systems, whose right
-sides are even, fold to n/2 + 2 unknowns (mu_0..mu_{n/2} and the constant),
-read only that block, and are unfolded after the solve.
+the matrix satisfies M[n-i, n-j] = M[i, j].  The assembly therefore
+returns the (n/2 + 1, n) block of rows 0..n/2, which holds one
+representative of every pair of nodes; the bordered system, whose right
+side is even, folds to n/2 + 2 unknowns (mu_0..mu_{n/2} and gamma), reads
+only that block, and is unfolded after the solve.
 """
 
 from __future__ import annotations
@@ -49,10 +45,7 @@ from .special import SPLIT_S_MAX, f_elliptic, f_split
 __all__ = [
     "kress_log_weights",
     "assemble_full",
-    "assemble_limit",
-    "CapacitySolution",
     "OuterSolution",
-    "solve_capacity",
     "solve_outer",
 ]
 
@@ -84,17 +77,6 @@ def _half_tables(n: int):
     return _read_only(chord, weights)
 
 
-def _half_pairs(grid: BoundaryGrid) -> np.ndarray:
-    # Q = |chi_i - chi_j|^2 / 4 sin^2 in polar form, (r_i - r_j)^2 / 4 sin^2
-    # + r_i r_j with r = 1 + theta, on rows 0..n/2 against all n columns;
-    # Q is continued to m^2 on the diagonal
-    h = grid.n // 2
-    r = 1.0 + grid.theta
-    q = (r[:h + 1, None] - r) ** 2 / _half_tables(grid.n)[0] + np.outer(r[:h + 1], r)
-    np.fill_diagonal(q, grid.m[:h + 1] ** 2)
-    return q
-
-
 def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     """Nystrom rows 0..n/2 of the eps > 0 stream-function operator.
 
@@ -116,11 +98,17 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     section is too fat for its eps.
     """
     if not grid.eps > 0.0:
-        raise ValueError("assemble_full requires eps > 0; use assemble_limit")
+        raise ValueError("assemble_full requires eps > 0")
     h = grid.n // 2
     chord, weights = _half_tables(grid.n)
+    # Q = |chi_i - chi_j|^2 / 4 sin^2 in polar form, (r_i - r_j)^2 / 4 sin^2
+    # + r_i r_j with r = 1 + theta, continued to m^2 on the diagonal; the
+    # name is rebound to eps^2 Q / (rho rho~) so that Q is freed at once
+    r = 1.0 + grid.theta
+    ratio = (r[:h + 1, None] - r) ** 2 / chord + np.outer(r[:h + 1], r)
+    np.fill_diagonal(ratio, grid.m[:h + 1] ** 2)
     rho = 1.0 + grid.eps * grid.x1
-    ratio = grid.eps**2 * _half_pairs(grid) / np.outer(rho[:h + 1], rho)
+    ratio = grid.eps**2 * ratio / np.outer(rho[:h + 1], rho)
     s = ratio * chord
     np.fill_diagonal(s, 0.0)
     root = np.sqrt(rho)
@@ -139,59 +127,10 @@ def assemble_full(grid: BoundaryGrid) -> np.ndarray:
     return a * weights + (2.0 * np.pi / grid.n) * b
 
 
-def assemble_limit(grid: BoundaryGrid) -> np.ndarray:
-    """Nystrom rows 0..n/2 of the eps -> 0 limit operator.
-
-    The operator is -(m/2 pi) log |chi - chi~|; like ``assemble_full`` this
-    returns the (n/2 + 1, n) block, with M[n-i, n-j] = M[i, j].  The
-    log-weight factor is A = -m(alpha~)/(4 pi) exactly; the smooth part is
-    -(m/4 pi) log Q with diagonal -(m/2 pi) log m.
-    """
-    log_q = np.log(_half_pairs(grid))
-    a = np.broadcast_to(-grid.m / (4.0 * np.pi), log_q.shape)
-    return a * _half_tables(grid.n)[1] + (2.0 * np.pi / grid.n) * (a * log_q)
-
-
-@dataclass(frozen=True)
-class CapacitySolution:
-    mu: np.ndarray
-    const: float
-
-
 @dataclass(frozen=True)
 class OuterSolution:
     mu: np.ndarray
     gamma: float
-
-
-def _bordered_solve(grid: BoundaryGrid, rows: np.ndarray, rhs: np.ndarray):
-    # The (n+1) system [M, -1; m w, 0] (mu, c) = (rhs, 1) folded by the
-    # reflection j -> n-j: with M reflection-symmetric and rhs even, mu is
-    # even, so rows 0..n/2 (the block ``rows``) with the columns j and n-j
-    # added and the circulation row on the weights 1, 2, ..., 2, 1
-    # determine it.
-    h = grid.n // 2
-    sys_mat = np.empty((h + 2, h + 2))
-    sys_mat[:h + 1, :h + 1] = rows[:, :h + 1]
-    sys_mat[:h + 1, 1:h] += rows[:, :h:-1]
-    sys_mat[:h + 1, h + 1] = -1.0
-    sys_mat[h + 1, :h + 1] = 2.0 * grid.weight * grid.m[:h + 1]
-    sys_mat[h + 1, [0, h]] *= 0.5
-    sys_mat[h + 1, h + 1] = 0.0
-    sol = np.linalg.solve(sys_mat, np.append(rhs[:h + 1], 1.0))
-    mu = sol[:h + 1]
-    return np.concatenate([mu, mu[h - 1:0:-1]]), float(sol[h + 1])
-
-
-def solve_capacity(grid: BoundaryGrid) -> CapacitySolution:
-    """Capacity density: K mu = const with unit weighted mass.
-
-    Solves the bordered system [K, -1; m w, 0] (mu, const) = (0, 1) on the
-    limit operator.  At theta = 0 the density is 1/(2 pi) and const = 0;
-    for small shapes |const| = O(||theta||^2).
-    """
-    mu, const = _bordered_solve(grid, assemble_limit(grid), np.zeros(grid.n))
-    return CapacitySolution(mu=mu, const=const)
 
 
 def solve_outer(grid: BoundaryGrid, w: float) -> OuterSolution:
@@ -202,6 +141,22 @@ def solve_outer(grid: BoundaryGrid, w: float) -> OuterSolution:
     bordered column.  (mu, gamma) is affine in w since only the right side
     depends on it.
     """
+    # The (n+1) system [M, -1; m w, 0] (mu, gamma) = (rhs, 1) folded by the
+    # reflection j -> n-j: with M reflection-symmetric and rhs even, mu is
+    # even, so rows 0..n/2 (the block ``rows``) with the columns j and n-j
+    # added and the circulation row on the weights 1, 2, ..., 2, 1
+    # determine it.
     rhs = 0.5 * w * (1.0 + grid.eps * grid.x1) ** 2
-    mu, gamma = _bordered_solve(grid, assemble_full(grid), rhs)
-    return OuterSolution(mu=mu, gamma=gamma)
+    rows = assemble_full(grid)
+    h = grid.n // 2
+    sys_mat = np.empty((h + 2, h + 2))
+    sys_mat[:h + 1, :h + 1] = rows[:, :h + 1]
+    sys_mat[:h + 1, 1:h] += rows[:, :h:-1]
+    sys_mat[:h + 1, h + 1] = -1.0
+    sys_mat[h + 1, :h + 1] = 2.0 * grid.weight * grid.m[:h + 1]
+    sys_mat[h + 1, [0, h]] *= 0.5
+    sys_mat[h + 1, h + 1] = 0.0
+    sol = np.linalg.solve(sys_mat, np.append(rhs[:h + 1], 1.0))
+    mu = sol[:h + 1]
+    return OuterSolution(mu=np.concatenate([mu, mu[h - 1:0:-1]]),
+                         gamma=float(sol[h + 1]))

@@ -5,9 +5,11 @@ shares no code with ``thinring.special``; ``kernel_direct`` evaluates the
 outer kernel pointwise on the elliptic path, without the log split;
 ``assemble_cartesian`` assembles rows of the outer Nystrom matrix from
 Cartesian point differences rather than the polar form of ``Q``, any rows,
-not only the library's 0..n/2; ``unfold_rows`` fills the other rows of
+not only the library's 0..n/2, and at eps = 0 the eps -> 0 limit
+operator, which no solve needs; ``unfold_rows`` fills the other rows of
 that block by the reflection j -> n - j; ``bordered_solve_dense`` solves
-the outer bordered system on all n nodes, without the even-symmetry fold;
+the outer bordered system on all n nodes, without the even-symmetry fold,
+and on the limit operator with zero data gives the capacity density;
 ``boundary_points`` forms the chart chi from a grid's alpha and theta;
 ``dtheta_direct``, ``ddtheta_direct`` and ``h_direct`` give theta',
 theta'' and the mean-curvature factor h from direct cosine sums rather than
@@ -171,12 +173,13 @@ def kernel_direct(grid: BoundaryGrid) -> np.ndarray:
 def assemble_cartesian(grid: BoundaryGrid, rows=None) -> np.ndarray:
     """Outer Nystrom rows from Cartesian point differences; oracle path.
 
-    ``assemble_full`` for eps > 0 and ``assemble_limit`` at eps = 0 on the
-    given rows (default 0..n/2, the library's block), with chi formed from
-    alpha and theta, s1 = |chi_i - chi_j|^2 from the difference tensor,
-    s2 = sqrt(rho_i rho_j), log Q = log(s1 / 4 sin^2) and the smooth log
-    of the split F = p + q log w as 2 log eps + log Q - 2 log s2 -
-    log(4 + s).  The chord table and the log weights are formed here for
+    ``assemble_full`` for eps > 0, and at eps = 0 the limit operator
+    -(m(alpha~)/2 pi) log |chi - chi~| (A = -m/(4 pi) exactly), which has
+    no library copy, on the given rows (default 0..n/2, the library's
+    block), with chi formed from alpha and theta, s1 = |chi_i - chi_j|^2
+    from the difference tensor, s2 = sqrt(rho_i rho_j), log Q = log(s1 / 4
+    sin^2) and the smooth log of the split F = p + q log w as 2 log eps +
+    log Q - 2 log s2 - log(4 + s).  The chord table and the log weights are formed here for
     the given rows; shares ``f_split``, ``f_elliptic`` and
     ``kress_log_weights`` with the library.
     """
@@ -229,7 +232,7 @@ def bordered_solve_dense(grid: BoundaryGrid, block: np.ndarray,
                          rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Unfolded (n+1) system [M, -1; m w, 0] (mu, c) = (rhs, 1).
 
-    ``block`` holds rows 0..n/2 of M, as the assemblies return them; the
+    ``block`` holds rows 0..n/2 of M, as ``assemble_full`` returns them; the
     other rows are filled by ``unfold_rows``.
     """
     n = grid.n

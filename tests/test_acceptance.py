@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import boundary_points, f_direct, kernel_direct
+from oracles import (assemble_cartesian, bordered_solve_dense,
+                     boundary_points, f_direct, kernel_direct)
 from thinring.inner import solve_inner
-from thinring.outer import assemble_full, assemble_limit, kress_log_weights, \
-    solve_capacity
+from thinring.outer import assemble_full, kress_log_weights
 from thinring.physics import (NondimParams, SigmaLaw, asymptotic_wgn,
                               degeneracy_margin, s_from_w)
-from thinring.shape import FourierShape, build_grid
+from thinring.shape import FourierShape, build_grid, sobolev_norm
 from thinring.solver import SolverOptions, continuation, newton_solve, residual
 from thinring.special import f_elliptic, f_split
 
@@ -55,6 +55,17 @@ def sweeps():
     return states, seconds
 
 
+def capacity_density(grid):
+    """mu of K mu = const, m w mu = 1, on the eps -> 0 limit operator.
+
+    The limit operator has no library copy, since every solve has eps > 0:
+    the oracle assembles it on the library's kress_log_weights and solves
+    the bordered system unfolded.
+    """
+    return bordered_solve_dense(grid, assemble_cartesian(grid),
+                                np.zeros(grid.n))[0]
+
+
 def sweep_errors(states, params):
     rows = []
     for st in states:
@@ -66,7 +77,7 @@ def sweep_errors(states, params):
 def test_criterion_01_limit_operator_multiplier():
     t0 = time.perf_counter()
     grid = build_grid(zero_shape(), 0.0, 128)
-    mat = assemble_limit(grid)       # rows 0..n/2 of the image of even data
+    mat = assemble_cartesian(grid)   # rows 0..n/2 of the image of even data
     rows = grid.alpha[:grid.n // 2 + 1]
     worst = float(np.max(np.abs(mat @ np.ones(grid.n))))
     for l in range(1, 17):
@@ -81,16 +92,16 @@ def test_criterion_01_limit_operator_multiplier():
 
 def test_criterion_02_capacity_density_and_derivative():
     grid = build_grid(zero_shape(), 0.0, 128)
-    base = solve_capacity(grid)
-    value_err = float(np.max(np.abs(base.mu - 1.0 / (2.0 * math.pi))))
+    base = capacity_density(grid)
+    value_err = float(np.max(np.abs(base - 1.0 / (2.0 * math.pi))))
     assert value_err <= 1e-10
     step = 1e-5
     worst = 0.0
     for l in range(2, 7):
         c = np.zeros(l + 1)
         c[l] = step
-        pert = solve_capacity(build_grid(FourierShape(c), 0.0, 128))
-        fd = (pert.mu - base.mu) / step
+        pert = capacity_density(build_grid(FourierShape(c), 0.0, 128))
+        fd = (pert - base) / step
         expect = -(1.0 - l) / (2.0 * math.pi) * np.cos(l * grid.alpha)
         worst = max(worst, float(np.max(np.abs(fd - expect))))
     print(f"criterion 2: value defect {value_err:.3e}, "
@@ -239,6 +250,24 @@ def test_criterion_09_shape_vanishes_faster_than_eps(sweeps):
         assert np.all(np.diff(ratio) < 0.0), \
             f"{name}: theta_sup/eps not decreasing: {ratio}"
         print(f"criterion 9 [{name}]: theta_sup/eps {ratio}")
+        # the uniqueness windows ||theta||_{H^5} / eps^0.75 and
+        # |w| log(1/eps) (eps^2 + ||theta||_{H^5}^2) close as eps halves
+        windows = []
+        for st in states[name]:
+            d = st.diagnostics
+            th5 = sobolev_norm(st.shape, 5)
+            assert d["theta_h5"] == th5
+            assert d["window_theta"] == pytest.approx(th5 / st.eps**0.75,
+                                                      rel=1e-14)
+            assert d["window_speed"] == pytest.approx(
+                abs(st.w) * math.log(1.0 / st.eps) * (st.eps**2 + th5**2),
+                rel=1e-14)
+            windows.append((d["window_theta"], d["window_speed"]))
+        windows = np.array(windows)
+        assert np.all(np.diff(windows, axis=0) < 0.0), \
+            f"{name}: uniqueness windows not closing: {windows}"
+        print(f"criterion 9 [{name}]: window_theta {windows[:, 0]}, "
+              f"window_speed {windows[:, 1]}")
 
 
 def test_criterion_10_degeneracy_detection():

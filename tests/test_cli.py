@@ -27,6 +27,10 @@ def test_solve_writes_solution_and_boundary(tmp_path, capsys):
     assert set(doc) == {"params", "shape", "w", "gamma", "nu",
                         "nu_normalizations", "s", "diagnostics"}
     assert len(doc["shape"]["coeffs"]) == 9
+    assert set(doc["diagnostics"]) == {
+        "residual_norm", "modes", "check_residual", "newton_error",
+        "iterations", "fd_columns", "jacobian_cond", "margin", "worst_mode",
+        "theta_sup", "theta_h5", "window_theta", "window_speed", "warnings"}
     assert doc["params"]["eps"] == 0.02
     assert doc["nu_normalizations"]["standard"] == doc["nu"]
     assert doc["diagnostics"]["margin"] == "inf"

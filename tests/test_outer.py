@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (assemble_cartesian, bordered_solve_dense, boundary_points,
                      dtheta_direct, kernel_direct, unfold_rows)
-from thinring.outer import (assemble_full, assemble_limit, kress_log_weights,
-                            solve_capacity, solve_outer)
+from thinring.outer import assemble_full, kress_log_weights, solve_outer
 from thinring.shape import FourierShape, build_grid
 from thinring.special import f_split
 
@@ -25,6 +24,12 @@ def wavy_shape(*pairs):
     for l, a in pairs:
         c[l] = a
     return FourierShape(c)
+
+
+def capacity(grid):
+    # (mu, const) of K mu = const, m w mu = 1 on the eps -> 0 limit operator,
+    # which only the oracle assembles
+    return bordered_solve_dense(grid, assemble_cartesian(grid), np.zeros(grid.n))
 
 
 def circulant_apply(r, f):
@@ -70,12 +75,14 @@ def test_kress_weights_exact_on_trig_polynomials(coeffs):
 
 
 # -------------------------------------------------------------- limit kernel
+# The eps -> 0 operator is the oracle's assemble_cartesian at eps = 0, on the
+# library's kress_log_weights.
 
 def test_limit_operator_is_fourier_multiplier_on_circle():
     # cos(l alpha) -> cos(l alpha) / (2 l), constants -> 0 at theta = 0; on
     # even vectors the row block gives rows 0..n/2 of the image
     g = circle_grid(0.0, 128)
-    mat = assemble_limit(g)
+    mat = assemble_cartesian(g)
     rows = g.alpha[:g.n // 2 + 1]
     assert np.max(np.abs(mat @ np.ones(g.n))) < 1e-10
     for l in range(1, 17):
@@ -84,9 +91,9 @@ def test_limit_operator_is_fourier_multiplier_on_circle():
 
 
 def test_capacity_density_of_circle():
-    sol = solve_capacity(circle_grid(0.0, 128))
-    assert np.max(np.abs(sol.mu - 1.0 / (2.0 * np.pi))) < 1e-10
-    assert abs(sol.const) < 1e-12
+    mu, const = capacity(circle_grid(0.0, 128))
+    assert np.max(np.abs(mu - 1.0 / (2.0 * np.pi))) < 1e-10
+    assert abs(const) < 1e-12
 
 
 def test_capacity_constant_is_second_order_in_shape():
@@ -94,7 +101,7 @@ def test_capacity_constant_is_second_order_in_shape():
     const = {}
     for t in (0.1, 0.05):
         g = build_grid(wavy_shape((2, t)), 0.0, n)
-        const[t] = solve_capacity(g).const
+        const[t] = capacity(g)[1]
     ratio = const[0.1] / const[0.05]
     assert 3.0 < ratio < 5.0
 
@@ -106,7 +113,7 @@ def test_capacity_density_derivative_multiplier(l):
     mu = {}
     for sign in (+1.0, -1.0):
         g = build_grid(wavy_shape((l, sign * t)), 0.0, n)
-        mu[sign] = solve_capacity(g).mu
+        mu[sign] = capacity(g)[0]
     fd = (mu[1.0] - mu[-1.0]) / (2.0 * t)
     g0 = circle_grid(0.0, n)
     expect = -(1.0 - l) / (2.0 * np.pi) * np.cos(l * g0.alpha)
@@ -119,7 +126,7 @@ def test_limit_image_of_constant_shape_derivative():
     img = {}
     for sign in (+1.0, -1.0):
         g = build_grid(wavy_shape((2, sign * t)), 0.0, n)
-        img[sign] = assemble_limit(g) @ np.ones(n)
+        img[sign] = assemble_cartesian(g) @ np.ones(n)
     fd = (img[1.0] - img[-1.0]) / (2.0 * t)
     alpha = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     assert np.max(np.abs(fd + np.cos(2.0 * alpha) / 4.0)) < 1e-8
@@ -172,12 +179,11 @@ def test_assemblies_return_the_row_block():
     # rows 0..n/2 against all n columns: no n x n matrix is assembled
     for n in (64, 96):
         grid = build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.02, n)
-        assert (assemble_full(grid).shape == assemble_limit(grid).shape
-                == (n // 2 + 1, n))
+        assert assemble_full(grid).shape == (n // 2 + 1, n)
 
 
 def test_full_assembly_rejects_eps_zero():
-    with pytest.raises(ValueError, match="assemble_limit"):
+    with pytest.raises(ValueError, match="eps > 0"):
         assemble_full(circle_grid(0.0, 64))
 
 
@@ -207,7 +213,7 @@ ORACLE_SHAPES = {
 }
 ORACLE_CASES = [
     (eps, shape, n)
-    for eps in (0.0, 0.005, 0.02, 0.3)
+    for eps in (0.005, 0.02, 0.3)
     for shape, coeffs in ORACLE_SHAPES.items()
     for n in (96, 256) if n >= 4 * coeffs.size
 ] + [(0.6, "circle", 96), (0.6, "circle", 256)]
@@ -216,10 +222,10 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("eps, shape, n", ORACLE_CASES)
 def test_polar_assembly_matches_cartesian(eps, shape, n):
     # Q in polar form and one smooth log against the Cartesian difference
-    # tensor on every entry, diagonal included; eps = 0 is the limit
-    # operator and eps = 0.6 takes the far-pair fallback
+    # tensor on every entry, diagonal included; eps = 0.6 takes the far-pair
+    # fallback
     grid = build_grid(FourierShape(ORACLE_SHAPES[shape].copy()), eps, n)
-    mat = assemble_full(grid) if eps > 0.0 else assemble_limit(grid)
+    mat = assemble_full(grid)
     ref = assemble_cartesian(grid)
     assert np.max(np.abs(mat - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -286,8 +292,6 @@ def test_outer_solution_has_unit_circulation():
     g = build_grid(wavy_shape((2, 0.05)), 0.05, 128)
     sol = solve_outer(g, 0.4)
     assert abs(np.sum(g.m * sol.mu) * g.weight - 1.0) < 1e-12
-    cap = solve_capacity(build_grid(wavy_shape((2, 0.05)), 0.0, 128))
-    assert abs(np.sum(g.m * cap.mu) * g.weight - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("grid", [
@@ -304,25 +308,16 @@ def test_folded_outer_solve_matches_dense(grid):
     assert abs(sol.gamma - gamma) < 1e-12
 
 
-def test_folded_capacity_solve_matches_dense():
-    grid = build_grid(wavy_shape((2, 0.05), (3, -0.02), (5, 0.01)), 0.0, 128)
-    sol = solve_capacity(grid)
-    mu, const = bordered_solve_dense(grid, assemble_limit(grid), np.zeros(grid.n))
-    assert np.max(np.abs(sol.mu - mu)) < 1e-12
-    assert abs(sol.const - const) < 1e-12
-
-
 @pytest.mark.parametrize("grid", [
-    build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.0, 96),
     build_grid(wavy_shape((2, 0.05), (3, -0.02)), 0.02, 96),
     circle_grid(0.6, 96),
-], ids=["limit", "wavy", "far_field"])
+], ids=["wavy", "far_field"])
 def test_block_mirror_matches_rows_evaluated_directly(grid):
     # alpha -> -alpha maps node j to n - j, so M[n-i, n-j] = M[i, j]: the
     # mirror of the block's rows 1..n/2-1 against rows n/2+1..n-1 assembled
     # directly by the oracle, and rows 0 and n/2 against their own mirror
     n, h = grid.n, grid.n // 2
-    block = assemble_full(grid) if grid.eps > 0.0 else assemble_limit(grid)
+    block = assemble_full(grid)
     direct = assemble_cartesian(grid, np.arange(h + 1, n))
     scale = np.max(np.abs(block))
     assert np.max(np.abs(unfold_rows(block)[h + 1:] - direct)) < 1e-13 * scale

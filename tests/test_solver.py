@@ -701,22 +701,56 @@ def test_residual_reuses_freed_heap():
     assert int(proc.stdout) < 100
 
 
+def _trace_sites():
+    # perfbench/tracer.py's SITES, (module, attribute, span, required), read
+    # from the source, which is neither imported nor written
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tree = ast.parse(source.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "SITES")
+
+
 def test_trace_sites_name_the_library_functions():
     # perfbench/tracer.py wraps each (module, attribute) of its SITES and
     # names the span after the function's home module; a site that no
     # longer resolves to that function drops its layer from the trace.
-    # SITES is read from the source, which is neither imported nor written.
-    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
-    tree = ast.parse(source.read_text())
-    sites = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and getattr(node.targets[0], "id", None) == "SITES")
+    sites = _trace_sites()
     assert sites
     for module, attr, span, _ in sites:
         home, name = span.split(".")
         assert name == attr, span
         assert getattr(importlib.import_module(module), attr) \
             is getattr(importlib.import_module(f"thinring.{home}"), name), span
+
+
+def test_required_trace_sites_are_called_in_both_regimes(monkeypatch):
+    # the tracer fails a traced benchmark run (MissingLayerError) when a
+    # required layer records no calls; at rho = 0 the report core solve is
+    # the only caller of solve_inner.  Regimes of the two workloads: a
+    # sweep_tension continuation over two pool eps, a cold_core cold solve.
+    required = [(m, a) for m, a, _, needed in _trace_sites() if needed]
+    counts = {}
+
+    def counted(site, fn):
+        def wrapper(*args, **kwargs):
+            counts[site] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in required:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, counted((module, attr),
+                                               getattr(mod, attr)))
+    solver = importlib.import_module("thinring.solver")
+    runs = {"sweep_tension": lambda: solver.continuation([0.04, 0.03482],
+                                                         P_TENSION),
+            "cold_core": lambda: solver.newton_solve(0.04, P_CORE)}
+    for regime, run in runs.items():
+        counts.update(dict.fromkeys(required, 0))
+        run()
+        missing = [f"{m}.{a}" for (m, a), n in counts.items() if n == 0]
+        assert not missing, f"{regime}: no calls to {missing}"
 
 
 # every lru_cache'd table builder of the library, with arguments to call it
