@@ -244,6 +244,9 @@ def _estimate_omega(law: SigmaLaw) -> tuple[float, float]:
         penultimate = tab[0]
         tab = (u[:-j] * tab[1:] - u[j:] * tab[:-1]) / (u[:-j] - u[j:])
     est, unc = float(tab[0]), float(abs(tab[0] - penultimate))
+    if unc > 0.05 * max(1.0, abs(est)):
+        # 1/(eps sigma) diverges: admissible laws settle far closer
+        return math.inf, unc
     if est < 0.0 and est > -10.0 * max(unc, 1e-15):
         est = 0.0
     return est, unc
@@ -282,7 +285,7 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
         msgs.append("1/(eps sigma) has no finite nonnegative limit")
         return SigmaReport(
             omega=omega, omega_source=source, omega_uncertainty=unc,
-            margin=0.0, worst_mode=0, excluded=True,
+            margin=0.0, worst_mode=0, excluded=False,
             eps2_sigma_ok=False, derivative_ok=False, derivative_ratio_max=math.inf,
             admissible=False, messages=tuple(msgs))
 

@@ -25,10 +25,11 @@ fresh matrix is the paper's linearized symbol, diagonal in (w, a_2..a_M)
 with entries (eps sigma (l^2 - 1) - k0 (l - 1)) / (1 + eps sigma),
 k0 = degeneracy_k0(rho), whose first cols columns are replaced by forward
 differences, one residual each: cols = 1, the w column the symbol lacks,
-at every margin, and cols = M after a step that fails to contract.  A
-level stops on the step it would take next, an estimate of its error
-(Deuflhard 2004, Newton Methods for Nonlinear Problems, ch. 2).
-A converged state passes its matrix on, and its shape mode l scaled by
+at every margin, and cols = M after a step that fails to contract.  Each
+iteration decides once, after it forms its step, an estimate of the
+iterate's error (Deuflhard 2004, Newton Methods for Nonlinear Problems,
+ch. 2): converged, out of iterations, stagnated, or step on.  A converged
+state passes its matrix on, and its shape mode l scaled by
 (eps / eps_prev)^l, the order of mode l in a thin ring (Fraenkel 1970).
 
 The truncation M is chosen per solve by a two-grid check, truncation by
@@ -181,15 +182,14 @@ class SolutionState:
     with forward-difference columns, Broyden-updated, that a warm start
     from this state reuses; it is not reported.  diagnostics keys:
     residual_norm (max |r_1..r_2M| of the check, or max |r_1..r_M| at the
-    cap), modes (the M it was solved at), check_residual (the check's
-    max |r_1..r_2M|; nan when solved at the cap, which has no check),
-    newton_error (max |dx| of the step that ended the accepting level, the
-    error estimate of the iterate it was formed at; never nan), iterations
-    (Newton steps applied, a level's last step below the cap included),
-    fd_columns (the residuals spent on forward differences, cols for each
-    fresh matrix: 1 without a matrix, M after a step that fails to contract,
-    0 for a carried matrix that keeps contracting), jacobian_cond (of
-    jacobian, to 3 significant digits; never nan), margin, worst_mode,
+    cap), modes (the M it was solved at), newton_error (max |dx| of the
+    step that ended the accepting level, the error estimate of the iterate
+    it was formed at; never nan), iterations (Newton steps applied, a
+    level's last step below the cap included), fd_columns (the residuals
+    spent on forward differences, cols for each fresh matrix: 1 without a
+    matrix, M after a step that fails to contract, 0 for a carried matrix
+    that keeps contracting), jacobian_cond (of jacobian, to 3 significant
+    digits; never nan), margin, worst_mode,
     theta_sup, theta_h5, window_theta (||theta||_{H^5}/eps^0.75),
     window_speed (|w| log(1/eps) (eps^2 + ||theta||_{H^5}^2)), warnings
     (tuple of strings).  The area and moment constraints hold to 1e-12 by
@@ -317,26 +317,30 @@ def newton_solve(eps: float, params: NondimParams,
     roots), and cols = M whenever a step leaves max |r_1..r_M| above
     options.tol and above _CONTRACTION times the larger of its last two
     values at this level (its last value after the level's first step).
-    Otherwise the matrix gets a good-Broyden update from each step.  Every
-    level forms a step; once max |r_1..r_M| <= options.tol it converges
-    when that step has max |dx| <= options.tol (1 + max |x|), which bounds
-    the iterate's error: d r_1 / d w is only -0.003 to -0.025, so a
-    residual under tol alone can leave w far off.  That step's update is
-    not kept (on a sweep it spoiled the w column a warm start carries).
-    Below the cap the step is applied before the check; the cap reports
-    its last residual without it.  nu is (1 + eps sigma) r_0 at nu = 0,
-    which zeroes r_0.  Without an initializer the zero shape and the
-    leading-order w are used, inside the Newton basin for eps <= 0.05.  A
-    warm start reads init.w, init.shape, init.jacobian and init.eps, not
-    init.nu: w starts at init.w shifted by the change of its asymptotic
-    value W, formed as (init.w + W(eps)) - W(init.eps), and shape mode
-    l = 2..M at q^l times init's (truncated or zero-padded),
-    q = min(1, eps / init.eps).
+    Otherwise the matrix gets a good-Broyden update from each step.
 
-    Raises SolverError on non-convergence (after _MAX_ITER steps at one
-    level) or stagnation.  A degeneracy warning is attached when the mode
-    margin at (rho, omega) is below 0.05 (_DEGEN_MARGIN) or the Jacobian
-    condition number exceeds 1e12.
+    Each iteration forms its step dx, then decides, in this order.
+    Converged: max |r_1..r_M| <= options.tol and max |dx| <= options.tol
+    (1 + max |x|), which bounds the iterate's error (d r_1 / d w is only
+    -0.003 to -0.025, so a residual under tol alone can leave w far off);
+    the step's update is not kept (on a sweep it spoiled the w column a
+    warm start carries), and the step is applied below the cap, before the
+    check.  Out of iterations: _MAX_ITER steps at this level.  Stagnated:
+    residual above tol, cols = M and max |dx| <= 1e-14 (1 + max |x|).
+    Otherwise the step is applied, the matrix kept, the residual evaluated.
+    nu is (1 + eps sigma) r_0 at nu = 0, which zeroes r_0.  Without an
+    initializer the zero shape and the leading-order w are used, inside the
+    Newton basin for eps <= 0.05.  A warm start reads init.w, init.shape,
+    init.jacobian and init.eps, not init.nu: w starts at init.w shifted by
+    the change of its asymptotic value W, formed as (init.w + W(eps)) -
+    W(init.eps), and shape mode l = 2..M at q^l times init's (truncated or
+    zero-padded), q = min(1, eps / init.eps).
+
+    Raises SolverError when a level runs out of iterations (the message
+    names the residual, the next step and its bound) or stagnates.  A
+    degeneracy warning is attached when the mode margin at (rho, omega) is
+    below 0.05 (_DEGEN_MARGIN) or the Jacobian condition number exceeds
+    1e12.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -377,25 +381,13 @@ def newton_solve(eps: float, params: NondimParams,
             ) from exc
 
     fd_columns = 0
-
-    def unconverged(detail: str) -> SolverError:
-        return SolverError(f"no convergence in {_MAX_ITER} iterations at M = "
-                           f"{level.modes} ({detail})" + degen_note, rnorm)
-
     iterations = 0
     dx = None
-    stalled = False
     norms: list[float] = []       # max |r| before each step at this level
     rv = evaluate(x, level)
     while True:
         f = rv.r[1:]
         rnorm = float(np.max(np.abs(f)))
-        near = rnorm <= options.tol
-        if not near and stalled:
-            raise SolverError(
-                f"Newton stagnated at residual {rnorm:.3e}" + degen_note, rnorm)
-        if not near and len(norms) == _MAX_ITER:
-            raise unconverged(f"residual {rnorm:.3e}")
         rebuild = dx is not None and rnorm > max(
             options.tol, _CONTRACTION * max(norms[-2:]))
         cols, mat = 0, jac
@@ -418,41 +410,44 @@ def newton_solve(eps: float, params: NondimParams,
                               rnorm) from exc
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite Newton step" + degen_note, rnorm)
-        # the step this iterate would take estimates its error
+        # the step this iterate would take estimates its error; the level
+        # decides here: converged, out of iterations, stagnated, or step on
         step = float(np.max(np.abs(dx)))
-        bound = options.tol * (1.0 + float(np.max(np.abs(x))))
-        converged = near and step <= bound
-        if not converged and len(norms) == _MAX_ITER:
-            raise unconverged(f"residual {rnorm:.3e}, next step {step:.3e}"
-                              f" above its bound {bound:.3e}")
-        if not converged or level.modes < options.modes:
-            x = x + dx
+        scale = 1.0 + float(np.max(np.abs(x)))
+        if rnorm <= options.tol and step <= options.tol * scale:
+            # the cap reports its last residual, a lower level checks the
+            # stepped state on the next level's grids
+            modes, newton_error = level.modes, step
+            if modes == options.modes:
+                break
+            level = _level(options, min(2 * modes, options.modes))
+            x = np.r_[x + dx, np.zeros(level.modes - modes)]
             iterations += 1
-        if not converged:
-            # an update at a residual under tol is roundoff over a tiny
-            # step: it serves the converging step only
-            jac = mat
-            f_old = f
-            norms.append(rnorm)
-            # only a tiny step from an all-FD matrix is stagnation; one
-            # from a symbol or reused matrix fails to contract, rebuilds
-            stalled = (cols == level.modes
-                       and step <= 1e-14 * (1.0 + np.max(np.abs(x))))
             rv = evaluate(x, level)
+            check = float(np.max(np.abs(rv.r[1:])))
+            if check <= options.tol:
+                break
+            jac = carry(jac, level.modes)
+            dx, norms = None, []
             continue
-        # converged at this level: the cap reports its last residual, a
-        # lower level checks the stepped state on the next level's grids
-        modes, check, newton_error = level.modes, math.nan, step
-        if modes == options.modes:
-            break
-        level = _level(options, min(2 * modes, options.modes))
-        x = np.r_[x, np.zeros(level.modes - modes)]
+        if len(norms) == _MAX_ITER:
+            raise SolverError(
+                f"no convergence in {_MAX_ITER} iterations at M = "
+                f"{level.modes} (residual {rnorm:.3e}, next step {step:.3e}"
+                f" above its bound {options.tol * scale:.3e})" + degen_note,
+                rnorm)
+        # only a tiny step from an all-FD matrix is stagnation; one from a
+        # symbol or reused matrix fails to contract, rebuilds
+        if (rnorm > options.tol and cols == level.modes
+                and step <= 1e-14 * scale):
+            raise SolverError(
+                f"Newton stagnated at residual {rnorm:.3e}" + degen_note, rnorm)
+        # an update at a residual under tol is roundoff over a tiny step:
+        # only a step that does not converge keeps its matrix
+        x, jac, f_old = x + dx, mat, f
+        iterations += 1
+        norms.append(rnorm)
         rv = evaluate(x, level)
-        check = float(np.max(np.abs(rv.r[1:])))
-        if check <= options.tol:
-            break
-        jac = carry(jac, level.modes)
-        dx, stalled, norms = None, False, []
 
     # every accepted level formed a step, which leaves a matrix in jac
     cond = float(f"{np.linalg.cond(jac):.3g}")
@@ -481,7 +476,6 @@ def newton_solve(eps: float, params: NondimParams,
     diagnostics = {
         "residual_norm": float(np.max(np.abs(rv.r[1:]))),
         "modes": modes,
-        "check_residual": check,
         "newton_error": newton_error,
         "iterations": iterations,
         "fd_columns": fd_columns,

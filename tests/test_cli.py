@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from thinring import solver
 from thinring.cli import build_parser, main
-from thinring.solver import SolverOptions
+from thinring.solver import SolverError, SolverOptions
 
 FAST = ["--grid", "128", "--modes", "8"]
 DEGENERATE_C = f"{1.0 / (6.0 * math.pi**2):.17g}"  # K = omega/(2 pi^2) = 3
@@ -28,9 +29,9 @@ def test_solve_writes_solution_and_boundary(tmp_path, capsys):
                         "nu_normalizations", "s", "diagnostics"}
     assert len(doc["shape"]["coeffs"]) == 9
     assert set(doc["diagnostics"]) == {
-        "residual_norm", "modes", "check_residual", "newton_error",
-        "iterations", "fd_columns", "jacobian_cond", "margin", "worst_mode",
-        "theta_sup", "theta_h5", "window_theta", "window_speed", "warnings"}
+        "residual_norm", "modes", "newton_error", "iterations",
+        "fd_columns", "jacobian_cond", "margin", "worst_mode", "theta_sup",
+        "theta_h5", "window_theta", "window_speed", "warnings"}
     assert doc["params"]["eps"] == 0.02
     assert doc["nu_normalizations"]["standard"] == doc["nu"]
     assert doc["diagnostics"]["margin"] == "inf"
@@ -124,6 +125,8 @@ def test_solve_names_negative_tension(tmp_path, capsys):
      "--sigma-p", "1.5"],
     ["solve", "--eps", "-0.01"],                      # nonpositive eps
     ["solve", "--eps", "0"],
+    ["sweep", "--eps-grid", "0:0.01:3"],              # nonpositive grid end
+    ["sweep", "--eps-grid", "-0.02:0.01:3"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
     assert run(argv) == 64
@@ -163,6 +166,37 @@ def test_sweep_writes_descending_table(tmp_path, capsys):
     assert abs(eps[0] - 0.04) < 1e-15 and abs(eps[2] - 0.02) < 1e-15
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_sweep_failure_keeps_the_solved_rows(tmp_path, capsys,
+                                             monkeypatch):
+    real = solver.newton_solve
+
+    def failing(eps, *args, **kwargs):
+        if eps < 0.04:
+            raise SolverError("Newton stagnated at residual 1e-3")
+        return real(eps, *args, **kwargs)
+
+    monkeypatch.setattr("thinring.solver.newton_solve", failing)
+    code = run(["sweep", "--eps-grid", "0.04:0.02:3",
+                "--out", str(tmp_path)] + FAST)
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == 1 and err["solved"] == 1
+    assert "at eps = 0.0282843: Newton stagnated" in err["message"]
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("eps,w,")
+    assert float(lines[1].split(",")[0]) == 0.04
+
+
+def test_sweep_rejects_excluded_tension_law(tmp_path, capsys):
+    code = run(["sweep", "--eps-grid", "0.04:0.02:3", "--sigma-kind",
+                "c_over_eps", "--sigma-c", DEGENERATE_C,
+                "--out", str(tmp_path)] + FAST)
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert "excluded integer set" in err["message"]
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_cli_defaults_are_solver_defaults():

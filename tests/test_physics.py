@@ -323,6 +323,20 @@ def test_check_sigma_estimates_black_box_log_decay():
     assert report.admissible
 
 
+@pytest.mark.parametrize("fn", [
+    lambda e: 1.0 / (e * math.log(1.0 / e)),
+    lambda e: 1.0,
+], ids=["inverse_eps_log", "one"])
+def test_check_sigma_reports_divergent_limit(fn):
+    # 1/(eps sigma) = log(1/eps) and 1/eps diverge; the Neville estimate
+    # left 132 +- 19 and 1.2e13 +- 9.8e12, which read as excluded modes
+    law = SigmaLaw(kind="custom", fn=fn)
+    report = check_sigma(law, 0.0)
+    assert not report.admissible and not report.excluded
+    assert any("no finite nonnegative limit" in m for m in report.messages)
+    assert math.isinf(report.omega) and math.isinf(law.omega)
+
+
 def test_check_sigma_rejects_negative_law():
     with pytest.raises(ValueError, match="negative"):
         check_sigma(SigmaLaw(kind="custom", fn=lambda e: -1.0), 0.0)

@@ -162,6 +162,9 @@ def test_geometry_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             FourierShape([0.0, 0.0, bad])
+    for bad in ([], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            FourierShape(bad)
 
 
 def test_cosine_projection_round_trip():

@@ -18,7 +18,7 @@ import thinring
 from thinring import inner
 from thinring.inner import solve_inner
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
-from thinring.shape import FourierShape, area, moment_x1
+from thinring.shape import FourierShape, GeometryError, area, moment_x1
 from thinring.solver import (ContinuationError, SolverError, SolverOptions,
                              continuation, jacobian_fd, newton_solve,
                              residual)
@@ -244,6 +244,28 @@ def test_newton_converges_on_the_last_allowed_step(monkeypatch):
     assert exc_info.value.residual_norm <= loose.tol
 
 
+def test_newton_out_of_iterations_names_residual_and_step(monkeypatch):
+    # one step from the symbol start leaves the residual at 7.2e-7, above
+    # tol; the cap raises once, after the level forms its next step
+    monkeypatch.setattr("thinring.solver._MAX_ITER", 1)
+    with pytest.raises(SolverError, match=r"no convergence in 1 iterations "
+                       r"at M = 8 \(residual .*, next step .* above its "
+                       r"bound .*\)") as exc_info:
+        newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+    assert exc_info.value.residual_norm > OPTS8.tol
+
+
+def test_newton_stagnates_on_a_tiny_all_fd_step(monkeypatch):
+    # with _CONTRACTION = 0 every step after the first rebuilds all M
+    # columns by forward differences; tol = 1e-17 is below the residual's
+    # roundoff floor, about 2e-16 here, so the solve ends on a step from an
+    # all-FD matrix under 1e-14 (1 + max |x|)
+    monkeypatch.setattr("thinring.solver._CONTRACTION", 0.0)
+    with pytest.raises(SolverError, match="Newton stagnated") as exc_info:
+        newton_solve(0.02, P_CLASSICAL, options=replace(OPTS8, tol=1e-17))
+    assert exc_info.value.residual_norm > 1e-17
+
+
 def test_newton_error_is_the_stopping_step():
     # the step the accepting level would take estimates the error of the
     # state it stops at; at the cap the state is reported without it
@@ -317,6 +339,19 @@ def test_reported_inner_velocity_without_core_vorticity(solved_classical):
     # rho = 0 removes lambda from the residual but not from the report
     lam = solved_classical.lam
     assert np.max(np.abs(lam + 2.0)) < 0.2
+
+
+def test_failed_inner_report_keeps_the_state(monkeypatch):
+    # at rho = 0 the core solve is a report only: its failure is a warning
+    def failing(*args, **kwargs):
+        raise GeometryError("harmonic extension not invertible: r_s <= 0")
+
+    monkeypatch.setattr("thinring.solver.solve_inner", failing)
+    st = newton_solve(0.02, P_CLASSICAL, options=OPTS8)
+    assert st.diagnostics["residual_norm"] <= OPTS8.tol
+    assert not np.any(st.lam) and st.lam.size == st.mu.size
+    assert any(w.startswith("inner velocity report unavailable")
+               for w in st.diagnostics["warnings"])
 
 
 def test_residual_is_grid_converged(solved_classical):
@@ -582,14 +617,14 @@ def test_accepted_state_is_reported_from_the_check(monkeypatch):
     assert set(seen) == {(8, 64, 36), (16, 128, 68)}
     assert seen[-1] == (16, 128, 68) and seen.count(seen[-1]) == 1
     assert d["modes"] == 8
-    assert d["residual_norm"] == d["check_residual"] <= SolverOptions().tol
+    assert d["residual_norm"] <= SolverOptions().tol
     assert st.shape.coeffs.size == 17 and not np.any(st.shape.coeffs[9:])
     assert st.mu.size == st.lam.size == 128
     assert st.jacobian.shape == (8, 8)
     check = SolverOptions(n_grid=128, modes=16, inner_nalpha=68)
     rv = residual(st.shape, st.eps, st.w, st.nu, P_CLASSICAL, check)
     assert abs(rv.r[0]) < 1e-14
-    assert float(np.max(np.abs(rv.r[1:]))) == d["check_residual"]
+    assert float(np.max(np.abs(rv.r[1:]))) == d["residual_norm"]
 
 
 def test_classical_solve_climbs_to_the_cap(monkeypatch):
@@ -599,7 +634,7 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     seen = record_levels(monkeypatch)
     st = newton_solve(0.3, P_CLASSICAL)
     d = st.diagnostics
-    assert d["modes"] == 32 and math.isnan(d["check_residual"])
+    assert d["modes"] == 32
     assert d["residual_norm"] <= SolverOptions().tol
     assert d["fd_columns"] == 1
     assert sorted(set(seen)) == [(8, 64, 36), (16, 128, 68), (32, 256, 132)]
