@@ -129,8 +129,8 @@ def _params_payload(args, eps: float) -> dict:
 def _state_payload(state: SolutionState, args, params: NondimParams) -> dict:
     sig = params.sigma_law
     nu_pair = {"standard": state.nu}
-    if not sig.is_zero:
-        es = sig.eps_sigma(state.eps)
+    es = sig.eps_sigma(state.eps)
+    if es > 0.0:
         nu_asym = asymptotic_wgn(state.eps, params.rho, sig)[2]
         nu_pair["sigma_rescaled"] = state.nu / es
         nu_pair["sigma_rescaled_asym"] = nu_asym / es

@@ -11,8 +11,9 @@ linearized jump condition.
 Surface-tension laws are admissible when omega = lim 1/(eps sigma(eps))
 exists in [0, inf) outside the excluded set (8 rho + 1/(2 pi^2))^{-1} N_{>=3},
 eps^2 sigma(eps) -> 0, and eps |sigma'(eps)| stays comparable to sigma(eps).
-The zero law (classical case, no surface tension) is admissible with
-omega = inf as a sentinel.
+A law whose values vanish is the zero law (classical case, no surface
+tension), whatever its kind; it is admissible with omega = inf as a
+sentinel.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ class SigmaLaw:
     omega = 1/c), ``c_log_over_eps`` (p = 1, k = 1, omega = 0) and
     ``c_power`` (p in (1, 2) from the law, k = 0, omega = 0), each with
     c >= 0 finite.  ``custom`` wraps a black-box callable fn (no c, no p);
-    its omega is the numerical estimate of lim 1/(eps sigma).  Only c_power
-    takes p and only custom takes fn.  A value of any kind must be >= 0:
-    a negative or NaN sigma raises ValueError, as c_log_over_eps does past
-    eps = 1, where log(1/eps) < 0.
+    its omega is the numerical estimate of lim 1/(eps sigma), in [0, inf].
+    Only c_power takes p and only custom takes fn.  A law is the zero law
+    by its values, not its kind: ``none``, c = 0 and a custom fn that
+    returns 0 all have omega = inf and solve the classical problem.  A
+    value of any kind must be >= 0: a negative or NaN sigma raises
+    ValueError, as c_log_over_eps does past eps = 1, where log(1/eps) < 0.
     """
 
     kind: str = "none"
@@ -79,10 +82,6 @@ class SigmaLaw:
         if (self.fn is None) == (self.kind == "custom"):
             raise ValueError("custom law requires a callable" if self.fn is None
                              else f"{self.kind} law takes no callable fn")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind != "custom" and self.c == 0.0
 
     def _p_k(self) -> tuple[float, int]:
         p, k = _CLOSED_FORM[self.kind]
@@ -108,7 +107,8 @@ class SigmaLaw:
 
     @property
     def omega(self) -> float:
-        """lim 1/(eps sigma): inf for a zero law, estimated for custom."""
+        """lim 1/(eps sigma) in [0, inf]: inf for a zero or divergent law,
+        estimated for custom."""
         if self.kind == "custom":
             return _estimate_omega(self)[0]
         if self.c == 0.0:
@@ -195,8 +195,8 @@ def degeneracy_margin(rho: float, omega: float | None) -> tuple[float, int]:
     margin is K - l - (K - 1)/l, concave in l, and on l >= K - 1 it rises, so
     its minimum over the integers l >= 2 is at l = 2, floor(K) - 1 or
     ceil(K) - 1; only those candidates are evaluated.  omega = inf (zero
-    tension) returns an infinite margin: the sigma-free symbol
-    (8 rho + 1/(2 pi^2))(1 - l) never vanishes for l >= 2.  Raises
+    tension, or a divergent 1/(eps sigma)) returns an infinite margin: the
+    sigma-free symbol (8 rho + 1/(2 pi^2))(1 - l) never vanishes for l >= 2.  Raises
     ValueError unless 0 <= rho < inf.
     """
     _check_rho(rho)
@@ -235,21 +235,23 @@ def _estimate_omega(law: SigmaLaw) -> tuple[float, float]:
     # Limit of g(eps) = 1/(eps sigma) by Neville extrapolation to u = 0 in
     # the variable u = 1/log(1/eps): admissible tails are polynomial in u
     # (log-type decay) or superpolynomially small (power-type decay).
+    # Returns inf, the zero law's omega, when eps sigma vanishes anywhere on
+    # the grid (uncertainty 0), and when the estimate diverges or is negative
+    # beyond roundoff: admissible laws settle far closer, and nonnegative.
     eps = _EPS0 * 0.5 ** np.arange(16, 24)
+    es = np.array([law.eps_sigma(e) for e in eps])
+    if not np.all(es > 0.0):
+        return math.inf, 0.0
     u = 1.0 / np.log(1.0 / eps)
-    g = np.array([1.0 / law.eps_sigma(e) for e in eps])
-    tab = g.copy()
+    tab = 1.0 / es
     penultimate = tab[0]
     for j in range(1, len(u)):
         penultimate = tab[0]
         tab = (u[:-j] * tab[1:] - u[j:] * tab[:-1]) / (u[:-j] - u[j:])
     est, unc = float(tab[0]), float(abs(tab[0] - penultimate))
-    if unc > 0.05 * max(1.0, abs(est)):
-        # 1/(eps sigma) diverges: admissible laws settle far closer
+    if unc > 0.05 * max(1.0, abs(est)) or est <= -10.0 * max(unc, 1e-15):
         return math.inf, unc
-    if est < 0.0 and est > -10.0 * max(unc, 1e-15):
-        est = 0.0
-    return est, unc
+    return max(est, 0.0), unc
 
 
 def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
@@ -257,23 +259,17 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
 
     Checks lim 1/(eps sigma) in [0, inf) off the excluded set
     (8 rho + 1/(2 pi^2))^{-1} N_{>=3}, eps^2 sigma -> 0, and
-    eps |sigma'| <~ sigma, each on a geometric grid below eps = 0.05.
-    Named kinds use their analytic omega; custom laws get the Neville
-    estimate, with its uncertainty.
+    eps |sigma'| <~ sigma, each on a geometric grid below eps = 0.05, and
+    runs every check on every law.  Named kinds use their analytic omega;
+    custom laws get the Neville estimate, with its uncertainty.  A law
+    whose values vanish on the grid is the zero law (the classical case):
+    its omega = inf is admissible, any other law's is not.
     Raises ValueError unless 0 <= rho < inf, or if the law is negative or
     NaN anywhere on the grid.
     """
     _check_rho(rho)
     msgs: list[str] = []
     grid = _EPS0 * 0.5 ** np.arange(20)
-    if sigma_law.is_zero:
-        return SigmaReport(
-            omega=math.inf, omega_source="analytic", omega_uncertainty=0.0,
-            margin=math.inf, worst_mode=2, excluded=False,
-            eps2_sigma_ok=True, derivative_ok=True, derivative_ratio_max=0.0,
-            admissible=True,
-            messages=("zero law: classical case, no admissibility constraints",))
-
     sig = np.array([sigma_law(e) for e in grid])
     if sigma_law.kind == "custom":
         omega, unc = _estimate_omega(sigma_law)
@@ -281,13 +277,11 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
         msgs.append(f"omega estimated numerically, uncertainty {unc:.2e}")
     else:
         omega, unc, source = sigma_law.omega, 0.0, "analytic"
-    if not math.isfinite(omega) or omega < 0.0:
+    zero = not np.any(sig)
+    if zero:
+        msgs.append("zero law: classical case, no admissibility constraints")
+    elif math.isinf(omega):
         msgs.append("1/(eps sigma) has no finite nonnegative limit")
-        return SigmaReport(
-            omega=omega, omega_source=source, omega_uncertainty=unc,
-            margin=0.0, worst_mode=0, excluded=False,
-            eps2_sigma_ok=False, derivative_ok=False, derivative_ratio_max=math.inf,
-            admissible=False, messages=tuple(msgs))
 
     margin, worst = degeneracy_margin(rho, omega)
     excluded = margin <= max(1e-9, 10.0 * unc)
@@ -298,13 +292,13 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
 
     e2s = grid**2 * sig
     tail = e2s[-10:]
-    eps2_ok = bool(np.all(np.diff(tail) < 0.0) and tail[-1] < 0.05 * e2s[0])
+    eps2_ok = bool(np.all(np.diff(tail) <= 0.0) and tail[-1] <= 0.05 * e2s[0])
     if not eps2_ok:
         msgs.append("eps^2 sigma(eps) does not decay to 0 on the sample grid")
 
-    ratios = np.array([grid[i] * abs(sigma_law.d_sigma(grid[i])) / sig[i]
-                       for i in range(len(grid)) if sig[i] > 0.0])
-    ratio_max = float(np.max(ratios)) if ratios.size else math.inf
+    ratios = [grid[i] * abs(sigma_law.d_sigma(grid[i])) / sig[i]
+              for i in range(len(grid)) if sig[i] > 0.0]
+    ratio_max = float(np.max(ratios, initial=0.0))
     deriv_ok = ratio_max <= 10.0
     if not deriv_ok:
         msgs.append(f"eps |sigma'| / sigma reaches {ratio_max:.3g} (> 10)")
@@ -314,5 +308,6 @@ def check_sigma(sigma_law: SigmaLaw, rho: float) -> SigmaReport:
         margin=margin, worst_mode=worst, excluded=excluded,
         eps2_sigma_ok=eps2_ok, derivative_ok=deriv_ok,
         derivative_ratio_max=ratio_max,
-        admissible=not excluded and eps2_ok and deriv_ok,
+        admissible=(zero or math.isfinite(omega)) and not excluded
+        and eps2_ok and deriv_ok,
         messages=tuple(msgs))

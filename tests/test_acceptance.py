@@ -287,3 +287,33 @@ def test_criterion_10_degeneracy_detection():
     assert any("degeneracy margin" in w for w in st.diagnostics["warnings"])
     # at most 2 full forward-difference Jacobians after the symbol start
     assert st.diagnostics["fd_columns"] <= 17
+
+
+# Beyond the paper: the next order of the speed law, measured, not proved.
+@pytest.mark.parametrize("law,eps_hi,eps_lo", [
+    (SigmaLaw(), 0.04, 0.001),
+    (SigmaLaw(kind="c_over_eps", c=1.0), 0.01, 1e-4),
+    (SigmaLaw(kind="c_over_eps", c=4.0), 0.01, 1e-4),
+], ids=["classical", "c1", "c4"])
+def test_speed_law_next_order(law, eps_hi, eps_lo):
+    # deviations from asymptotic_wgn at rho = 0, fitted on 16 eps; the
+    # eps^2 log(1/eps) term of W is -(1/(16 pi) + rho pi/2 + eps sigma pi/4)
+    # (eps sigma = c here) and gamma's is -3/2 times it
+    params = NondimParams(rho=0.0, sigma_law=law, omega=law.omega)
+    grid = [float(e) for e in np.geomspace(eps_hi, eps_lo, 16)]
+    states = continuation(grid, params, options=SolverOptions(tol=1e-12))
+    eps = np.array([st.eps for st in states])
+    L = np.log(1.0 / eps)
+    dev = np.array([(st.w, st.gamma, st.nu) for st in states]) \
+        - np.array([asymptotic_wgn(e, 0.0, law) for e in eps])
+    basis = np.stack([eps**2 * L, eps**2, eps**3 * L, eps**3,
+                      eps**4 * L**2, eps**4 * L, eps**4], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, dev, rcond=None)
+    fit_residual = np.max(np.abs(basis @ coef - dev))
+    w2 = -(1.0 / (16.0 * math.pi) + law.eps_sigma(eps[0]) * math.pi / 4.0)
+    print(f"speed law next order: eps^2 L of W {coef[0, 0]:.7f} "
+          f"(closed form {w2:.7f}), gamma {coef[0, 1]:.7f}, "
+          f"fit residual {fit_residual:.2e}")
+    assert abs(coef[0, 0] - w2) <= 1e-4 * abs(w2)
+    assert abs(coef[0, 1] + 1.5 * w2) <= 1e-4 * abs(1.5 * w2)
+    assert fit_residual <= 1e-11

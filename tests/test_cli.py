@@ -83,6 +83,15 @@ def test_force_bypasses_gate_then_fails_numerically(tmp_path, capsys):
     assert "degeneracy margin" in err["message"]
 
 
+def test_solve_warns_near_degenerate_tension_on_stderr(tmp_path, capsys):
+    # K = omega / (2 pi^2) = 3.06: admitted, solved, and warned about
+    code = run(["solve", "--eps", "0.02", "--sigma-kind", "c_over_eps",
+                "--sigma-c", "0.0165557", "--out", str(tmp_path)] + FAST)
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "warning: degeneracy margin 3.000e-02 at mode 2" in err
+
+
 def test_solve_names_negative_tension(tmp_path, capsys):
     # c log(1/eps) / eps is negative past eps = 1
     code = run(["solve", "--eps", "2", "--sigma-kind", "c_log_over_eps",

@@ -219,6 +219,19 @@ def test_refinement_solve_runs_on_first_read_only(monkeypatch):
     assert grids == [(16, 32), (22, 64)]
 
 
+def test_diagnostics_repr_reads_and_caches_every_entry(monkeypatch):
+    d = solve_inner(FourierShape(np.array([0.0, 0.0, 0.02])), 0.05).diagnostics
+    text = repr(d)
+    assert "refinement_diff" in text
+
+    def no_solve(*args):
+        raise AssertionError("refined solve repeated after repr")
+
+    monkeypatch.setattr(inner, "_solve_core", no_solve)
+    diff = d["refinement_diff"]
+    assert isinstance(diff, float) and repr(diff) in text
+
+
 def test_lam_resampling():
     sol = solve_inner(ZERO, 0.0, n_alpha=32)
     lam64 = sol.lam_on(64)

@@ -94,7 +94,8 @@ def test_sigma_law_validation():
 
 def test_sigma_law_omega_and_zero_flag():
     assert math.isinf(SigmaLaw().omega)
-    assert SigmaLaw(kind="c_over_eps", c=0.0).is_zero
+    zero = SigmaLaw(kind="c_over_eps", c=0.0)
+    assert zero(0.01) == 0.0 and math.isinf(zero.omega)
     assert SigmaLaw(kind="c_over_eps", c=4.0).omega == 0.25
     assert SigmaLaw(kind="c_log_over_eps", c=1.0).omega == 0.0
     assert SigmaLaw(kind="c_power", c=1.0, p=1.5).omega == 0.0
@@ -122,7 +123,7 @@ def test_nondimensionalization_formulas():
     b = setup.R * setup.b_bar
     rho = (a / b) ** 2 * setup.rho_in / setup.rho_out / (4.0 * math.pi) ** 2
     assert abs(params.rho - rho) < 1e-15 * abs(rho)
-    assert params.sigma_law.is_zero
+    assert params.sigma_law(0.01) == 0.0 and math.isinf(params.omega)
 
 
 def test_tension_rescaling_in_nondimensionalization():
@@ -335,6 +336,9 @@ def test_check_sigma_reports_divergent_limit(fn):
     assert not report.admissible and not report.excluded
     assert any("no finite nonnegative limit" in m for m in report.messages)
     assert math.isinf(report.omega) and math.isinf(law.omega)
+    # every other check is measured, not set
+    assert math.isinf(report.margin) and report.worst_mode == 2
+    assert report.eps2_sigma_ok and report.derivative_ok
 
 
 def test_check_sigma_rejects_negative_law():
@@ -353,3 +357,15 @@ def test_check_sigma_rejects_oscillatory_law():
     fn = lambda e: (2.0 + math.sin(1.0 / e)) / e
     report = check_sigma(SigmaLaw(kind="custom", fn=fn), 0.0)
     assert not report.admissible
+    assert not report.derivative_ok and report.derivative_ratio_max > 1e5
+    assert any("(> 10)" in m for m in report.messages)
+
+
+def test_check_sigma_custom_zero_law_is_the_zero_law():
+    # a law is zero by its values: a custom fn returning 0 reads as none
+    law = SigmaLaw(kind="custom", fn=lambda e: 0.0)
+    report = check_sigma(law, 0.25)
+    assert report.admissible and not report.excluded
+    assert math.isinf(report.omega) and report.omega_uncertainty == 0.0
+    assert math.isinf(law.omega)
+    assert any("classical" in m for m in report.messages)

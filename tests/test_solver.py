@@ -427,6 +427,16 @@ def test_newton_rejects_negative_custom_tension():
         newton_solve(0.02, params, options=OPTS8)
 
 
+def test_custom_zero_law_solves_as_classical():
+    # omega = None takes the law's own omega: inf for a fn returning 0
+    zero = NondimParams(rho=0.0, omega=None,
+                        sigma_law=SigmaLaw(kind="custom", fn=lambda e: 0.0))
+    classical = NondimParams(rho=0.0, omega=None, sigma_law=SigmaLaw())
+    a = newton_solve(0.04, zero, options=OPTS8)
+    b = newton_solve(0.04, classical, options=OPTS8)
+    assert (a.w, a.gamma, a.nu) == (b.w, b.gamma, b.nu)
+
+
 def test_newton_reports_too_fat_section_as_solver_error():
     # at eps = 0.7 the kernel leaves the log-split range near the diagonal
     with pytest.raises(SolverError, match="admissible shape region"):
