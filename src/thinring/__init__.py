@@ -20,16 +20,17 @@ _TRIM_THRESHOLD = 64 * 2**20
 def _keep_freed_heap() -> None:
     """Keep freed numpy temporaries on the heap for the next residual.
 
-    A residual allocates and frees dozens of arrays of 0.25 to 2 MB.  glibc
-    serves a block above its mmap threshold (128 KB until a larger mapped
-    block is freed) by a fresh mmap, and gives a free heap top above its
-    trim threshold back to the OS, so such arrays are faulted in page by
-    page on every call: about 1000 minor faults per rho = 0 residual, a
-    quarter of its time in the kernel.  Whether that happens depends on the
-    allocation history of the process, so the same sweep ran at 2.1 or at
-    1.5 states per second from one process to the next.  Fixed thresholds
-    of 32 MB (mmap) and 64 MB (trim) keep those blocks on the heap.  A C
-    library without mallopt is left alone.
+    glibc serves a block above its mmap threshold (128 KB until a larger
+    mapped block is freed) by a fresh mmap, and returns a free heap top
+    above its trim threshold to the OS; such blocks are then faulted in
+    page by page on every call.  At M = 8 (N = 64; the largest temporary
+    is the 139 KB core GMRES basis) a residual faults no page either way,
+    but without this call one at N = 128 or 256, where thicker states are
+    checked and solved, takes 114 or 613 minor faults (rho = 0; 0.47 to
+    0.64 and 1.35 to 2.35 ms), and sweep_tension ran 11 to 22 % fewer
+    states per second (2-core Xeon, 4 alternating 6 s runs).  Fixed
+    thresholds of 32 MB (mmap) and 64 MB (trim) keep those blocks on the
+    heap.  A C library without mallopt is left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

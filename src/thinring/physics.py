@@ -108,7 +108,7 @@ class SigmaLaw:
     @property
     def omega(self) -> float:
         """lim 1/(eps sigma) in [0, inf]: inf for a zero or divergent law,
-        estimated for custom."""
+        estimated for custom (inf if negative or NaN on the estimate's grid)."""
         if self.kind == "custom":
             return _estimate_omega(self)[0]
         if self.c == 0.0:
@@ -235,11 +235,14 @@ def _estimate_omega(law: SigmaLaw) -> tuple[float, float]:
     # Limit of g(eps) = 1/(eps sigma) by Neville extrapolation to u = 0 in
     # the variable u = 1/log(1/eps): admissible tails are polynomial in u
     # (log-type decay) or superpolynomially small (power-type decay).
-    # Returns inf, the zero law's omega, when eps sigma vanishes anywhere on
+    # Returns inf, the zero law's omega, when eps sigma vanishes or raises on
     # the grid (uncertainty 0), and when the estimate diverges or is negative
     # beyond roundoff: admissible laws settle far closer, and nonnegative.
     eps = _EPS0 * 0.5 ** np.arange(16, 24)
-    es = np.array([law.eps_sigma(e) for e in eps])
+    try:
+        es = np.array([law.eps_sigma(e) for e in eps])
+    except ValueError:
+        return math.inf, 0.0
     if not np.all(es > 0.0):
         return math.inf, 0.0
     u = 1.0 / np.log(1.0 / eps)

@@ -32,7 +32,6 @@ __all__ = [
     "FourierShape",
     "BoundaryGrid",
     "GeometryError",
-    "ProjectionError",
     "build_grid",
     "area",
     "moment_x1",
@@ -45,10 +44,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Raised when a shape/eps pair leaves the admissible chart."""
-
-
-class ProjectionError(RuntimeError):
-    """Raised when the (a_0, a_1) constraint projection fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,8 @@ def project_constraints(shape: FourierShape) -> FourierShape:
     Higher modes are untouched (a one-coefficient shape is padded).  Newton
     on Python floats in c = 1 + a_0 and a_1: the area pi c^2 + (pi/2)
     sum_{l>=1} a_l^2 and the moment, a cubic on six moments of the fixed
-    modes (_high_moments), with their exact Jacobian.
+    modes (_high_moments), with their exact Jacobian.  Raises GeometryError
+    when the Jacobian is singular or the iteration does not converge.
     """
     c = np.concatenate((shape.coeffs, [0.0] * (2 - shape.coeffs.size)))
     i, high_sq = _high_moments(c), float(c[2:] @ c[2:])
@@ -209,9 +205,9 @@ def project_constraints(shape: FourierShape) -> FourierShape:
         j00, j01 = 2.0 * np.pi * c0, np.pi * a1
         det = j00 * j11 - j01 * j10
         if det == 0.0:
-            raise ProjectionError("constraint Jacobian singular")
+            raise GeometryError("constraint Jacobian singular")
         c0, a1 = c0 - (g1 * j11 - j01 * g2) / det, a1 - (j00 * g2 - j10 * g1) / det
-    raise ProjectionError(
+    raise GeometryError(
         f"no convergence in {_PROJ_MAX_ITER} iterations: area defect {g1:.3e}, moment {g2:.3e}")
 
 

@@ -53,8 +53,8 @@ from .inner import solve_inner
 from .outer import solve_outer
 from .physics import (NondimParams, asymptotic_wgn, degeneracy_k0,
                       degeneracy_margin, s_from_w)
-from .shape import (FourierShape, GeometryError, ProjectionError, build_grid,
-                    cosine_coeffs, project_constraints, sobolev_norm)
+from .shape import (FourierShape, GeometryError, build_grid, cosine_coeffs,
+                    project_constraints, sobolev_norm)
 
 __all__ = [
     "SolverError",
@@ -375,7 +375,7 @@ def newton_solve(eps: float, params: NondimParams,
         try:
             return residual(FourierShape(np.r_[0.0, 0.0, xv[1:]]), eps, xv[0],
                             0.0, params, grids)
-        except (GeometryError, ProjectionError) as exc:
+        except GeometryError as exc:
             raise SolverError(
                 f"iterate left the admissible shape region: {exc}{degen_note}"
             ) from exc

@@ -21,25 +21,35 @@ def run(args):
 
 
 def test_solve_writes_solution_and_boundary(tmp_path, capsys):
-    code = run(["solve", "--eps", "0.02", "--out", str(tmp_path)] + FAST)
-    assert code == 0
-    assert "solved eps=0.02" in capsys.readouterr().out
-    doc = json.loads((tmp_path / "solution.json").read_text())
-    assert set(doc) == {"params", "shape", "w", "gamma", "nu",
-                        "nu_normalizations", "s", "diagnostics"}
-    assert len(doc["shape"]["coeffs"]) == 9
-    assert set(doc["diagnostics"]) == {
-        "residual_norm", "modes", "newton_error", "iterations",
-        "fd_columns", "jacobian_cond", "margin", "worst_mode", "theta_sup",
-        "theta_h5", "window_theta", "window_speed", "warnings"}
-    assert doc["params"]["eps"] == 0.02
-    assert doc["nu_normalizations"]["standard"] == doc["nu"]
-    assert doc["diagnostics"]["margin"] == "inf"
-    assert doc["diagnostics"]["warnings"] == []
-    assert doc["diagnostics"]["fd_columns"] == 1    # the symbol start
-    lines = (tmp_path / "boundary.csv").read_text().splitlines()
-    assert lines[0] == "alpha,theta,mu,lambda,h"
-    assert len(lines) == 129
+    # eps, extra flags, shape coefficients reported
+    for i, (eps, extra, coeffs) in enumerate([
+            ("0.02", FAST, 9),
+            ("0.04", ["--rho", "0.25"] + FAST, 9),     # a core solve
+            # default options: accepted at M = 8, reported from its check
+            # at M = 16 on a 128-point grid
+            ("0.04", ["--rho", "0.25"], 17)]):
+        out = tmp_path / str(i)
+        code = run(["solve", "--eps", eps, "--out", str(out)] + extra)
+        assert code == 0
+        assert f"solved eps={eps}" in capsys.readouterr().out
+        doc = json.loads((out / "solution.json").read_text())
+        assert set(doc) == {"params", "shape", "w", "gamma", "nu",
+                            "nu_normalizations", "s", "diagnostics"}
+        assert len(doc["shape"]["coeffs"]) == coeffs
+        assert set(doc["diagnostics"]) == {
+            "residual_norm", "modes", "newton_error", "iterations",
+            "fd_columns", "jacobian_cond", "margin", "worst_mode",
+            "theta_sup", "theta_h5", "window_theta", "window_speed",
+            "warnings"}
+        assert doc["params"]["eps"] == float(eps)
+        assert doc["nu_normalizations"]["standard"] == doc["nu"]
+        assert doc["diagnostics"]["residual_norm"] <= 1e-10
+        assert doc["diagnostics"]["margin"] == "inf"
+        assert doc["diagnostics"]["warnings"] == []
+        assert doc["diagnostics"]["fd_columns"] == 1    # the symbol start
+        lines = (out / "boundary.csv").read_text().splitlines()
+        assert lines[0] == "alpha,theta,mu,lambda,h"
+        assert len(lines) == 129
 
 
 def test_solve_is_bit_reproducible(tmp_path):
@@ -90,6 +100,10 @@ def test_solve_warns_near_degenerate_tension_on_stderr(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "warning: degeneracy margin 3.000e-02 at mode 2" in err
+    diag = json.loads((tmp_path / "solution.json").read_text())["diagnostics"]
+    # the w column and at most two all-difference matrices, on the branch
+    assert diag["fd_columns"] % 8 == 1 and diag["fd_columns"] <= 17
+    assert diag["theta_sup"] < 0.1
 
 
 def test_solve_names_negative_tension(tmp_path, capsys):
@@ -163,18 +177,29 @@ def test_usage_error_power_law_without_exponent(capsys):
 
 
 def test_sweep_writes_descending_table(tmp_path, capsys):
-    code = run(["sweep", "--eps-grid", "0.04:0.02:3", "--plot",
-                "--out", str(tmp_path)] + FAST)
-    assert code == 0
-    lines = (tmp_path / "table.csv").read_text().splitlines()
-    assert lines[0] == ("eps,w,w_asym,gamma,gamma_asym,nu,nu_asym,s,"
-                        "theta_sup,theta_h5,residual")
-    eps = [float(row.split(",")[0]) for row in lines[1:]]
-    assert len(eps) == 3
-    assert eps[0] > eps[1] > eps[2]
-    assert abs(eps[0] - 0.04) < 1e-15 and abs(eps[2] - 0.02) < 1e-15
-    svg = (tmp_path / "sweep.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
+    for i, (spec, extra) in enumerate([
+            ("0.04:0.02:3", FAST),
+            ("0.04:0.02:3", ["--rho", "0.25"] + FAST),    # a core sweep
+            # a tension sweep at the default options
+            ("0.04:0.005:8", ["--sigma-kind", "c_over_eps",
+                              "--sigma-c", "4"])]):
+        hi, lo, n = spec.split(":")
+        out = tmp_path / str(i)
+        code = run(["sweep", "--eps-grid", spec, "--plot",
+                    "--out", str(out)] + extra)
+        assert code == 0
+        lines = (out / "table.csv").read_text().splitlines()
+        assert lines[0] == ("eps,w,w_asym,gamma,gamma_asym,nu,nu_asym,s,"
+                            "theta_sup,theta_h5,residual")
+        rows = [[float(v) for v in row.split(",")] for row in lines[1:]]
+        eps = [row[0] for row in rows]
+        assert len(eps) == int(n)
+        assert all(a > b for a, b in zip(eps, eps[1:]))
+        assert abs(eps[0] - float(hi)) < 1e-15
+        assert abs(eps[-1] - float(lo)) < 1e-15
+        assert all(row[-1] <= 1e-10 for row in rows)
+        svg = (out / "sweep.svg").read_text()
+        assert svg.startswith("<svg") and "polyline" in svg
 
 
 def test_sweep_failure_keeps_the_solved_rows(tmp_path, capsys,
@@ -221,10 +246,18 @@ def test_check_sigma_report(tmp_path, capsys):
     assert code == 0
     assert "admissible" in capsys.readouterr().out
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["admissible"] is True
+    assert doc["admissible"] is True and doc["excluded"] is False
     assert doc["omega"] == 0.0 and doc["omega_source"] == "analytic"
     assert doc["margin"] == 1.5 and doc["worst_mode"] == 2
     assert {"excluded", "eps2_sigma_ok", "derivative_ok", "messages"} <= set(doc)
+    # the zero law
+    code = run(["check-sigma", "--sigma-kind", "none", "--rho", "0.25",
+                "--out", str(tmp_path / "none")])
+    assert code == 0
+    doc = json.loads((tmp_path / "none" / "report.json").read_text())
+    assert [doc[k] for k in ("admissible", "omega", "margin", "worst_mode",
+                             "excluded", "derivative_ratio_max")] \
+        == [True, "inf", "inf", 2, False, 0.0]
 
 
 def test_margin_scan_flags_low_integers(tmp_path, capsys):
@@ -237,6 +270,12 @@ def test_margin_scan_flags_low_integers(tmp_path, capsys):
     assert len(doc["scan"]) == 5
     assert doc["scan"][0]["omega"] == 0.0
     assert doc["scan"][0]["margin"] == 1.5
+    code = run(["margin-scan", "--rho", "0", "--omega-grid", "0:100:101",
+                "--out", str(tmp_path / "fine")])
+    assert code == 0
+    doc = json.loads((tmp_path / "fine" / "report.json").read_text())
+    assert len(doc["scan"]) == 101
+    assert [p["k"] for p in doc["degenerate_points"]] == [3, 4, 5]
 
 
 def test_module_entry_point_help():
@@ -252,14 +291,36 @@ def test_module_entry_point_usage_error():
     assert proc.returncode == 64
 
 
+_SCIPY_FREE = """
+import json, sys
+def scipy():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+import thinring.cli
+print(scipy())
+from thinring.inner import solve_inner
+from thinring.physics import NondimParams, SigmaLaw
+from thinring.shape import FourierShape
+from thinring.solver import residual
+shape = FourierShape([0.0, 0.0, 0.01])
+residual(shape, 0.04, 0.0, 0.0, NondimParams(0.25, SigmaLaw(), None))
+print(scipy())
+d = solve_inner(shape, 0.04).diagnostics
+print(json.dumps([d["flux_defect"], d["min_phi"], d["refinement_diff"]]))
+print(scipy())
+"""
+
+
 def test_library_imports_without_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import thinring.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True)
+    # importing the CLI, a rho = 0.25 residual and reading a core solve's
+    # diagnostics (refinement_diff runs the refined solve) load no scipy
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    cli, res, values, diag = proc.stdout.splitlines()
+    assert cli == res == diag == "[]"
+    flux_defect, min_phi, refinement_diff = json.loads(values)
+    assert abs(flux_defect) < 1e-10 and min_phi > 0.0
+    assert refinement_diff < 1e-10
 
 
 @pytest.mark.parametrize("module", ["physics", "outer", "special", "shape",

@@ -346,6 +346,19 @@ def test_check_sigma_rejects_negative_law():
         check_sigma(SigmaLaw(kind="custom", fn=lambda e: -1.0), 0.0)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda e: 4.0 / e if e >= 0.015 else math.nan,
+    lambda e: -1.0,
+], ids=["nan_below_0.015", "negative"])
+def test_law_invalid_on_the_estimate_grid_has_infinite_omega(fn):
+    # the Neville grid runs down to eps = 7.6e-7; a law that raises there
+    # has no finite nonnegative limit, and check_sigma raises on its grid
+    law = SigmaLaw(kind="custom", fn=fn)
+    assert law.omega == math.inf
+    with pytest.raises(ValueError, match="negative or NaN"):
+        check_sigma(law, 0.0)
+
+
 def test_check_sigma_rejects_slow_decay():
     # sigma = 1/eps^3 keeps omega = 0 but eps^2 sigma diverges
     report = check_sigma(SigmaLaw(kind="custom", fn=lambda e: e**-3), 0.0)

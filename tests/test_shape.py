@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from oracles import (dtheta_direct, h_direct, project_constraints_sampled,
                      resample_dense)
 from thinring.inner import InnerSolution
-from thinring.shape import (FourierShape, GeometryError, ProjectionError,
-                            area, build_grid, cosine_coeffs, moment_x1,
-                            project_constraints, resample_trig, sobolev_norm)
+from thinring.shape import (FourierShape, GeometryError, area, build_grid,
+                            cosine_coeffs, moment_x1, project_constraints,
+                            resample_trig, sobolev_norm)
 
 
 def small_shape(coeffs):
@@ -114,7 +114,7 @@ def test_projection_matches_sampled_oracle(coeffs):
 
 
 def test_projection_failure_is_reported():
-    with pytest.raises(ProjectionError):
+    with pytest.raises(GeometryError):
         project_constraints(small_shape([0.0, 0.0, 5.0]))
 
 

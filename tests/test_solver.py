@@ -427,6 +427,24 @@ def test_newton_rejects_negative_custom_tension():
         newton_solve(0.02, params, options=OPTS8)
 
 
+def test_custom_law_is_judged_at_the_solve_eps():
+    # omega = None takes the law's omega, inf for a law that fails on the
+    # estimate's grid far below eps; the solve reads the law at eps alone
+    def cut(e):
+        return 4.0 / e if e >= 0.015 else math.nan
+
+    custom = NondimParams(rho=0.0, omega=None,
+                          sigma_law=SigmaLaw(kind="custom", fn=cut))
+    a = newton_solve(0.02, custom, options=OPTS8)
+    b = newton_solve(0.02, P_TENSION, options=OPTS8)
+    assert [v.hex() for v in (a.w, a.gamma, a.nu)] \
+        == [v.hex() for v in (b.w, b.gamma, b.nu)]
+    negative = NondimParams(rho=0.0, omega=None, sigma_law=SigmaLaw(
+        kind="custom", fn=lambda e: -1.0))
+    with pytest.raises(ValueError, match="negative or NaN at eps = 0.02"):
+        newton_solve(0.02, negative, options=OPTS8)
+
+
 def test_custom_zero_law_solves_as_classical():
     # omega = None takes the law's own omega: inf for a fn returning 0
     zero = NondimParams(rho=0.0, omega=None,
