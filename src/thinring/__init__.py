@@ -23,12 +23,14 @@ def _keep_freed_heap() -> None:
     glibc serves a block above its mmap threshold (128 KB until a larger
     mapped block is freed) by a fresh mmap, and returns a free heap top
     above its trim threshold to the OS; such blocks are then faulted in
-    page by page on every call.  At M = 8 (N = 64; the largest temporary
-    is the 139 KB core GMRES basis) a residual faults no page either way,
-    but without this call one at N = 128 or 256, where thicker states are
-    checked and solved, takes 114 or 613 minor faults (rho = 0; 0.47 to
-    0.64 and 1.35 to 2.35 ms), and sweep_tension ran 11 to 22 % fewer
-    states per second (2-core Xeon, 4 alternating 6 s runs).  Fixed
+    page by page on every call.  At M = 8 (N = 64) a residual faults no
+    page either way, but without this call one at N = 128 or 256, where
+    states are checked and thicker ones solved, takes 195 or 568 minor
+    faults at rho = 0 (1.40 against 0.89 ms, 4.26 against 2.23 ms) and 325
+    or 1018 at rho = 0.25 (2.15 against 1.35 ms, 6.92 against 3.93 ms;
+    2-core Xeon, one BLAS thread, means of 20 warm residuals), and
+    sweep_tension ran 11 to 22 % fewer states per second (4 alternating
+    6 s runs, measured with the earlier collocation core).  Fixed
     thresholds of 32 MB (mmap) and 64 MB (trim) keep those blocks on the
     heap.  A C library without mallopt is left alone.
     """

@@ -7,9 +7,10 @@ series
     theta(alpha) = sum_{l=0}^{M} a_l cos(l alpha).
 
 ``build_grid`` samples what the solves read on a uniform angular grid:
-theta, the first coordinate x1 = (1+theta) cos alpha of the boundary chart
-chi(alpha) = (1+theta) (cos alpha, sin alpha), the metric
-m = |chi'| = sqrt(theta'^2 + (1+theta)^2) and the full mean-curvature factor
+theta and theta', the first coordinate x1 = (1+theta) cos alpha of the
+boundary chart chi(alpha) = (1+theta) (cos alpha, sin alpha), the metric
+m = |chi'| = sqrt(theta'^2 + (1+theta)^2), the first component n1 = n . e1
+of the outward normal and the full mean-curvature factor
 
     h = kappa + eps (n . e1) / (1 + eps x1),
 
@@ -81,9 +82,11 @@ class BoundaryGrid:
 
     alpha: np.ndarray
     theta: np.ndarray
+    dtheta: np.ndarray     # theta'
     m: np.ndarray          # metric factor |chi'|
     x1: np.ndarray         # first coordinate (1 + theta) cos alpha of chi
-    h: np.ndarray          # kappa + eps (n.e1)/(1 + eps x1)
+    n1: np.ndarray         # n . e1 of the outward normal
+    h: np.ndarray          # kappa + eps n1/(1 + eps x1)
     eps: float
 
     @property
@@ -120,9 +123,10 @@ def build_grid(shape: FourierShape, eps: float, n: int) -> BoundaryGrid:
     # in-plane curvature, and n . e1 = (r cos + theta' sin)/m from the
     # outward normal ((1+theta) X - theta' X_perp)/m of the polar graph
     kappa = (r * r + 2.0 * dth * dth - r * ddth) / m**3
-    h = kappa + eps * (r * ca + dth * sa) / (m * (1.0 + eps * r * ca))
-    return BoundaryGrid(alpha=alpha, theta=th, m=m, x1=r * ca, h=h,
-                        eps=float(eps))
+    normal = r * ca + dth * sa
+    h = kappa + eps * normal / (m * (1.0 + eps * r * ca))
+    return BoundaryGrid(alpha=alpha, theta=th, dtheta=dth, m=m, x1=r * ca,
+                        n1=normal / m, h=h, eps=float(eps))
 
 
 @lru_cache(maxsize=16)

@@ -110,16 +110,16 @@ class SolverOptions:
     """Discretization and iteration controls.
 
     modes is the cap on the cosine truncation M that newton_solve climbs
-    to, n_grid the boundary quadrature size and inner_nr/inner_nalpha the
-    core collocation resolution at that cap.  Every level, the cap
-    included, scales n_grid by M / modes and raises the core angles to at
-    least 4 (M + 1) (see _level).
-    residual evaluates at exactly the grids it is given.  The Newton tolerance
-    applies to the infinity norm of the projected residual.  Its attainable
-    floor on a converged thin section at the defaults is roundoff: 1.3e-14
-    at eps = 0.04 to 1.8e-16 at eps = 0.001 when rho = 0, and 1e-13 to
-    2e-13 at rho = 0.25, where the core trace lambda sets it.  Integer
-    fields and tol reject bool.
+    to and n_grid the boundary quadrature size at that cap, which the core
+    trace shares.  Every level, the cap included, scales n_grid by
+    M / modes (see _level).  residual evaluates at exactly the grid it is
+    given.  The Newton tolerance applies to the infinity norm of the
+    projected residual.  Its attainable floor on a converged thin section
+    at the defaults is roundoff: 1.3e-14 at eps = 0.04 to 1.8e-16 at
+    eps = 0.001 when rho = 0, and 1e-14 or below at rho = 0.25, where cold
+    solves at tol = 1e-13 converge.  inner_nr and inner_nalpha are still
+    validated but no longer affect any solve: the core lives on the
+    boundary grid.  Integer fields and tol reject bool.
     """
 
     n_grid: int = 256
@@ -175,7 +175,7 @@ class SolutionState:
     evaluation at min(2M, cap): shape is the constrained shape zero-padded
     to that size, and gamma, mu and lam are that evaluation's, on its grid
     (at rho = 0, where lam does not enter the residual, it is one core
-    solve on the core grid of the level solved at, resampled onto that
+    solve on the boundary grid of the level solved at, resampled onto that
     grid).  nu is its mode-0 projection at nu = 0, times 1 + eps sigma.  A
     state solved at the cap is reported from its last residual.  jacobian is
     the M x M Newton matrix in (w, a_2..a_M) at the solved M, the symbol
@@ -208,13 +208,6 @@ class SolutionState:
     jacobian: np.ndarray | None = None
 
 
-def _inner_lam(shape: FourierShape, eps: float, options: SolverOptions,
-               n: int) -> np.ndarray:
-    # lambda on the core grid of options, resampled onto n boundary angles
-    return solve_inner(shape, eps, n_r=options.inner_nr,
-                       n_alpha=options.inner_nalpha).lam_on(n)
-
-
 def residual(shape: FourierShape, eps: float, w: float, nu: float,
              params: NondimParams, options: SolverOptions = SolverOptions()
              ) -> ResidualVector:
@@ -223,18 +216,18 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     (a_0, a_1) of the shape are replaced by their constrained values before
     anything is evaluated, and the returned shape is that constrained one;
     no constraint defects are returned (they are at the projection
-    tolerance by construction).  The inner solve is skipped when rho = 0 (lambda
-    enters multiplied by rho); the pointwise residual is scaled by
+    tolerance by construction).  The core trace shares the outer's grid
+    and single layer; it is skipped when rho = 0 (lambda enters multiplied
+    by rho), and the assembly then forms no double layer.  The pointwise
+    residual is scaled by
     1/(1 + eps sigma), which shifts r_0 under nu -> nu + c by
     -c/(1 + eps sigma) and leaves higher modes untouched.
     """
     shape = project_constraints(shape)
     grid = build_grid(shape, eps, options.n_grid)
-    if params.rho > 0.0:
-        lam = _inner_lam(shape, eps, options, options.n_grid)
-    else:
-        lam = np.zeros(options.n_grid)
-    out = solve_outer(grid, w)
+    core = params.rho > 0.0
+    out = solve_outer(grid, w, core)
+    lam = solve_inner(grid, out).lam if core else np.zeros(options.n_grid)
     sig = params.sigma_law(eps)
     point = ((params.rho * lam**2 - out.mu**2 + eps * sig * grid.h - nu)
              / (1.0 + eps * sig))
@@ -278,12 +271,10 @@ def _level(options: SolverOptions, modes: int) -> SolverOptions:
 
     One rule for every level, the cap M = options.modes included: n_grid
     scaled by M / options.modes, rounded up to even and at least 4 (M + 1),
-    and options.inner_nalpha core angles raised to at least 4 (M + 1),
-    which resolve M modes without aliasing.
+    which resolves M modes without aliasing.
     """
     n_grid = 2 * -(-options.n_grid * modes // (2 * options.modes))
-    return replace(options, n_grid=max(n_grid, 4 * (modes + 1)), modes=modes,
-                   inner_nalpha=max(options.inner_nalpha, 4 * (modes + 1)))
+    return replace(options, n_grid=max(n_grid, 4 * (modes + 1)), modes=modes)
 
 
 def _resolve_omega(params: NondimParams) -> float:
@@ -465,11 +456,15 @@ def newton_solve(eps: float, params: NondimParams,
     nu = (1.0 + params.sigma_law.eps_sigma(eps)) * float(rv.r[0])
     lam = rv.lam
     if params.rho == 0.0:
-        # reported even when it does not enter the residual, on the core
-        # grid of the level solved at, which resolves its modes; a failure
-        # here must not void the converged state
+        # reported even when it does not enter the residual, on the grid of
+        # the level solved at (the shape's modes above M are zero padding),
+        # resampled onto the reported grid; a failure here must not void
+        # the converged state
         try:
-            lam = _inner_lam(shape, eps, _level(options, modes), level.n_grid)
+            grid = build_grid(FourierShape(shape.coeffs[:modes + 1]), eps,
+                              _level(options, modes).n_grid)
+            lam = solve_inner(grid, solve_outer(grid, w, core=True)).lam_on(
+                level.n_grid)
         except GeometryError as exc:
             warnings_list.append(f"inner velocity report unavailable: {exc}")
     th5 = sobolev_norm(shape, 5)

@@ -14,8 +14,10 @@ with p, q analytic near 0.  ``f_split`` evaluates that decomposition, which is
 what the quadrature scheme needs, as two power series in w for
 0 <= s <= SPLIT_S_MAX, summed by Horner's rule and truncated where the
 largest w of the call makes the next term negligible (a handful of terms
-in the thin regime); ``f_elliptic`` evaluates F itself for any s > 0
-through the arithmetic-geometric mean, run on whole arrays at once.
+in the thin regime), and on request their w-derivatives from the same
+loop; ``f_elliptic`` evaluates F itself, and on request F'(s), for any
+s > 0 through the arithmetic-geometric mean, run on whole arrays at once.
+The derivatives serve the double layer of the core problem.
 """
 
 from __future__ import annotations
@@ -40,26 +42,30 @@ _N_TERMS = 44
 
 
 def _split_table(n: int) -> np.ndarray:
-    # columns [P | Q]: Q_m = c_m (2m + 1/2),  P_m = c_m ((4m+1) d_m - 2)
-    c = np.empty(n)
-    d = np.empty(n)
+    # rows P, -Q and the coefficients of (1-w) S' - S/2 for S = sum P_m w^m
+    # and S = -sum Q_m w^m, (m+1) S_{m+1} - (m + 1/2) S_m, so that
+    # d/dw (sqrt(1-w) S) = ((1-w) S' - S/2) / sqrt(1-w):
+    # Q_m = c_m (2m + 1/2),  P_m = c_m ((4m+1) d_m - 2)
+    c = np.empty(n + 1)
+    d = np.empty(n + 1)
     c[0] = 1.0
     d[0] = np.log(4.0)
-    for m in range(1, n):
+    for m in range(1, n + 1):
         # c_m = c_{m-1} * ((2m-1)/(2m))^2
         c[m] = c[m - 1] * ((2 * m - 1) / (2 * m)) ** 2
         d[m] = d[m - 1] + 1.0 / m - 2.0 / (2 * m - 1)
-    m = np.arange(n)
-    q = c * (2 * m + 0.5)
-    p = c * ((4 * m + 1) * d - 2.0)
-    return np.column_stack([p, q])
+    m = np.arange(n + 1)
+    pq = np.array([c * ((4 * m + 1) * d - 2.0), -c * (2 * m + 0.5)])
+    slopes = pq[:, 1:] * m[1:] - pq[:, :-1] * (m[:-1] + 0.5)
+    return np.vstack([pq[:, :-1], slopes])
 
 
-_PQ = _split_table(_N_TERMS)
+_SERIES = _split_table(_N_TERMS)
+_SERIES.setflags(write=False)
 # Largest coefficient of each order, the bound f_split truncates against.
-# From order 1 the row maxima are the Q_m and lie between 0.62 and 0.64, so
+# From order 1 the maxima are the Q_m and lie between 0.62 and 0.64, so
 # for w <= 1/5 the omitted terms sum to less than 1.3 times the first of them.
-_PQ_ROW_MAX = np.max(np.abs(_PQ), axis=1)
+_PQ_ROW_MAX = np.max(np.abs(_SERIES[:2]), axis=0)
 _TRUNCATION = 1e-18
 
 
@@ -84,12 +90,15 @@ def _agm_ke(k2, kp2):
     return bigk, bigk * (1.0 - csum)
 
 
-def f_elliptic(s):
+def f_elliptic(s, derivative: bool = False):
     """Ring kernel profile F(s) through AGM elliptic integrals.
 
     Accepts a float or ndarray, 0 < s < inf; any other s, NaN included,
     raises ValueError.  F is strictly decreasing, blows up like
     log(8/sqrt(s)) - 2 as s -> 0+ and decays like O(s^{-3/2}) at infinity.
+    With derivative=True returns (F, F'), where
+    F'(s) = (s K - (2+s) E) / (2 s sqrt(4+s)) follows from the derivatives
+    of K and E in the modulus (DLMF 19.4.1).
     """
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
@@ -100,10 +109,13 @@ def f_elliptic(s):
     bigk, bige = _agm_ke(4.0 / (4.0 + sa), sa / (4.0 + sa))
     root = np.sqrt(4.0 + sa)
     out = (2.0 + sa) / root * bigk - root * bige
+    if derivative:
+        slope = (sa * bigk - (2.0 + sa) * bige) / (2.0 * sa * root)
+        return (float(out[0]), float(slope[0])) if scalar else (out, slope)
     return float(out[0]) if scalar else out
 
 
-def f_split(s):
+def f_split(s, derivative: bool = False):
     """Log split of the ring kernel profile: F(s) = p + q log w, w = s/(4+s).
 
     With w = k'^2 the split is two power series in w,
@@ -126,9 +138,13 @@ def f_split(s):
         Evaluation points, 0 <= s <= SPLIT_S_MAX.  s = 0 is allowed and
         returns the analytic limits p(0) = log 4 - 2, q(0) = -1/2.
 
+    derivative : bool
+        Also return dp/dw and dq/dw, summed in the same Horner loop.  Then
+        F'(s) = (dp/dw + dq/dw log w + q / w) dw/ds, dw/ds = 4/(4+s)^2.
+
     Returns
     -------
-    (p, q) : pair of floats or ndarrays
+    (p, q), or (p, q, dp/dw, dq/dw) : floats or ndarrays
 
     Raises
     ------
@@ -151,15 +167,19 @@ def f_split(s):
     bound = _PQ_ROW_MAX * np.max(w, initial=0.0) ** np.arange(_N_TERMS)
     small = np.flatnonzero(bound <= _TRUNCATION)
     k = small[0] if small.size else _N_TERMS
-    sum_p = np.full_like(w, _PQ[k - 1, 0])
-    sum_q = np.full_like(w, _PQ[k - 1, 1])
-    for coeff_p, coeff_q in _PQ[:k - 1][::-1]:
-        sum_p *= w
-        sum_p += coeff_p
-        sum_q *= w
-        sum_q += coeff_q
-    q = -root * sum_q
-    p = root * sum_p
+    # Horner's rule on the table's rows, one pass per order for all rows
+    rows = 4 if derivative else 2
+    flat = w.ravel()
+    sums = np.empty((rows, flat.size))
+    sums[...] = _SERIES[:rows, k - 1, None]
+    for coeffs in _SERIES[:rows, :k - 1].T[::-1]:
+        sums *= flat
+        sums += coeffs[:, None]
+    sums = sums.reshape((rows,) + w.shape)
+    p, q = sums[:2] * root
+    if not derivative:
+        return (float(p[0]), float(q[0])) if scalar else (p, q)
+    dp, dq = sums[2:] / root
     if scalar:
-        return float(p[0]), float(q[0])
-    return p, q
+        return float(p[0]), float(q[0]), float(dp[0]), float(dq[0])
+    return p, q, dp, dq

@@ -16,9 +16,10 @@ theta'' and the mean-curvature factor h from direct cosine sums rather than
 one product with cached tables; ``project_constraints_sampled`` solves the
 area and moment constraints by Newton on boundary samples of the shape,
 where the library solves a cubic in closed form; ``core_solve_dense`` is
-the core collocation solve on all angles, its operator assembled as dense
-``np.kron`` products and solved by LU rather than applied as a function
-on the even half-grid inside preconditioned GMRES; ``dtn_disk`` is the
+the core problem solved in the interior by Chebyshev-Fourier collocation
+on all angles, its operator assembled as dense ``np.kron`` products and
+solved by LU, where the library takes the trace from boundary integrals
+and has none at eps = 0; ``dtn_disk`` is the
 Dirichlet-to-Neumann map of the unit disk as a Fourier multiplier;
 ``particular_solution`` is the
 polynomial particular part of the core problem with its gradient at
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from thinring.inner import _cheb, _fourier_diff
 from thinring.outer import kress_log_weights
 from thinring.physics import NondimParams, SigmaLaw
 from thinring.shape import BoundaryGrid, FourierShape, GeometryError
@@ -259,12 +259,42 @@ def particular_solution(points: np.ndarray, eps: float):
     return phi, grad
 
 
+def _cheb(n: int):
+    """Chebyshev-Lobatto nodes (descending) and differentiation matrix."""
+    k = np.arange(n + 1)
+    t = np.cos(np.pi * k / n)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** k
+    tt = np.tile(t, (n + 1, 1)).T
+    dt = tt - tt.T + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / dt
+    d -= np.diag(d.sum(axis=1))
+    return t, d
+
+
+def _fourier_diff(n: int) -> np.ndarray:
+    """Spectral differentiation matrix on n uniform nodes (n even)."""
+    j = np.arange(1, n)
+    col = np.zeros(n)
+    col[1:] = 0.5 * (-1.0) ** j / np.tan(np.pi * j / n)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return col[idx]
+
+
 def core_solve_dense(shape: FourierShape, eps: float, n_r: int, n_alpha: int):
     """Core collocation on all n_alpha angles, operator built by ``np.kron``.
 
-    The dense assembly and direct solve: returns (alpha, lam, dnphi,
-    phi_grid, m), with lam as ``thinring.inner.solve_inner`` gives it and
-    phi_grid on all n_r x n_alpha nodes.
+    The core problem solved in the interior, independent of the library's
+    boundary-integral trace: the harmonic extension
+    s (1 + sum_l a_l s^l cos(l alpha)) pulls it back to the unit disk, a
+    Chebyshev grid of n_r positive radii (odd degree, no node at the
+    center; Trefethen, Spectral Methods in MATLAB, ch. 11) and a Fourier
+    grid of n_alpha angles discretize it, and the dense operator is solved
+    by LU.  It holds at eps = 0 too, where the library has no trace.
+    Returns (alpha, lam, dnphi, phi_grid, m), with lam as
+    ``thinring.inner.solve_inner`` gives it and phi_grid on all
+    n_r x n_alpha nodes.
     """
     if n_alpha % 2:
         raise ValueError("n_alpha must be even")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import (assemble_cartesian, bordered_solve_dense,
-                     boundary_points, f_direct, kernel_direct)
-from thinring.inner import solve_inner
+                     boundary_points, core_solve_dense, f_direct,
+                     kernel_direct)
 from thinring.outer import assemble_full, kress_log_weights
 from thinring.physics import (NondimParams, SigmaLaw, asymptotic_wgn,
                               degeneracy_margin, s_from_w)
@@ -110,23 +110,25 @@ def test_criterion_02_capacity_density_and_derivative():
 
 
 def test_criterion_03_inner_velocity_and_derivatives():
+    # at eps = 0, which the boundary-integral trace does not take, on the
+    # interior collocation oracle
     t0 = time.perf_counter()
-    base = solve_inner(zero_shape(), 0.0, n_r=32, n_alpha=64)
-    lam_err = float(np.max(np.abs(base.lam + 2.0)))
+    alpha, base = core_solve_dense(zero_shape(), 0.0, 16, 32)[:2]
+    lam_err = float(np.max(np.abs(base + 2.0)))
     assert lam_err <= 1e-8
     step = 1e-5
-    pert = solve_inner(zero_shape(), step, n_r=32, n_alpha=64)
-    fd = (pert.lam - base.lam) / step
-    eps_err = float(np.max(np.abs(fd + 0.5 * np.cos(base.alpha))))
+    pert = core_solve_dense(zero_shape(), step, 16, 32)[1]
+    fd = (pert - base) / step
+    eps_err = float(np.max(np.abs(fd + 0.5 * np.cos(alpha))))
     assert eps_err <= 1e-3
     shape_err = 0.0
     for l in (2, 3, 5):
         c = np.zeros(l + 1)
         c[l] = step
-        plus = solve_inner(FourierShape(c), 0.0, n_r=32, n_alpha=64)
-        minus = solve_inner(FourierShape(-c), 0.0, n_r=32, n_alpha=64)
-        fd = (plus.lam - minus.lam) / (2.0 * step)
-        expect = (2.0 * l - 2.0) * np.cos(l * plus.alpha)
+        plus = core_solve_dense(FourierShape(c), 0.0, 16, 32)[1]
+        minus = core_solve_dense(FourierShape(-c), 0.0, 16, 32)[1]
+        fd = (plus - minus) / (2.0 * step)
+        expect = (2.0 * l - 2.0) * np.cos(l * alpha)
         shape_err = max(shape_err, float(np.max(np.abs(fd - expect))))
     elapsed = time.perf_counter() - t0
     print(f"criterion 3: lam {lam_err:.3e}, d_eps {eps_err:.3e}, "
@@ -290,27 +292,29 @@ def test_criterion_10_degeneracy_detection():
 
 
 # Beyond the paper: the next order of the speed law, measured, not proved.
-@pytest.mark.parametrize("law,eps_hi,eps_lo", [
-    (SigmaLaw(), 0.04, 0.001),
-    (SigmaLaw(kind="c_over_eps", c=1.0), 0.01, 1e-4),
-    (SigmaLaw(kind="c_over_eps", c=4.0), 0.01, 1e-4),
-], ids=["classical", "c1", "c4"])
-def test_speed_law_next_order(law, eps_hi, eps_lo):
-    # deviations from asymptotic_wgn at rho = 0, fitted on 16 eps; the
-    # eps^2 log(1/eps) term of W is -(1/(16 pi) + rho pi/2 + eps sigma pi/4)
+@pytest.mark.parametrize("rho,law,eps_hi,eps_lo", [
+    (0.0, SigmaLaw(), 0.04, 0.001),
+    (0.0, SigmaLaw(kind="c_over_eps", c=1.0), 0.01, 1e-4),
+    (0.0, SigmaLaw(kind="c_over_eps", c=4.0), 0.01, 1e-4),
+    (0.25, SigmaLaw(), 0.04, 0.001),
+], ids=["classical", "c1", "c4", "rho025"])
+def test_speed_law_next_order(rho, law, eps_hi, eps_lo):
+    # deviations from asymptotic_wgn, fitted on 16 eps; the eps^2
+    # log(1/eps) term of W is -(1/(16 pi) + rho pi/2 + eps sigma pi/4)
     # (eps sigma = c here) and gamma's is -3/2 times it
-    params = NondimParams(rho=0.0, sigma_law=law, omega=law.omega)
+    params = NondimParams(rho=rho, sigma_law=law, omega=law.omega)
     grid = [float(e) for e in np.geomspace(eps_hi, eps_lo, 16)]
     states = continuation(grid, params, options=SolverOptions(tol=1e-12))
     eps = np.array([st.eps for st in states])
     L = np.log(1.0 / eps)
     dev = np.array([(st.w, st.gamma, st.nu) for st in states]) \
-        - np.array([asymptotic_wgn(e, 0.0, law) for e in eps])
+        - np.array([asymptotic_wgn(e, rho, law) for e in eps])
     basis = np.stack([eps**2 * L, eps**2, eps**3 * L, eps**3,
                       eps**4 * L**2, eps**4 * L, eps**4], axis=1)
     coef, *_ = np.linalg.lstsq(basis, dev, rcond=None)
     fit_residual = np.max(np.abs(basis @ coef - dev))
-    w2 = -(1.0 / (16.0 * math.pi) + law.eps_sigma(eps[0]) * math.pi / 4.0)
+    w2 = -(1.0 / (16.0 * math.pi) + rho * math.pi / 2.0
+           + law.eps_sigma(eps[0]) * math.pi / 4.0)
     print(f"speed law next order: eps^2 L of W {coef[0, 0]:.7f} "
           f"(closed form {w2:.7f}), gamma {coef[0, 1]:.7f}, "
           f"fit residual {fit_residual:.2e}")

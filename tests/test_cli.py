@@ -298,29 +298,30 @@ def scipy():
 import thinring.cli
 print(scipy())
 from thinring.inner import solve_inner
+from thinring.outer import solve_outer
 from thinring.physics import NondimParams, SigmaLaw
-from thinring.shape import FourierShape
+from thinring.shape import FourierShape, build_grid
 from thinring.solver import residual
 shape = FourierShape([0.0, 0.0, 0.01])
 residual(shape, 0.04, 0.0, 0.0, NondimParams(0.25, SigmaLaw(), None))
 print(scipy())
-d = solve_inner(shape, 0.04).diagnostics
-print(json.dumps([d["flux_defect"], d["min_phi"], d["refinement_diff"]]))
+grid = build_grid(shape, 0.04, 64)
+d = solve_inner(grid, solve_outer(grid, 0.0, core=True)).diagnostics
+print(json.dumps([d["flux_defect"]]))
 print(scipy())
 """
 
 
 def test_library_imports_without_scipy():
     # importing the CLI, a rho = 0.25 residual and reading a core solve's
-    # diagnostics (refinement_diff runs the refined solve) load no scipy
+    # diagnostics load no scipy
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     cli, res, values, diag = proc.stdout.splitlines()
     assert cli == res == diag == "[]"
-    flux_defect, min_phi, refinement_diff = json.loads(values)
-    assert abs(flux_defect) < 1e-10 and min_phi > 0.0
-    assert refinement_diff < 1e-10
+    (flux_defect,) = json.loads(values)
+    assert abs(flux_defect) < 1e-10
 
 
 @pytest.mark.parametrize("module", ["physics", "outer", "special", "shape",

@@ -1,4 +1,4 @@
-"""Core potential problem: preconditioned GMRES solve and boundary traces."""
+"""Core potential problem: boundary-integral trace and its oracle."""
 
 import math
 
@@ -6,178 +6,153 @@ import numpy as np
 import pytest
 
 from oracles import core_solve_dense, dtn_disk, particular_solution
-from thinring import inner
 from thinring.inner import solve_inner
+from thinring.outer import assemble_full, solve_outer
 from thinring.physics import NondimParams, SigmaLaw
-from thinring.shape import FourierShape, GeometryError
+from thinring.shape import FourierShape, GeometryError, build_grid
 from thinring.solver import newton_solve
 
 ZERO = FourierShape(np.zeros(3))
+WAVY = FourierShape(np.array([0.0, 0.0, 0.05, -0.01, 0.003]))
+
+
+def trace(shape, eps, n=64):
+    # the core trace on an n-point boundary grid, as residual forms it
+    grid = build_grid(shape, eps, n)
+    return solve_inner(grid, solve_outer(grid, 0.5, core=True))
 
 
 def test_base_lambda_is_minus_two():
-    # the mode-block preconditioner is the exact operator here
-    sol = solve_inner(ZERO, 0.0)
-    assert np.max(np.abs(sol.lam + 2.0)) < 1e-10
-    assert sol.diagnostics["gmres_iterations"] == 1
+    # the trace has no eps = 0 form; the interior oracle has
+    lam = core_solve_dense(ZERO, 0.0, 16, 32)[1]
+    assert np.max(np.abs(lam + 2.0)) < 1e-10
 
 
-def test_gmres_miss_raises_geometry_error(monkeypatch):
-    monkeypatch.setattr(inner, "_GMRES_MAX_ITER", 2)
-    shape = FourierShape(np.array([0.0, 0.0, 0.03, -0.01, 0.004]))
-    with pytest.raises(GeometryError, match="relative residual .* after 2"):
-        solve_inner(shape, 0.04)
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("eps", [0.04, 0.1, 0.3])
+@pytest.mark.parametrize("shape", [ZERO, WAVY], ids=["disk", "wavy"])
+def test_double_layer_identities(shape, eps, n):
+    # Green's representation of u = 1, x2 and rho^2, homogeneous solutions
+    # of div(rho^-1 grad u) = 0 with conormal traces 0, n2 / rho and
+    # 2 eps n1: S (trace) = u/2 + D u on rows 0..n/2
+    grid = build_grid(shape, eps, n)
+    h = n // 2
+    block, d_one = assemble_full(grid, np.ones(n))
+    assert np.max(np.abs(d_one + 0.5)) < 1e-14
+    # the other rows by the reflection, M[n-i, n-j] = M[i, j]
+    lower = n - np.arange(h + 1, n)
+    single = np.vstack([block, block[lower][:, (n - np.arange(n)) % n]])
+    r = 1.0 + grid.theta
+    x2 = r * np.sin(grid.alpha)
+    n2 = (x2 - grid.dtheta * np.cos(grid.alpha)) / grid.m
+    rho = 1.0 + eps * grid.x1
+    for u, conormal in ((x2, n2 / rho), (rho**2, 2.0 * eps * grid.n1)):
+        d_u = assemble_full(grid, u)[1]
+        lhs = (single @ conormal)[:h + 1]
+        assert np.max(np.abs(lhs - 0.5 * u[:h + 1] - d_u)) < 1e-13
 
 
-@pytest.mark.parametrize("max_iter", [4, 12])
-def test_gmres_reports_its_true_residual(max_iter):
-    # a small nonsymmetric system: cut short, and run to its dimension
-    rng = np.random.default_rng(7)
-    a = np.eye(12) + 0.3 * rng.standard_normal((12, 12)) / np.sqrt(12)
-    b = rng.standard_normal(12)
-    x, iterations, res = inner._gmres(lambda v: a @ v, b, 1e-14, max_iter)
-    assert iterations <= max_iter
-    assert abs(res - np.linalg.norm(b - a @ x) / np.linalg.norm(b)) < 1e-13
-    if max_iter == 12:
-        assert res <= 1e-14
-        assert np.max(np.abs(x - np.linalg.solve(a, b))) < 1e-12
-    else:
-        assert res > 1e-6 and iterations == 4
+def test_double_layer_far_pairs_use_the_elliptic_slope():
+    # at eps = 0.5 on the disk some pairs leave the split range; they take
+    # F' from the AGM, and D 1 = -1/2 converges at the algebraic rate of
+    # the plain trapezoid there, as S does: 2.2e-7 at n = 128, 2.8e-8 at 256
+    misses = []
+    for n in (128, 256):
+        grid = build_grid(ZERO, 0.5, n)
+        misses.append(np.max(np.abs(assemble_full(grid, np.ones(n))[1] + 0.5)))
+    assert misses[1] < 5e-8 and misses[1] < misses[0] / 4
 
 
 def test_flux_identity_on_circle():
     # int lam m dalpha balances the vorticity integral 4 int (1 + eps x1)
-    for eps in (0.0, 0.05):
-        sol = solve_inner(ZERO, eps)
-        assert abs(sol.diagnostics["flux_defect"]) < 1e-10
+    sol = trace(ZERO, 0.05)
+    assert abs(sol.diagnostics["flux_defect"]) < 1e-10
+    # at eps = 0 on the interior oracle: int lam = -8 pi
+    lam = core_solve_dense(ZERO, 0.0, 16, 32)[1]
+    assert abs(np.sum(lam) * 2.0 * np.pi / 32 + 4.0 * np.pi) < 1e-10
 
 
 def test_flux_identity_nontrivial_shape():
-    # the defect stays spectral under refinement: 3.9e-13 on 28 x 64
     shape = FourierShape(np.array([0.0, 0.0, 0.03, -0.01]))
-    sol = solve_inner(shape, 0.08, n_r=28, n_alpha=64)
+    sol = trace(shape, 0.08, n=128)
     assert abs(sol.diagnostics["flux_defect"]) < 1e-10
 
 
 def test_flux_identity_spectral_on_default_grid():
-    # the polynomial extension map keeps the collocation spectrally
-    # accurate: the defect is 2.1e-13 on the default 16 x 32 grid
+    # the M = 8 level's 64-point grid
     shape = FourierShape(np.array([0.0, 0.0, 0.03, -0.01]))
-    sol = solve_inner(shape, 0.08)
+    sol = trace(shape, 0.08)
     assert abs(sol.diagnostics["flux_defect"]) < 1e-10
 
 
 def test_lambda_grid_converged():
     shape = FourierShape(np.array([0.0, 0.0, 1e-3, -1e-5]))
-    coarse = solve_inner(shape, 0.04, n_r=8)
-    default = solve_inner(shape, 0.04)
-    assert np.max(np.abs(coarse.lam - default.lam)) < 1e-10
-
-
-def test_extension_invertibility_rule():
-    # invertible iff 1 + sum (l+1) a_l s^l cos(l alpha) > 0 on the disk
-    c8 = np.zeros(9)
-    c8[8] = 0.15                      # 1 - 9 a_8 < 0 at s = 1
-    with pytest.raises(GeometryError, match="not invertible"):
-        solve_inner(FourierShape(c8), 0.0)
-    sol = solve_inner(FourierShape(np.array([0.0, 0.0, 0.3])), 0.0)
-    assert np.all(np.isfinite(sol.lam))
+    coarse = trace(shape, 0.04, n=32)
+    default = trace(shape, 0.04)
+    assert np.max(np.abs(coarse.lam_on(64) - default.lam)) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -0.1])
 def test_rejects_invalid_eps(eps):
     with pytest.raises(GeometryError):
-        solve_inner(ZERO, eps)
+        trace(ZERO, eps)
 
 
 def test_rejects_eps_past_the_section():
-    # 1 + eps x1 vanishes inside the unit disk once eps >= 1
-    with pytest.raises(GeometryError, match="eps too large"):
-        solve_inner(ZERO, 1.5)
+    # 1 + eps x1 vanishes on the section once eps >= 1
+    with pytest.raises(GeometryError, match="touches the axis"):
+        trace(ZERO, 1.5)
 
 
-@pytest.mark.parametrize("n_r, n_alpha, field", [
-    (1, 32, "n_r"), (0, 32, "n_r"), (16, 0, "n_alpha"),
-    (16, -2, "n_alpha"), (16, 3, "n_alpha")])
-def test_rejects_unusable_grid(n_r, n_alpha, field):
-    with pytest.raises(ValueError, match=field):
-        solve_inner(ZERO, 0.0, n_r=n_r, n_alpha=n_alpha)
-
-
-_SHAPES = {"zero": np.zeros(3),
-           "wavy": np.array([0.0, 0.0, 0.03, -0.01, 0.004]),
-           "decaying": np.r_[0.0, 0.0, 0.01 / np.arange(2, 33) ** 2]}
-# the largest deformations tried: 19 to 37 GMRES iterations at 16 x 32
-_HARD = [("a2", np.array([0.0, 0.0, 0.3]), 0.3),
-         ("a8", np.r_[np.zeros(8), 0.08], 0.05),
-         ("twenty", np.r_[0.0, 0.0, 0.02, np.full(20, 0.002)], 0.4)]
-
-
-@pytest.mark.parametrize("n_r, n_alpha, coeffs, eps", [
-    pytest.param(n_r, n_alpha, coeffs, eps, id=f"{eps}-{name}-{n_r}-{n_alpha}")
-    for eps in (0.0, 0.04, 0.2) for name, coeffs in _SHAPES.items()
-    for n_r, n_alpha in ((16, 32), (8, 64), (2, 4), (16, 34), (4, 6), (2, 2),
-                         (16, 36), (16, 68))] + [
-    pytest.param(16, 32, coeffs, eps, id=f"{eps}-{name}-16-32")
-    for name, coeffs, eps in _HARD])
-def test_folded_core_solve_matches_dense(n_r, n_alpha, coeffs, eps):
-    # the half-grid GMRES solve against the full-circle kron assembly, on
-    # half-grids with even and odd n_alpha / 2 and the ladder's core grids
-    shape = FourierShape(coeffs)
-    lam = solve_inner(shape, eps, n_r=n_r, n_alpha=n_alpha).lam
-    lam_dense = core_solve_dense(shape, eps, n_r, n_alpha)[1]
-    assert np.max(np.abs(lam - lam_dense)) < 1e-10
-
-
-# one eps from each of the four cold_core benchmark strata
-_POOL_EPS = (0.04, 0.02, 0.01, 0.005)
+def test_trace_needs_the_core_pass():
+    grid = build_grid(ZERO, 0.04, 64)
+    with pytest.raises(ValueError, match="core=True"):
+        solve_inner(grid, solve_outer(grid, 0.5))
+    with pytest.raises(ValueError, match="eps > 0"):
+        trace(ZERO, 0.0)
 
 
 @pytest.fixture(scope="module")
-def core_cases():
-    # (coefficients, eps) by case id: converged rho = 0.25 states and _HARD
+def converged_shape():
+    # the cold rho = 0.25 state at eps = 0.04, at the M = 8 it is solved at
     params = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
-    cases = {f"pool-{eps}": (newton_solve(eps, params).shape.coeffs, eps)
-             for eps in _POOL_EPS}
-    cases.update((name, (coeffs, eps)) for name, coeffs, eps in _HARD)
-    return cases
+    return FourierShape(newton_solve(0.04, params).shape.coeffs[:9])
 
 
-def _gmres_to_floor(apply, rhs, tol, max_iter, gmres=inner._gmres):
-    # every one of max_iter iterations, whatever the residual
-    x, iterations, _ = gmres(apply, rhs, 0.0, max_iter)
-    return x, iterations, 0.0
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.05, -0.01, 0.003]],
+                         ids=["disk", "wavy"])
+def test_folded_single_layer_is_well_conditioned(coeffs, n):
+    # S is a first-kind operator; over the eps range the solver accepts
+    # its folded block stays at cond <= 12 n (at most 9.6 n measured)
+    for eps in (1e-4, 1e-3, 0.01, 0.04, 0.1, 0.3, 0.5):
+        grid = build_grid(FourierShape(np.array(coeffs)), eps, n)
+        single = solve_outer(grid, 0.5, core=True).single
+        assert np.linalg.cond(single) <= 12 * n, eps
 
 
-@pytest.mark.parametrize("n_alpha", [32, 36, 68])
-@pytest.mark.parametrize("case", [f"pool-{eps}" for eps in _POOL_EPS]
-                         + [name for name, _, _ in _HARD])
-def test_core_stop_rule_reaches_the_roundoff_floor(monkeypatch, core_cases,
-                                                   case, n_alpha):
-    # _GMRES_TOL leaves lam within 2e-11 of the same solve run for all
-    # _GMRES_MAX_ITER iterations, on the benchmark's converged states and
-    # the hardest deformations tried
-    coeffs, eps = core_cases[case]
-    shape = FourierShape(coeffs)
-    lam = solve_inner(shape, eps, n_alpha=n_alpha).lam
-    monkeypatch.setattr(inner, "_gmres", _gmres_to_floor)
-    floor = solve_inner(shape, eps, n_alpha=n_alpha).lam
-    assert np.max(np.abs(lam - floor)) < 2e-11
-
-
-def test_interior_positivity():
-    sol = solve_inner(ZERO, 0.05)
-    assert sol.diagnostics["min_phi"] > 0.0
+def test_trace_is_stable_under_roundoff_perturbation(converged_shape):
+    # 20 draws of a 1e-15 relative perturbation of the converged eps = 0.04
+    # shape move the trace on the 64-point grid by at most 1e-13
+    coeffs = converged_shape.coeffs
+    base = trace(converged_shape, 0.04).lam
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(20):
+        noise = 1.0 + 1e-15 * rng.standard_normal(coeffs.size)
+        lam = trace(FourierShape(coeffs * noise), 0.04).lam
+        worst = max(worst, float(np.max(np.abs(lam - base))))
+    assert worst <= 1e-13
 
 
 def test_lambda_eps_derivative():
     # D_eps lambda at the disk is -y1/2 = -cos(alpha)/2
     t = 1e-5
-    p = solve_inner(ZERO, t)
-    m = solve_inner(ZERO, 0.0)
-    fd = (p.lam - m.lam) / t
-    alpha = p.alpha
-    assert np.max(np.abs(fd + 0.5 * np.cos(alpha))) < 1e-3
+    p = core_solve_dense(ZERO, t, 16, 32)
+    m = core_solve_dense(ZERO, 0.0, 16, 32)
+    fd = (p[1] - m[1]) / t
+    assert np.max(np.abs(fd + 0.5 * np.cos(p[0]))) < 1e-3
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
@@ -186,57 +161,28 @@ def test_lambda_shape_derivative(l):
     t = 1e-5
     c = np.zeros(l + 1)
     c[l] = t
-    # refined grid: its discretization error over 2t stays far below 1e-3
-    p = solve_inner(FourierShape(c), 0.0, n_r=32, n_alpha=64)
-    m = solve_inner(FourierShape(-c), 0.0, n_r=32, n_alpha=64)
-    fd = (p.lam - m.lam) / (2.0 * t)
-    expect = (2.0 * l - 2.0) * np.cos(l * p.alpha)
+    alpha, p = core_solve_dense(FourierShape(c), 0.0, 16, 32)[:2]
+    m = core_solve_dense(FourierShape(-c), 0.0, 16, 32)[1]
+    fd = (p - m) / (2.0 * t)
+    expect = (2.0 * l - 2.0) * np.cos(l * alpha)
     assert np.max(np.abs(fd - expect)) < 1e-3
 
 
-def test_refinement_diagnostic_small():
-    shape = FourierShape(np.array([0.0, 0.0, 0.02]))
-    sol = solve_inner(shape, 0.05)
-    assert sol.diagnostics["refinement_diff"] < 1e-10
-
-
-def test_refinement_solve_runs_on_first_read_only(monkeypatch):
-    # the refined re-solve is the one core solve past the solve itself,
-    # made when refinement_diff is first read
-    grids = []
-    solve_core = inner._solve_core
-
-    def counted(shape, eps, n_r, n_alpha):
-        grids.append((n_r, n_alpha))
-        return solve_core(shape, eps, n_r, n_alpha)
-
-    monkeypatch.setattr(inner, "_solve_core", counted)
-    d = solve_inner(FourierShape(np.array([0.0, 0.0, 0.02])), 0.05).diagnostics
-    for key in ("flux_defect", "min_phi", "gmres_iterations"):
-        d[key]
-    assert grids == [(16, 32)]
-    assert d["refinement_diff"] == d["refinement_diff"]
-    assert grids == [(16, 32), (22, 64)]
-
-
-def test_diagnostics_repr_reads_and_caches_every_entry(monkeypatch):
-    d = solve_inner(FourierShape(np.array([0.0, 0.0, 0.02])), 0.05).diagnostics
+def test_diagnostics_repr_reads_and_caches_every_entry():
+    d = trace(FourierShape(np.array([0.0, 0.0, 0.02])), 0.05).diagnostics
+    assert callable(d._entries["flux_defect"])
     text = repr(d)
-    assert "refinement_diff" in text
-
-    def no_solve(*args):
-        raise AssertionError("refined solve repeated after repr")
-
-    monkeypatch.setattr(inner, "_solve_core", no_solve)
-    diff = d["refinement_diff"]
-    assert isinstance(diff, float) and repr(diff) in text
+    assert "flux_defect" in text
+    flux = d._entries["flux_defect"]
+    assert isinstance(flux, float) and repr(flux) in text
+    assert d["flux_defect"] is flux
 
 
 def test_lam_resampling():
-    sol = solve_inner(ZERO, 0.0, n_alpha=32)
+    sol = trace(ZERO, 0.04, n=32)
     lam64 = sol.lam_on(64)
     assert lam64.size == 64
-    assert np.max(np.abs(lam64 + 2.0)) < 1e-9
+    assert np.max(np.abs(lam64 - trace(ZERO, 0.04).lam)) < 1e-9
 
 
 def test_dtn_multiplier():

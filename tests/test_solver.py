@@ -7,6 +7,7 @@ import pkgutil
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,10 +16,11 @@ import pytest
 
 from oracles import core_solve_dense
 import thinring
-from thinring import inner
 from thinring.inner import solve_inner
+from thinring.outer import solve_outer
 from thinring.physics import NondimParams, SigmaLaw, asymptotic_wgn, s_from_w
-from thinring.shape import FourierShape, GeometryError, area, moment_x1
+from thinring.shape import (FourierShape, GeometryError, area, build_grid,
+                            moment_x1, resample_trig)
 from thinring.solver import (ContinuationError, SolverError, SolverOptions,
                              continuation, jacobian_fd, newton_solve,
                              residual)
@@ -362,47 +364,70 @@ def test_residual_is_grid_converged(solved_classical):
 
 
 def test_core_solve_is_grid_converged_at_positive_rho():
-    # W, gamma and nu at rho > 0 carry the core solve's lambda
-    params = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
-    coarse, fine = (newton_solve(0.04, params, options=SolverOptions(
-        n_grid=128, modes=8, inner_nr=nr)) for nr in (12, 16))
+    # W, gamma and nu at rho > 0 carry the core trace, which shares the
+    # boundary grid
+    coarse, fine = (newton_solve(0.04, P_CORE, options=SolverOptions(
+        n_grid=n, modes=8)) for n in (128, 192))
     for name in ("w", "gamma", "nu"):
         assert abs(getattr(coarse, name) - getattr(fine, name)) < 1e-9, name
 
 
-@pytest.mark.parametrize("eps", [0.04, 0.005])
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
 def test_core_solve_on_converged_states(eps):
+    # the trace of the accepted state, on the 64-point grid of its M = 8,
+    # against the interior collocation oracle on 16 x 32 nodes
     st = newton_solve(eps, P_CORE)
-    sol = solve_inner(st.shape, eps)
-    assert sol.diagnostics["gmres_iterations"] <= 6
+    assert st.diagnostics["modes"] == 8
+    grid = build_grid(FourierShape(st.shape.coeffs[:9]), eps, 64)
+    sol = solve_inner(grid, solve_outer(grid, st.w, core=True))
     lam_dense = core_solve_dense(st.shape, eps, 16, 32)[1]
-    assert np.max(np.abs(sol.lam - lam_dense)) < 1e-11
+    assert np.max(np.abs(sol.lam_on(32) - lam_dense)) < 1e-11
+    assert np.max(np.abs(resample_trig(st.lam, 32) - lam_dense)) < 1e-11
 
 
 def test_core_hot_path_computes_no_diagnostics(monkeypatch):
-    # residual reads only lam: the flux defect (area, moment_x1), min_phi
-    # and the refinement difference are computed when the diagnostics are
-    # read, with the same values
-    def refuse(shape):
-        raise AssertionError("moment_x1 called")
+    # residual reads only lam: the flux defect is computed when the
+    # diagnostics are first read
+    calls = []
+    real = solve_inner
 
-    shape = FourierShape(np.array([0.0, 0.0, 0.01, -0.002]))
-    with monkeypatch.context() as patch:
-        patch.setattr(inner, "moment_x1", refuse)
-        residual(shape, 0.04, 0.0, 0.0, P_CORE)
-        st = newton_solve(0.04, P_CORE)
-        sol = solve_inner(st.shape, 0.04)
-        with pytest.raises(AssertionError, match="moment_x1"):
-            sol.diagnostics["flux_defect"]
-    d = sol.diagnostics
-    assert list(d) == ["flux_defect", "min_phi", "gmres_iterations",
-                       "refinement_diff"]
-    _, _, _, phi, m = core_solve_dense(st.shape, 0.04, 16, 32)
-    flux = (np.sum(sol.lam * m) * 2.0 * np.pi / 32
+    def recording(grid, outer):
+        sol = real(grid, outer)
+        calls.append(sol)
+        return sol
+
+    monkeypatch.setattr("thinring.solver.solve_inner", recording)
+    st = newton_solve(0.04, P_CORE)
+    assert calls and all(callable(sol.diagnostics._entries["flux_defect"])
+                         for sol in calls)
+    d = calls[-1].diagnostics
+    assert list(d) == ["flux_defect"]
+    n = st.lam.size
+    m = build_grid(st.shape, 0.04, n).m
+    flux = (np.sum(st.lam * m) * 2.0 * np.pi / n
             + 4.0 * (area(st.shape) + 0.04 * moment_x1(st.shape)))
     assert abs(d["flux_defect"] - flux) < 1e-13
-    assert abs(d["min_phi"] - np.min(phi[1:])) < 1e-12
-    assert d == solve_inner(st.shape, 0.04).diagnostics
+    assert abs(d["flux_defect"]) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005743])
+def test_core_solves_converge_below_the_old_floor(eps):
+    # the core trace from boundary integrals has no 1e-13 residual floor:
+    # cold solves at tol = 1e-13 take 10, 7, 7 and 5 iterations with one
+    # forward-difference column, where the collocation core ran all 25
+    st = newton_solve(eps, P_CORE, options=SolverOptions(tol=1e-13))
+    d = st.diagnostics
+    assert d["residual_norm"] <= 1e-13
+    assert d["iterations"] <= 10 and d["fd_columns"] == 1
+
+
+def test_core_continuation_reaches_eps_1e_4():
+    # 21 geometric steps from 0.08 to 1e-4 at tol = 1e-12; the collocation
+    # core failed at 0.00395
+    states = continuation(np.geomspace(0.08, 1e-4, 21), P_CORE,
+                          SolverOptions(tol=1e-12))
+    assert len(states) == 21
+    assert all(st.diagnostics["residual_norm"] <= 1e-12 for st in states)
 
 
 def test_newton_converges_at_tight_tol_with_core():
@@ -624,13 +649,13 @@ def test_swept_tension_states_match_cold_solves():
 # ---------------------------------------------------------- resolution ladder
 
 def record_levels(monkeypatch):
-    # (M, N, core angles) of every residual newton_solve evaluates
+    # (M, N) of every residual newton_solve evaluates
     seen = []
     real = residual
 
     def recording(*args):
         opts = args[-1]
-        seen.append((opts.modes, opts.n_grid, opts.inner_nalpha))
+        seen.append((opts.modes, opts.n_grid))
         return real(*args)
 
     monkeypatch.setattr("thinring.solver.residual", recording)
@@ -642,14 +667,14 @@ def test_accepted_state_is_reported_from_the_check(monkeypatch):
     seen = record_levels(monkeypatch)
     st = newton_solve(0.02, P_CLASSICAL)
     d = st.diagnostics
-    assert set(seen) == {(8, 64, 36), (16, 128, 68)}
-    assert seen[-1] == (16, 128, 68) and seen.count(seen[-1]) == 1
+    assert set(seen) == {(8, 64), (16, 128)}
+    assert seen[-1] == (16, 128) and seen.count(seen[-1]) == 1
     assert d["modes"] == 8
     assert d["residual_norm"] <= SolverOptions().tol
     assert st.shape.coeffs.size == 17 and not np.any(st.shape.coeffs[9:])
     assert st.mu.size == st.lam.size == 128
     assert st.jacobian.shape == (8, 8)
-    check = SolverOptions(n_grid=128, modes=16, inner_nalpha=68)
+    check = SolverOptions(n_grid=128, modes=16)
     rv = residual(st.shape, st.eps, st.w, st.nu, P_CLASSICAL, check)
     assert abs(rv.r[0]) < 1e-14
     assert float(np.max(np.abs(rv.r[1:]))) == d["residual_norm"]
@@ -665,39 +690,29 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     assert d["modes"] == 32
     assert d["residual_norm"] <= SolverOptions().tol
     assert d["fd_columns"] == 1
-    assert sorted(set(seen)) == [(8, 64, 36), (16, 128, 68), (32, 256, 132)]
+    assert sorted(set(seen)) == [(8, 64), (16, 128), (32, 256)]
     # the first residual, the w column and one per step: the step that
     # ends each level below the cap is followed by that level's check
     assert len(seen) == 1 + d["fd_columns"] + d["iterations"]
     assert st.mu.size == 256 and st.shape.coeffs.size == 33
     assert st.jacobian.shape == (32, 32)
-    # every level raises the options' core angles to 4 (M + 1), no lower;
-    # at rho = 0 the core does not enter the residual
-    seen.clear()
-    wide = newton_solve(0.3, P_CLASSICAL,
-                        options=SolverOptions(inner_nalpha=96))
-    assert sorted(set(seen)) == [(8, 64, 96), (16, 128, 96), (32, 256, 132)]
-    assert wide.w == st.w
-    for key in ("fd_columns", "iterations"):
-        assert wide.diagnostics[key] == d[key]
 
 
 def test_classical_report_resolves_its_modes():
-    # at rho = 0 lam is one report solve on the core grid of the level
-    # solved at, here the cap's 132 angles; the options' 32 angles aliased
-    # modes 16 and up and left lam 6e-6 off
+    # at rho = 0 lam is one report solve on the boundary grid of the level
+    # solved at, here the cap's 256 points
     st = newton_solve(0.3, P_CLASSICAL)
-    fine = solve_inner(st.shape, 0.3, n_alpha=264).lam_on(st.lam.size)
+    grid = build_grid(st.shape, 0.3, 512)
+    fine = solve_inner(grid, solve_outer(grid, st.w, core=True))
     assert st.diagnostics["modes"] == 32
-    assert np.max(np.abs(st.lam - fine)) < 1e-10
+    assert np.max(np.abs(st.lam - fine.lam_on(st.lam.size))) < 1e-10
 
 
 def test_core_cap_level_resolves_its_modes():
-    # the cap level takes at least 4 (M + 1) core angles, as the levels
-    # below it do; on the 32 angles of the options alone it aliased modes
-    # 16 and up and left w 2e-7 off here
+    # the cap level's core shares its 256-point grid; against a solve on
+    # grids twice as fine at every level
     st = newton_solve(0.3, P_CORE)
-    fine = newton_solve(0.3, P_CORE, options=SolverOptions(inner_nalpha=264))
+    fine = newton_solve(0.3, P_CORE, options=SolverOptions(n_grid=512))
     assert st.diagnostics["modes"] == 32
     assert abs(st.w - fine.w) < 1e-10
 
@@ -709,7 +724,7 @@ def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
     seen = record_levels(monkeypatch)
     st = newton_solve(0.3, P_CLASSICAL,
                       options=SolverOptions(n_grid=128, modes=modes))
-    assert {(m, n) for m, n, _ in seen} == levels
+    assert set(seen) == levels
     assert st.diagnostics["modes"] == modes
     assert st.mu.size == 128
 
@@ -762,6 +777,25 @@ def test_residual_reuses_freed_heap():
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 100
+
+
+@pytest.mark.parametrize("params", [P_CORE, P_CLASSICAL],
+                         ids=["core", "classical"])
+def test_residual_peak_memory(params):
+    # the traced peak of one warm residual at the default options (N = 256),
+    # the benchmark's warm-up: the assembly runs over row blocks, so the
+    # double layer's temporaries add little (1.73 MB at rho = 0.25, 1.38 MB
+    # at rho = 0, against 2.67 MB for both before the blocks)
+    w, _, nu = asymptotic_wgn(0.04, params.rho, params.sigma_law)
+    shape = zero_shape(SolverOptions().modes)
+    residual(shape, 0.04, w, nu, params)
+    tracemalloc.start()
+    try:
+        residual(shape, 0.04, w, nu, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7e6
 
 
 def _trace_sites():
@@ -818,9 +852,6 @@ def test_required_trace_sites_are_called_in_both_regimes(monkeypatch):
 
 # every lru_cache'd table builder of the library, with arguments to call it
 _TABLE_CALLS = {
-    "thinring.inner._folded_cheb": (16,),
-    "thinring.inner._half_tables": (16, 36),
-    "thinring.inner._extension_tables": (16, 36, 9),
     "thinring.outer._half_tables": (64,),
     "thinring.shape._tables": (64, 9),
 }

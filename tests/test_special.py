@@ -59,6 +59,28 @@ def test_split_reconstructs_f():
     assert np.max(np.abs(p + q * log_w(s) - f_elliptic(s))) < 1e-11
 
 
+def test_derivatives_of_split_and_elliptic_agree():
+    # F' from the split's w-derivatives, F' = (p_w + q_w log w + q / w) w',
+    # against F' through the AGM, and that against central differences of
+    # F; the split's values do not change when the derivatives are asked for
+    s = np.geomspace(1e-10, 1.0, 60)
+    p, q, dp, dq = f_split(s, derivative=True)
+    w = s / (4.0 + s)
+    split_slope = (dp + dq * np.log(w) + q / w) * 4.0 / (4.0 + s) ** 2
+    big_f, slope = f_elliptic(s, derivative=True)
+    assert np.max(np.abs(split_slope / slope - 1.0)) < 1e-12
+    assert np.array_equal(big_f, f_elliptic(s))
+    assert all(np.array_equal(a, b) for a, b in zip((p, q), f_split(s)))
+    # beyond the split range, up to the s = 4 of a section at eps = 1/2
+    far = np.geomspace(1e-3, 10.0, 9)
+    step = 1e-5 * far
+    central = (f_elliptic(far + step) - f_elliptic(far - step)) / (2.0 * step)
+    slope = f_elliptic(far, derivative=True)[1]
+    assert np.max(np.abs(central / slope - 1.0)) < 1e-7
+    assert f_split(0.5, derivative=True)[2:] == tuple(
+        v[0] for v in f_split(np.array([0.5]), derivative=True)[2:])
+
+
 def test_split_against_frozen_values():
     s = np.array([v for v in sorted(F_REFERENCE) if v <= 1.0])
     ref = np.array([F_REFERENCE[v] for v in s])
