@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import core_solve_dense, dtn_disk, particular_solution
+from oracles import (assemble_cartesian, core_solve_dense, dtn_disk,
+                     particular_solution)
 from thinring.inner import solve_inner
 from thinring.outer import assemble_full, solve_outer
 from thinring.physics import NondimParams, SigmaLaw
@@ -112,11 +113,99 @@ def test_trace_needs_the_core_pass():
         trace(ZERO, 0.0)
 
 
+def test_interior_positivity():
+    # phi > 0 inside and phi = 0 on the boundary, so by Hopf's lemma its
+    # conormal trace is negative everywhere
+    sol = trace(ZERO, 0.05)
+    assert np.max(sol.lam) < 0.0
+
+
+def _case_grid(shape, eps, n_alpha):
+    # the shape's smallest boundary grid 4 (M + 1), lengthened by n_alpha,
+    # so that n / 2 has the parity of n_alpha / 2
+    return build_grid(shape, eps, 4 * (shape.modes + 1) + n_alpha)
+
+
+_SHAPES = {"zero": np.zeros(3),
+           "wavy": np.array([0.0, 0.0, 0.03, -0.01, 0.004]),
+           "decaying": np.r_[0.0, 0.0, 0.01 / np.arange(2, 33) ** 2]}
+# the largest deformations tried
+_HARD = [("a2", np.array([0.0, 0.0, 0.3]), 0.3),
+         ("a8", np.r_[np.zeros(8), 0.08], 0.05),
+         ("twenty", np.r_[0.0, 0.0, 0.02, np.full(20, 0.002)], 0.4)]
+
+
+@pytest.mark.parametrize("n_r, n_alpha, coeffs, eps", [
+    pytest.param(n_r, n_alpha, coeffs, eps, id=f"{eps}-{name}-{n_r}-{n_alpha}")
+    for eps in (0.0, 0.04, 0.2) for name, coeffs in _SHAPES.items()
+    for n_r, n_alpha in ((16, 32), (8, 64), (2, 4), (16, 34), (4, 6), (2, 2),
+                         (16, 36), (16, 68))] + [
+    pytest.param(16, 32, coeffs, eps, id=f"{eps}-{name}-16-32")
+    for name, coeffs, eps in _HARD])
+def test_folded_core_solve_matches_dense(n_r, n_alpha, coeffs, eps):
+    # The reflection fold is exact, on grids with even and odd n_alpha / 2.
+    # The interior collocation on all n_alpha angles, which the eps = 0
+    # checks use, has a reflection-even trace on every grid; and for
+    # eps > 0 the library's folded (n/2 + 1) core solve equals the unfolded
+    # n x n solve of the same Green's representation, with S assembled from
+    # Cartesian differences on all n rows.
+    shape = FourierShape(coeffs)
+    lam_dense = core_solve_dense(shape, eps, n_r, n_alpha)[1]
+    assert np.max(np.abs(lam_dense - np.roll(lam_dense[::-1], 1))) < 1e-10
+    if eps == 0.0:
+        return
+    grid = _case_grid(shape, eps, n_alpha)
+    n, h = grid.n, grid.n // 2
+    g = 0.5 * (grid.x1 * (2.0 + eps * grid.x1)) ** 2
+    d_g = assemble_full(grid, g)[1]       # even, as g is
+    rhs = 0.5 * g + np.concatenate([d_g, d_g[h - 1:0:-1]])
+    lam_u = np.linalg.solve(assemble_cartesian(grid, np.arange(n)), rhs)
+    lam_full = lam_u - 2.0 * grid.n1 * grid.x1 * (2.0 + eps * grid.x1)
+    lam = solve_inner(grid, solve_outer(grid, 0.5, core=True)).lam
+    assert np.max(np.abs(lam - lam_full)) < 1e-10
+
+
+# one eps from each of the four cold_core benchmark strata
+_POOL_EPS = (0.04, 0.02, 0.01, 0.005)
+
+
 @pytest.fixture(scope="module")
-def converged_shape():
-    # the cold rho = 0.25 state at eps = 0.04, at the M = 8 it is solved at
+def core_cases():
+    # (coefficients, eps) by case id: converged rho = 0.25 states and _HARD
     params = NondimParams(rho=0.25, sigma_law=SigmaLaw(), omega=math.inf)
-    return FourierShape(newton_solve(0.04, params).shape.coeffs[:9])
+    cases = {f"pool-{eps}": (newton_solve(eps, params).shape.coeffs, eps)
+             for eps in _POOL_EPS}
+    cases.update((name, (coeffs, eps)) for name, coeffs, eps in _HARD)
+    return cases
+
+
+@pytest.mark.parametrize("n_alpha", [32, 36, 68])
+@pytest.mark.parametrize("case", [f"pool-{eps}" for eps in _POOL_EPS]
+                         + [name for name, _, _ in _HARD])
+def test_core_stop_rule_reaches_the_roundoff_floor(core_cases, case, n_alpha):
+    # the direct folded solve leaves lam within 2e-11 of the same solve
+    # refined once on an extended-precision residual, on the benchmark's
+    # converged states and the hardest deformations tried
+    coeffs, eps = core_cases[case]
+    grid = _case_grid(FourierShape(coeffs), eps, n_alpha)
+    outer = solve_outer(grid, 0.5, core=True)
+    single, rhs = outer.single, outer.core_rhs
+    lam_u = np.linalg.solve(single, rhs)
+    wide = np.longdouble
+    defect = rhs.astype(wide) - single.astype(wide) @ lam_u.astype(wide)
+    step = np.linalg.solve(single, defect.astype(float))
+    assert np.max(np.abs(step)) < 2e-11
+    h = grid.n // 2
+    lam = solve_inner(grid, outer).lam[:h + 1]
+    assert np.max(np.abs(lam - lam_u
+                         + 2.0 * grid.n1[:h + 1] * grid.x1[:h + 1]
+                         * (2.0 + eps * grid.x1[:h + 1]))) < 1e-13
+
+
+@pytest.fixture(scope="module")
+def converged_shape(core_cases):
+    # the cold rho = 0.25 state at eps = 0.04, at the M = 8 it is solved at
+    return FourierShape(core_cases["pool-0.04"][0][:9])
 
 
 @pytest.mark.parametrize("n", [64, 128])
