@@ -159,9 +159,9 @@ def area(shape: FourierShape) -> float:
 
 def _high_moments(coeffs: np.ndarray) -> list:
     """i[k-1][j-1] = int b^k cos^j alpha (j, k = 1..3) of b = sum_{l>=2}
-    a_l cos(l alpha), exact from n = 8M > 3M + 1 samples: the solver's
-    boundary grids have that n, so build_grid's table serves both."""
-    n = 8 * (coeffs.size - 1)
+    a_l cos(l alpha), exact from n = 4 (M + 1) > 3M + 3 samples: the floor
+    grid of the solver's levels below the cap, so it reuses their table."""
+    n = 4 * coeffs.size
     _, cos_pow, _, table = _tables(n, coeffs.size)
     b = coeffs[2:] @ table[2:, :n]
     bb = b * b

@@ -35,11 +35,11 @@ state passes its matrix on, and its shape mode l scaled by
 The truncation M is chosen per solve by a two-grid check, truncation by
 coefficient decay (Boyd 2001, Chebyshev and Fourier Spectral Methods,
 ch. 2; Aurentz and Trefethen 2017, ACM TOMS 43).  Newton converges at
-M = 8 on grids scaled to M; the zero-padded state then gets one residual
-at 2M on grids twice as fine, and is accepted when that residual is below
-the tolerance.  Otherwise M doubles, up to the cap SolverOptions.modes,
-and the Newton matrix climbs with it, padded by the symbol diagonal.  Thin
-sections are accepted at M = 8.
+M = 8 on the floor grid of 4 (M + 1) points; the zero-padded state gets
+one residual at 2M on its floor grid, and is accepted when that is below
+the tolerance.  Otherwise M doubles, up to the cap SolverOptions.modes
+(on SolverOptions.n_grid), the Newton matrix climbing with it, padded by
+the symbol diagonal.  Thin sections are accepted at M = 8.
 """
 
 from __future__ import annotations
@@ -111,15 +111,15 @@ class SolverOptions:
 
     modes is the cap on the cosine truncation M that newton_solve climbs
     to and n_grid the boundary quadrature size at that cap, which the core
-    trace shares.  Every level, the cap included, scales n_grid by
-    M / modes (see _level).  residual evaluates at exactly the grid it is
-    given.  The Newton tolerance applies to the infinity norm of the
-    projected residual.  Its attainable floor on a converged thin section
-    at the defaults is roundoff: 1.3e-14 at eps = 0.04 to 1.8e-16 at
-    eps = 0.001 when rho = 0, and 1e-14 or below at rho = 0.25, where cold
-    solves at tol = 1e-13 converge.  inner_nr and inner_nalpha are still
-    validated but no longer affect any solve: the core lives on the
-    boundary grid.  Integer fields and tol reject bool.
+    trace shares; a level below the cap samples on 4 (M + 1) points (see
+    _level).  residual evaluates at exactly the grid it is given.  The
+    Newton tolerance applies to the infinity norm of the projected
+    residual.  Its attainable floor on a converged thin section at the
+    defaults is roundoff: 1.3e-14 at eps = 0.04 to 1.8e-16 at eps = 0.001
+    when rho = 0, and 1e-14 or below at rho = 0.25, where cold solves at
+    tol = 1e-13 converge.  inner_nr and inner_nalpha are still validated
+    but no longer affect any solve: the core lives on the boundary grid.
+    Integer fields and tol reject bool.
     """
 
     n_grid: int = 256
@@ -269,12 +269,12 @@ def _symbol(modes: int, eps: float, params: NondimParams) -> np.ndarray:
 def _level(options: SolverOptions, modes: int) -> SolverOptions:
     """Grids of the ladder level that solves at M = modes.
 
-    One rule for every level, the cap M = options.modes included: n_grid
-    scaled by M / options.modes, rounded up to even and at least 4 (M + 1),
-    which resolves M modes without aliasing.
+    The cap M = options.modes keeps options.n_grid; a level below it takes
+    its floor grid of 4 (M + 1) points: a state accepted at M has modes above
+    M under tol, so the residual's quadratic terms alias only from mode 4M.
     """
-    n_grid = 2 * -(-options.n_grid * modes // (2 * options.modes))
-    return replace(options, n_grid=max(n_grid, 4 * (modes + 1)), modes=modes)
+    n_grid = options.n_grid if modes == options.modes else 4 * (modes + 1)
+    return replace(options, n_grid=n_grid, modes=modes)
 
 
 def _resolve_omega(params: NondimParams) -> float:

@@ -21,13 +21,13 @@ def run(args):
 
 
 def test_solve_writes_solution_and_boundary(tmp_path, capsys):
-    # eps, extra flags, shape coefficients reported
-    for i, (eps, extra, coeffs) in enumerate([
-            ("0.02", FAST, 9),
-            ("0.04", ["--rho", "0.25"] + FAST, 9),     # a core solve
+    # eps, extra flags, shape coefficients and boundary.csv lines reported
+    for i, (eps, extra, coeffs, rows) in enumerate([
+            ("0.02", FAST, 9, 129),
+            ("0.04", ["--rho", "0.25"] + FAST, 9, 129),     # a core solve
             # default options: accepted at M = 8, reported from its check
-            # at M = 16 on a 128-point grid
-            ("0.04", ["--rho", "0.25"], 17)]):
+            # at M = 16 on its 68-point floor grid
+            ("0.04", ["--rho", "0.25"], 17, 69)]):
         out = tmp_path / str(i)
         code = run(["solve", "--eps", eps, "--out", str(out)] + extra)
         assert code == 0
@@ -49,7 +49,7 @@ def test_solve_writes_solution_and_boundary(tmp_path, capsys):
         assert doc["diagnostics"]["fd_columns"] == 1    # the symbol start
         lines = (out / "boundary.csv").read_text().splitlines()
         assert lines[0] == "alpha,theta,mu,lambda,h"
-        assert len(lines) == 129
+        assert len(lines) == rows
 
 
 def test_solve_is_bit_reproducible(tmp_path):

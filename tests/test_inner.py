@@ -80,7 +80,7 @@ def test_flux_identity_nontrivial_shape():
 
 
 def test_flux_identity_spectral_on_default_grid():
-    # the M = 8 level's 64-point grid
+    # the trace helper's default 64-point grid
     shape = FourierShape(np.array([0.0, 0.0, 0.03, -0.01]))
     sol = trace(shape, 0.08)
     assert abs(sol.diagnostics["flux_defect"]) < 1e-10

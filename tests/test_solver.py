@@ -190,8 +190,8 @@ def test_newton_converges_under_large_tension(solved_tension):
 @pytest.mark.parametrize("params", [P_CLASSICAL, P_TENSION, P_CORE],
                          ids=["classical", "tension", "core"])
 def test_nu_zeroes_mode_zero(params):
-    # nu is the mode-0 projection in closed form, not a Newton iterate; the
-    # cap level M = 8 gives the core 4 (M + 1) angles
+    # nu is the mode-0 projection in closed form, not a Newton iterate;
+    # inner_nalpha is validated but inert, the core shares the boundary grid
     st = newton_solve(0.02, params, options=OPTS8)
     rv = residual(st.shape, 0.02, st.w, st.nu, params,
                   replace(OPTS8, inner_nalpha=36))
@@ -374,8 +374,9 @@ def test_core_solve_is_grid_converged_at_positive_rho():
 
 @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
 def test_core_solve_on_converged_states(eps):
-    # the trace of the accepted state, on the 64-point grid of its M = 8,
-    # against the interior collocation oracle on 16 x 32 nodes
+    # the trace of the accepted state's M = 8 modes on 64 points, and the
+    # reported one from its 68-point check grid, against the interior
+    # collocation oracle on 16 x 32 nodes
     st = newton_solve(eps, P_CORE)
     assert st.diagnostics["modes"] == 8
     grid = build_grid(FourierShape(st.shape.coeffs[:9]), eps, 64)
@@ -663,20 +664,22 @@ def record_levels(monkeypatch):
 
 
 def test_accepted_state_is_reported_from_the_check(monkeypatch):
-    # solved at M = 8 on 64 points, checked and reported at M = 16 on 128
+    # solved at M = 8 on 36 points, checked and reported at M = 16 on 68
     seen = record_levels(monkeypatch)
     st = newton_solve(0.02, P_CLASSICAL)
     d = st.diagnostics
-    assert set(seen) == {(8, 64), (16, 128)}
-    assert seen[-1] == (16, 128) and seen.count(seen[-1]) == 1
+    assert set(seen) == {(8, 36), (16, 68)}
+    assert seen[-1] == (16, 68) and seen.count(seen[-1]) == 1
     assert d["modes"] == 8
     assert d["residual_norm"] <= SolverOptions().tol
     assert st.shape.coeffs.size == 17 and not np.any(st.shape.coeffs[9:])
-    assert st.mu.size == st.lam.size == 128
+    assert st.mu.size == st.lam.size == 68
     assert st.jacobian.shape == (8, 8)
-    check = SolverOptions(n_grid=128, modes=16)
+    check = SolverOptions(n_grid=68, modes=16)
     rv = residual(st.shape, st.eps, st.w, st.nu, P_CLASSICAL, check)
     assert abs(rv.r[0]) < 1e-14
+    # the check is evaluated at nu = 0, and nu moves r_1.. by roundoff
+    rv = residual(st.shape, st.eps, st.w, 0.0, P_CLASSICAL, check)
     assert float(np.max(np.abs(rv.r[1:]))) == d["residual_norm"]
 
 
@@ -690,7 +693,7 @@ def test_classical_solve_climbs_to_the_cap(monkeypatch):
     assert d["modes"] == 32
     assert d["residual_norm"] <= SolverOptions().tol
     assert d["fd_columns"] == 1
-    assert sorted(set(seen)) == [(8, 64), (16, 128), (32, 256)]
+    assert sorted(set(seen)) == [(8, 36), (16, 68), (32, 256)]
     # the first residual, the w column and one per step: the step that
     # ends each level below the cap is followed by that level's check
     assert len(seen) == 1 + d["fd_columns"] + d["iterations"]
@@ -709,8 +712,8 @@ def test_classical_report_resolves_its_modes():
 
 
 def test_core_cap_level_resolves_its_modes():
-    # the cap level's core shares its 256-point grid; against a solve on
-    # grids twice as fine at every level
+    # the cap level's core shares its 256-point grid; against a solve whose
+    # cap grid is twice as fine (the levels below it keep their floor grids)
     st = newton_solve(0.3, P_CORE)
     fine = newton_solve(0.3, P_CORE, options=SolverOptions(n_grid=512))
     assert st.diagnostics["modes"] == 32
@@ -718,9 +721,9 @@ def test_core_cap_level_resolves_its_modes():
 
 
 @pytest.mark.parametrize("modes, levels", [(8, {(8, 128)}),
-                                           (12, {(8, 86), (12, 128)})])
+                                           (12, {(8, 36), (12, 128)})])
 def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
-    # a level below the cap scales n_grid by M / modes, rounded up to even
+    # a level below the cap samples on its floor grid, 4 (M + 1) points
     seen = record_levels(monkeypatch)
     st = newton_solve(0.3, P_CLASSICAL,
                       options=SolverOptions(n_grid=128, modes=modes))
@@ -730,9 +733,9 @@ def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
 
 
 def test_core_sweep_stays_coarse_and_builds_one_fd_column(monkeypatch):
-    # a 16 x 32 core at M = 32 aliases modes 16 and up, and Broyden stalls
-    # on those matrix entries into forward-difference rebuilds; the level
-    # grids resolve every mode of their M
+    # the first state builds the one w column and every later one carries
+    # its matrix; the level grids resolve every mode of their M, so Broyden
+    # never stalls on aliased entries into forward-difference rebuilds
     states = continuation(np.linspace(0.04, 0.005, 8), P_CORE)
     assert sum(st.diagnostics["fd_columns"] for st in states) == 1
     # against solves pinned at M = 32, whose cap level resolves it
@@ -742,6 +745,36 @@ def test_core_sweep_stays_coarse_and_builds_one_fd_column(monkeypatch):
         assert ref.diagnostics["modes"] == 32
         for name in ("w", "gamma", "nu"):
             assert abs(getattr(st, name) - getattr(ref, name)) < 1e-9, (
+                name, st.eps)
+
+
+def test_thick_classical_solve_is_accurate_at_the_cap():
+    # eps = 0.5 climbs to the cap M = 32; a solve at modes = 128,
+    # n_grid = 2048 gives W = 0.1670017918167829, gamma =
+    # 0.0563588625125355 and nu = -0.0226012503403166
+    st = newton_solve(0.5, P_CLASSICAL)
+    assert st.diagnostics["modes"] == 32
+    assert abs(st.w - 0.1670017918167829) < 1e-9
+    assert abs(st.gamma - 0.0563588625125355) < 4e-9
+    assert abs(st.nu + 0.0226012503403166) < 1e-9
+
+
+# the benchmark's eps pool: 16 log-spaced values from 0.04 to 0.005
+_POOL = (0.04, 0.03482, 0.03031, 0.02639, 0.02297, 0.02, 0.01741, 0.01516,
+         0.0132, 0.01149, 0.01, 0.008706, 0.007579, 0.006598, 0.005743, 0.005)
+
+
+def test_floor_grids_hold_the_tightest_tolerance(monkeypatch):
+    # levels below the cap on their 4 (M + 1)-point floor grids, against
+    # solves pinned at M = 32 on the cap's 256 points: 1.3e-13 apart
+    options = SolverOptions(tol=1e-13)
+    states = [newton_solve(eps, P_CORE, options=options) for eps in _POOL]
+    monkeypatch.setattr("thinring.solver._BASE_MODES", 32)
+    for st in states:
+        ref = newton_solve(st.eps, P_CORE, options=options)
+        assert ref.diagnostics["modes"] == 32
+        for name in ("w", "gamma", "nu"):
+            assert abs(getattr(st, name) - getattr(ref, name)) < 1e-12, (
                 name, st.eps)
 
 
