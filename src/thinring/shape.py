@@ -157,11 +157,11 @@ def area(shape: FourierShape) -> float:
     return float(np.pi * (1.0 + a[0]) ** 2 + 0.5 * np.pi * np.dot(a[1:], a[1:]))
 
 
-def _high_moments(coeffs: np.ndarray) -> list:
+def _high_moments(coeffs: np.ndarray, n: int = 0) -> list:
     """i[k-1][j-1] = int b^k cos^j alpha (j, k = 1..3) of b = sum_{l>=2}
-    a_l cos(l alpha), exact from n = 4 (M + 1) > 3M + 3 samples: the floor
-    grid of the solver's levels below the cap, so it reuses their table."""
-    n = 4 * coeffs.size
+    a_l cos(l alpha), exact from n >= 4 (M + 1) > 3M + 3 samples; the
+    solver passes its boundary grid's n, so build_grid's table serves both."""
+    n = max(n, 4 * coeffs.size)
     _, cos_pow, _, table = _tables(n, coeffs.size)
     b = coeffs[2:] @ table[2:, :n]
     bb = b * b
@@ -188,17 +188,17 @@ _PROJ_TOL = 1e-12
 _PROJ_MAX_ITER = 20
 
 
-def project_constraints(shape: FourierShape) -> FourierShape:
+def project_constraints(shape: FourierShape, n: int = 0) -> FourierShape:
     """Slave (a_0, a_1) to the geometric constraints area = pi, moment = 0.
 
     Higher modes are untouched (a one-coefficient shape is padded).  Newton
     on Python floats in c = 1 + a_0 and a_1: the area pi c^2 + (pi/2)
     sum_{l>=1} a_l^2 and the moment, a cubic on six moments of the fixed
-    modes (_high_moments), with their exact Jacobian.  Raises GeometryError
-    when the Jacobian is singular or the iteration does not converge.
+    modes (_high_moments, on n samples), with their exact Jacobian.  Raises
+    GeometryError when the Jacobian is singular or the iteration fails.
     """
     c = np.concatenate((shape.coeffs, [0.0] * (2 - shape.coeffs.size)))
-    i, high_sq = _high_moments(c), float(c[2:] @ c[2:])
+    i, high_sq = _high_moments(c, n), float(c[2:] @ c[2:])
     c0, a1 = 1.0 + float(c[0]), float(c[1])
     for _ in range(_PROJ_MAX_ITER):
         g1 = np.pi * c0 * c0 + 0.5 * np.pi * (a1 * a1 + high_sq) - np.pi

@@ -35,11 +35,11 @@ state passes its matrix on, and its shape mode l scaled by
 The truncation M is chosen per solve by a two-grid check, truncation by
 coefficient decay (Boyd 2001, Chebyshev and Fourier Spectral Methods,
 ch. 2; Aurentz and Trefethen 2017, ACM TOMS 43).  Newton converges at
-M = 8 on the floor grid of 4 (M + 1) points; the zero-padded state gets
-one residual at 2M on its floor grid, and is accepted when that is below
-the tolerance.  Otherwise M doubles, up to the cap SolverOptions.modes
-(on SolverOptions.n_grid), the Newton matrix climbing with it, padded by
-the symbol diagonal.  Thin sections are accepted at M = 8.
+M = 8 (on 4 (M + 1) points at the defaults); the zero-padded state gets
+one residual on the grid of level 2M, and is accepted when that is below
+tol.  Otherwise M doubles, up to the cap SolverOptions.modes, the Newton
+matrix climbing with it, padded by the symbol diagonal.  Thin sections
+are accepted at M = 8.
 """
 
 from __future__ import annotations
@@ -111,15 +111,14 @@ class SolverOptions:
 
     modes is the cap on the cosine truncation M that newton_solve climbs
     to and n_grid the boundary quadrature size at that cap, which the core
-    trace shares; a level below the cap samples on 4 (M + 1) points (see
-    _level).  residual evaluates at exactly the grid it is given.  The
-    Newton tolerance applies to the infinity norm of the projected
-    residual.  Its attainable floor on a converged thin section at the
-    defaults is roundoff: 1.3e-14 at eps = 0.04 to 1.8e-16 at eps = 0.001
-    when rho = 0, and 1e-14 or below at rho = 0.25, where cold solves at
-    tol = 1e-13 converge.  inner_nr and inner_nalpha are still validated
-    but no longer affect any solve: the core lives on the boundary grid.
-    Integer fields and tol reject bool.
+    trace shares; the levels below the cap scale with it (see _level).
+    residual evaluates at exactly the grid it is given.  tol applies to the
+    infinity norm of the projected residual.  Its attainable floor on a
+    converged thin section at the defaults is roundoff: 1.3e-14 at
+    eps = 0.04 to 1.8e-16 at eps = 0.001 when rho = 0, and 1e-14 or below
+    at rho = 0.25, where cold solves at tol = 1e-13 converge.  inner_nr and
+    inner_nalpha are validated but inert: the core lives on the boundary
+    grid.  Integer fields and tol reject bool.
     """
 
     n_grid: int = 256
@@ -223,7 +222,7 @@ def residual(shape: FourierShape, eps: float, w: float, nu: float,
     1/(1 + eps sigma), which shifts r_0 under nu -> nu + c by
     -c/(1 + eps sigma) and leaves higher modes untouched.
     """
-    shape = project_constraints(shape)
+    shape = project_constraints(shape, options.n_grid)
     grid = build_grid(shape, eps, options.n_grid)
     core = params.rho > 0.0
     out = solve_outer(grid, w, core)
@@ -269,12 +268,15 @@ def _symbol(modes: int, eps: float, params: NondimParams) -> np.ndarray:
 def _level(options: SolverOptions, modes: int) -> SolverOptions:
     """Grids of the ladder level that solves at M = modes.
 
-    The cap M = options.modes keeps options.n_grid; a level below it takes
-    its floor grid of 4 (M + 1) points: a state accepted at M has modes above
-    M under tol, so the residual's quadratic terms alias only from mode 4M.
+    The cap M = options.modes keeps options.n_grid.  A level below it,
+    checked at 2M, takes half the cap's points per mode, n_grid (M + 1) /
+    (2 modes) made even, and at least its floor grid 4 (M + 1), as at the
+    default n_grid = 8 modes: modes above an accepted M are under tol, so
+    the residual's quadratic terms alias only from mode 4M.
     """
-    n_grid = options.n_grid if modes == options.modes else 4 * (modes + 1)
-    return replace(options, n_grid=n_grid, modes=modes)
+    n = 2 * -(-options.n_grid * (modes + 1) // (4 * options.modes))
+    n = options.n_grid if modes == options.modes else max(n, 4 * (modes + 1))
+    return replace(options, n_grid=n, modes=modes)
 
 
 def _resolve_omega(params: NondimParams) -> float:
@@ -293,8 +295,7 @@ def newton_solve(eps: float, params: NondimParams,
     min(2M, options.modes), on its grids, and is accepted and reported from
     it (gamma, nu, mu, lam, padded shape) when its max |r_1..r_2M| is at
     most options.tol.  Otherwise Newton carries on at the finer level, the
-    check its first residual.  The cap level, options.modes, takes no
-    check.
+    check its first residual.  The cap level, options.modes, has none.
 
     At each level the unknowns are (w, a_2..a_M) against residual modes
     r_1..r_M.  The M x M matrix is init.jacobian, or the matrix of the
@@ -456,10 +457,9 @@ def newton_solve(eps: float, params: NondimParams,
     nu = (1.0 + params.sigma_law.eps_sigma(eps)) * float(rv.r[0])
     lam = rv.lam
     if params.rho == 0.0:
-        # reported even when it does not enter the residual, on the grid of
-        # the level solved at (the shape's modes above M are zero padding),
-        # resampled onto the reported grid; a failure here must not void
-        # the converged state
+        # reported though it does not enter the residual, solved on the
+        # grid of level M (the modes above M are zero padding), resampled to
+        # the reported grid; a failure here must not void the state
         try:
             grid = build_grid(FourierShape(shape.coeffs[:modes + 1]), eps,
                               _level(options, modes).n_grid)

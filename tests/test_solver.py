@@ -711,9 +711,17 @@ def test_classical_report_resolves_its_modes():
     assert np.max(np.abs(st.lam - fine.lam_on(st.lam.size))) < 1e-10
 
 
+def test_n_grid_refines_every_level(monkeypatch):
+    # twice the default points per mode doubles the floor grids below the cap
+    seen = record_levels(monkeypatch)
+    st = newton_solve(0.02, P_CLASSICAL, options=SolverOptions(n_grid=512))
+    assert set(seen) == {(8, 72), (16, 136)}
+    assert st.diagnostics["modes"] == 8
+
+
 def test_core_cap_level_resolves_its_modes():
     # the cap level's core shares its 256-point grid; against a solve whose
-    # cap grid is twice as fine (the levels below it keep their floor grids)
+    # every level is twice as fine
     st = newton_solve(0.3, P_CORE)
     fine = newton_solve(0.3, P_CORE, options=SolverOptions(n_grid=512))
     assert st.diagnostics["modes"] == 32
@@ -721,9 +729,10 @@ def test_core_cap_level_resolves_its_modes():
 
 
 @pytest.mark.parametrize("modes, levels", [(8, {(8, 128)}),
-                                           (12, {(8, 36), (12, 128)})])
+                                           (12, {(8, 48), (12, 128)})])
 def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
-    # a level below the cap samples on its floor grid, 4 (M + 1) points
+    # a level below the cap takes half the cap's points per mode,
+    # 128 (8 + 1) / (2 * 12) = 48 at M = 8
     seen = record_levels(monkeypatch)
     st = newton_solve(0.3, P_CLASSICAL,
                       options=SolverOptions(n_grid=128, modes=modes))
@@ -732,20 +741,41 @@ def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
     assert st.mu.size == 128
 
 
+def assert_matches_pinned(monkeypatch, states, bound, options):
+    # against solves pinned at M = 32, whose cap level resolves them
+    monkeypatch.setattr("thinring.solver._BASE_MODES", 32)
+    for st in states:
+        ref = newton_solve(st.eps, P_CORE, options=options)
+        assert ref.diagnostics["modes"] == 32
+        for name in ("w", "gamma", "nu"):
+            assert abs(getattr(st, name) - getattr(ref, name)) < bound, (
+                name, st.eps)
+
+
 def test_core_sweep_stays_coarse_and_builds_one_fd_column(monkeypatch):
     # the first state builds the one w column and every later one carries
     # its matrix; the level grids resolve every mode of their M, so Broyden
     # never stalls on aliased entries into forward-difference rebuilds
     states = continuation(np.linspace(0.04, 0.005, 8), P_CORE)
     assert sum(st.diagnostics["fd_columns"] for st in states) == 1
-    # against solves pinned at M = 32, whose cap level resolves it
-    monkeypatch.setattr("thinring.solver._BASE_MODES", 32)
-    for st in states:
-        ref = newton_solve(st.eps, P_CORE)
-        assert ref.diagnostics["modes"] == 32
-        for name in ("w", "gamma", "nu"):
-            assert abs(getattr(st, name) - getattr(ref, name)) < 1e-9, (
-                name, st.eps)
+    assert_matches_pinned(monkeypatch, states, 1e-9, SolverOptions())
+
+
+@pytest.mark.parametrize("eps_list, tol, accepted", [
+    # 16 log-spaced eps, the benchmark's pool up to rounding (1.9e-13
+    # apart), and thicker sections accepted on the 68 points of M = 16
+    (tuple(np.geomspace(0.04, 0.005, 16)) + (0.06, 0.08, 0.1), 1e-13,
+     {8, 16}),
+    # thicker sections accepted on the 36 points of M = 8 (2.9e-14 apart)
+    ((0.05, 0.055, 0.06), 1e-10, {8}),
+])
+def test_floor_grids_match_a_pinned_solve(monkeypatch, eps_list, tol,
+                                          accepted):
+    states = [newton_solve(eps, P_CORE, options=SolverOptions(tol=tol))
+              for eps in eps_list]
+    assert {st.diagnostics["modes"] for st in states} == accepted
+    assert_matches_pinned(monkeypatch, states, 1e-12,
+                          SolverOptions(tol=1e-13))
 
 
 def test_thick_classical_solve_is_accurate_at_the_cap():
@@ -757,25 +787,6 @@ def test_thick_classical_solve_is_accurate_at_the_cap():
     assert abs(st.w - 0.1670017918167829) < 1e-9
     assert abs(st.gamma - 0.0563588625125355) < 4e-9
     assert abs(st.nu + 0.0226012503403166) < 1e-9
-
-
-# the benchmark's eps pool: 16 log-spaced values from 0.04 to 0.005
-_POOL = (0.04, 0.03482, 0.03031, 0.02639, 0.02297, 0.02, 0.01741, 0.01516,
-         0.0132, 0.01149, 0.01, 0.008706, 0.007579, 0.006598, 0.005743, 0.005)
-
-
-def test_floor_grids_hold_the_tightest_tolerance(monkeypatch):
-    # levels below the cap on their 4 (M + 1)-point floor grids, against
-    # solves pinned at M = 32 on the cap's 256 points: 1.3e-13 apart
-    options = SolverOptions(tol=1e-13)
-    states = [newton_solve(eps, P_CORE, options=options) for eps in _POOL]
-    monkeypatch.setattr("thinring.solver._BASE_MODES", 32)
-    for st in states:
-        ref = newton_solve(st.eps, P_CORE, options=options)
-        assert ref.diagnostics["modes"] == 32
-        for name in ("w", "gamma", "nu"):
-            assert abs(getattr(st, name) - getattr(ref, name)) < 1e-12, (
-                name, st.eps)
 
 
 # ------------------------------------------------------------- heap reuse
