@@ -711,14 +711,6 @@ def test_classical_report_resolves_its_modes():
     assert np.max(np.abs(st.lam - fine.lam_on(st.lam.size))) < 1e-10
 
 
-def test_n_grid_refines_every_level(monkeypatch):
-    # twice the default points per mode doubles the floor grids below the cap
-    seen = record_levels(monkeypatch)
-    st = newton_solve(0.02, P_CLASSICAL, options=SolverOptions(n_grid=512))
-    assert set(seen) == {(8, 72), (16, 136)}
-    assert st.diagnostics["modes"] == 8
-
-
 def test_core_cap_level_resolves_its_modes():
     # the cap level's core shares its 256-point grid; against a solve whose
     # every level is twice as fine
@@ -731,8 +723,8 @@ def test_core_cap_level_resolves_its_modes():
 @pytest.mark.parametrize("modes, levels", [(8, {(8, 128)}),
                                            (12, {(8, 48), (12, 128)})])
 def test_ladder_never_evaluates_above_its_cap(monkeypatch, modes, levels):
-    # a level below the cap takes half the cap's points per mode,
-    # 128 (8 + 1) / (2 * 12) = 48 at M = 8
+    # a level below the cap takes half the cap's points per mode, at least
+    # 4 (M + 1): 128 (8 + 1) / (2 * 12) = 48 at M = 8, above its floor 36
     seen = record_levels(monkeypatch)
     st = newton_solve(0.3, P_CLASSICAL,
                       options=SolverOptions(n_grid=128, modes=modes))
@@ -766,7 +758,7 @@ def test_core_sweep_stays_coarse_and_builds_one_fd_column(monkeypatch):
     # apart), and thicker sections accepted on the 68 points of M = 16
     (tuple(np.geomspace(0.04, 0.005, 16)) + (0.06, 0.08, 0.1), 1e-13,
      {8, 16}),
-    # thicker sections accepted on the 36 points of M = 8 (2.9e-14 apart)
+    # thicker sections accepted on the 36 points of M = 8 (2.0e-14 apart)
     ((0.05, 0.055, 0.06), 1e-10, {8}),
 ])
 def test_floor_grids_match_a_pinned_solve(monkeypatch, eps_list, tol,
